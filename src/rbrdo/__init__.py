@@ -7,7 +7,7 @@ problems with published optima.
 """
 
 from .core import (Bounds, Dominance, EvaluatedSolution, ParetoArchive, Sense,
-                   archive_insert, dominates, non_dominated_filter)
+                   dominates, non_dominated_filter)
 from .errors import (DivisionHazardError, FitError, GradientVanishedError,
                      NumericError, RbrdoError, UsageError)
 from .formulation import (Candidate, RbrdoProblem, build_mo_problem,
@@ -35,7 +35,7 @@ __all__ = [
     "GradientVanishedError", "ModeParams", "MppResult", "NeighborhoodSpec",
     "NumericError", "ParetoArchive", "PerformanceFunction",
     "RandomVariableSpec", "RbrdoError", "RbrdoProblem", "RngStream",
-    "RobustnessSpec", "Sense", "UsageError", "archive_insert", "asosl_mpp",
+    "RobustnessSpec", "Sense", "UsageError", "asosl_mpp",
     "backtracking_line_search", "build_mo_problem", "build_rbdo_evaluator",
     "crowding_distance", "de_minimize", "dominates", "effective_mean",
     "evaluate_rbrdo", "failure_probability", "fit_front",

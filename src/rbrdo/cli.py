@@ -32,10 +32,10 @@ from .errors import NumericError, UsageError
 from .formulation import build_rbdo_evaluator, sweep_robustness
 from .optimize import DeParams, ModeParams, de_minimize
 from .reliability import AsoslParams, RandomVariableSpec, asosl_mpp
-from .stats import fit_front
+from .stats import fit_front, second_difference_scale
 
 # cross-level dispersion statistics compare equal-sized fronts: archives are
-# thinned to this many beta-stratified members before the quadratic fit
+# thinned to this many beta-stratified members before the fits
 FIT_SAMPLE = 50
 
 log = logging.getLogger(__name__)
@@ -63,7 +63,6 @@ _DEFAULTS = {
     "epsilon": 1e-6,
     "max_iters": 200,
     "seed": 0,
-    "threads": 1,
     "mpp_nominal": False,
     "worst_case": False,
     "history": False,
@@ -73,7 +72,7 @@ _DEFAULTS = {
 
 _TYPES = {
     "samples": int, "NP": int, "generations": int, "R": int,
-    "max_iters": int, "seed": int, "threads": int,
+    "max_iters": int, "seed": int,
     "F": float, "CR": float, "r": float, "psi": float, "beta_t": float,
     "delta_eta": float, "alpha_b": float, "s_b": float, "epsilon": float,
     "eta": float,
@@ -220,7 +219,7 @@ def cmd_run(args) -> int:
     if mode == "deterministic":
         history = [] if cfg["history"] else None
         best = de_minimize(det.evaluator(), det.bounds, de, sense=det.sense,
-                           threads=cfg["threads"], history=history)
+                           history=history)
         row = list(best.decision) + [0.0] + list(best.objectives) + [0.0]
         path = f"{prefix}_front.csv"
         _write_front(path, [row], _front_header(det.bounds.dim, 1))
@@ -233,7 +232,7 @@ def cmd_run(args) -> int:
             unc, cfg["beta_t"], mpp_per_sample=not cfg["mpp_nominal"])
         history = [] if cfg["history"] else None
         best = de_minimize(evaluator, bounds, de, sense=sense,
-                           threads=cfg["threads"], history=history)
+                           history=history)
         row = (list(best.decision) + [cfg["beta_t"]] + list(best.objectives)
                + [0.0])
         path = f"{prefix}_front.csv"
@@ -253,8 +252,7 @@ def cmd_run(args) -> int:
             unc, levels, mode_params, samples=cfg["samples"],
             strategy=cfg["strategy"], eta=cfg["eta"], scheme=cfg["scheme"],
             worst_case=cfg["worst_case"],
-            mpp_per_sample=not cfg["mpp_nominal"], threads=cfg["threads"],
-            histories=histories)
+            mpp_per_sample=not cfg["mpp_nominal"], histories=histories)
         if histories:
             for level, hist in histories.items():
                 written.extend(_write_history(prefix, f"_delta{level:g}",
@@ -282,20 +280,23 @@ def cmd_run(args) -> int:
                 keep = np.unique(np.round(
                     np.linspace(0, len(rows) - 1, FIT_SAMPLE)).astype(int))
                 report = fit_front(beta_col[keep], f_col[keep])
-                stats_rows.append((level, report))
-                print(f"delta={level:g}: {len(rows)} front members, {report}")
+                sd = second_difference_scale(beta_col[keep], f_col[keep])
+                stats_rows.append((level, report, sd))
+                print(f"delta={level:g}: {len(rows)} front members, {report} "
+                      f"sd_scale={sd:.4g}")
             else:
                 print(f"delta={level:g}: {len(rows)} front members "
                       f"(too few for a fit)")
         if stats_rows:
             stats_path = f"{prefix}_stats.csv"
             with open(stats_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("delta,n,a0,a1,a2,sqr,r2,r2_adj,rms\n")
-                for level, rep in stats_rows:
+                fh.write("delta,n,a0,a1,a2,sqr,r2,r2_adj,rms,sd_scale\n")
+                for level, rep, sd in stats_rows:
                     a0, a1, a2 = rep.coefficients
                     fh.write(",".join(_fmt(v) for v in
                                       [level, rep.n, a0, a1, a2, rep.sqr,
-                                       rep.r2, rep.r2_adj, rep.rms]) + "\n")
+                                       rep.r2, rep.r2_adj, rep.rms, sd])
+                             + "\n")
             written.append(stats_path)
         if errors:
             for level, exc in errors.items():
@@ -416,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--generations", type=int)
     p_run.add_argument("--r", type=float)
     p_run.add_argument("--R", type=int)
-    p_run.add_argument("--threads", type=int)
     p_run.add_argument("--mpp-nominal", dest="mpp_nominal",
                        action="store_true", default=None,
                        help="check constraints once per candidate at the "

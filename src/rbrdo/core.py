@@ -191,8 +191,3 @@ class ParetoArchive:
     def decision_matrix(self) -> np.ndarray:
         return np.array([m.decision for m in self.members], dtype=float)
 
-
-def archive_insert(archive: ParetoArchive, sol: EvaluatedSolution) -> ParetoArchive:
-    """Functional-style wrapper around :meth:`ParetoArchive.insert`."""
-    archive.insert(sol)
-    return archive

@@ -34,8 +34,9 @@ from .core import Bounds, EvaluatedSolution, ParetoArchive, Sense, sense_signs
 from .errors import DivisionHazardError, UsageError
 from .optimize import ModeParams, mode_optimize
 from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
-                          _fd_gradient, make_u_space)
-from .robustness import RobustnessSpec, type2_feasible
+                          make_u_space)
+from .robustness import (RobustnessSpec, penalty_objectives, type2_ratio,
+                         worst_sample)
 from .sampling import NeighborhoodSpec, RngStream, neighborhood_samples
 
 log = logging.getLogger(__name__)
@@ -70,7 +71,6 @@ class RbrdoProblem:
     domain_guard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     psi: float = 1e6
     asosl_defaults: dict = field(default_factory=dict)
-    equalities: tuple = ()
 
     def __post_init__(self):
         lo, hi = self.beta_bounds
@@ -208,33 +208,22 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     r = rows.shape[0]
     c = len(problem.constraints)
     mu, sigma = problem.random_vars(rows)
-    mu = np.broadcast_to(mu, (r, mu.shape[-1]))
-    sigma = np.broadcast_to(sigma, mu.shape)
+    # contiguous copies: every margin and gradient call transforms with them
+    mu = np.array(np.broadcast_to(mu, (r, mu.shape[-1])))
+    sigma = np.array(np.broadcast_to(sigma, mu.shape))
     params = AsoslParams(beta_t=float(betas.max()), **problem.asosl_defaults)
 
-    mu_all = np.tile(mu, (c, 1))
-    sigma_all = np.tile(sigma, (c, 1))
     beta_all = np.tile(betas, c)
+    blocks = [slice(i * r, (i + 1) * r) for i in range(c)]
+    spaces = [make_u_space(pf, mu, sigma, rows) for pf in problem.constraints]
 
     def Gfun(u):
-        x = mu_all + sigma_all * u
-        out = np.empty(c * r)
-        for i, pf in enumerate(problem.constraints):
-            block = slice(i * r, (i + 1) * r)
-            out[block] = pf.g(rows, x[block])
-        return out
+        return np.concatenate([G(u[block])
+                               for (G, _), block in zip(spaces, blocks)])
 
     def gradfun(u):
-        x = mu_all + sigma_all * u
-        out = np.empty_like(u)
-        for i, pf in enumerate(problem.constraints):
-            block = slice(i * r, (i + 1) * r)
-            if pf.grad_x is not None:
-                out[block] = sigma_all[block] * pf.grad_x(rows, x[block])
-            else:
-                gf, _ = make_u_space(pf, mu, sigma, rows)
-                out[block] = _fd_gradient(gf, u[block])
-        return out
+        return np.concatenate([grad(u[block])
+                               for (_, grad), block in zip(spaces, blocks)])
 
     u, g_star, _, conv, _ = _asosl_engine(Gfun, gradfun, beta_all,
                                           mu.shape[1], c * r, params)
@@ -248,8 +237,9 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     penalty += bad.reshape(c, r).sum(axis=0) * _MPP_FAILURE_PENALTY
     x_mpp = None
     if problem.objective_at_mpp:
-        x_all = (mu_all + sigma_all * u).reshape(c, r, -1)
-        x_mpp = np.stack([x_all[i, :, i] for i in range(c)], axis=1)
+        # constraint i governs random variable i
+        x_mpp = np.stack([mu[:, i] + sigma[:, i] * u[block, i]
+                          for i, block in enumerate(blocks)], axis=1)
     return penalty, x_mpp, bool(conv.all())
 
 
@@ -288,6 +278,7 @@ def _finish(problem: RbrdoProblem, spec: RobustnessSpec, prep: _Prep,
     # level is infeasible (barred from archives) on top of the objective
     # worsening; per-sample penalties only press on the objectives
     violation = prep.guard_violation + nominal_penalty
+    signs = sense_signs(problem.senses)
     try:
         if spec.strategy in ("none", "effective_mean") or not prep.noisy:
             f_robust = f_samples.mean(axis=0)
@@ -300,32 +291,19 @@ def _finish(problem: RbrdoProblem, spec: RobustnessSpec, prep: _Prep,
             f_nominal = _objective_matrix(problem, d[None, :],
                                           x_nom_eval[None, :])[0]
             if spec.strategy == "penalty":
-                if np.any(np.abs(f_nominal) < 1e-12):
-                    raise DivisionHazardError(
-                        "penalty-based robustness needs |f_r(x)| > 0")
-                dev = np.abs(f_samples - f_nominal).mean(axis=0)
-                pen_r = dev / np.abs(f_nominal)
-                sign = sense_signs(problem.senses)
-                f_robust = f_nominal + sign * pen_r
+                f_robust = penalty_objectives(f_samples, f_nominal, signs)
             else:  # type2
-                if spec.worst_case:
-                    sign = sense_signs(problem.senses)
-                    scale = np.maximum(np.abs(f_nominal), 1e-12)
-                    badness = ((f_samples - f_nominal) * sign / scale).sum(axis=1)
-                    f_ref = f_samples[int(np.argmax(badness))]
-                else:
-                    f_ref = f_samples.mean(axis=0)
+                f_ref = (worst_sample(f_samples, f_nominal, signs)
+                         if spec.worst_case else f_samples.mean(axis=0))
                 f_robust = f_nominal
-                if not type2_feasible(f_nominal, f_ref, spec.eta):
-                    ratio = float(np.linalg.norm(f_ref - f_nominal)
-                                  / np.linalg.norm(f_nominal))
+                ratio = type2_ratio(f_nominal, f_ref)
+                if not ratio <= spec.eta:
                     violation += ratio - spec.eta
     except DivisionHazardError as exc:
         log.info("candidate rejected (%s)", exc)
         return _reject(problem, cand, _MPP_FAILURE_PENALTY)
 
-    sign = sense_signs(problem.senses)
-    objectives = f_robust + sign * problem.psi * penalty
+    objectives = f_robust + signs * problem.psi * penalty
     full = np.concatenate([objectives, [cand.beta_t]])
     return EvaluatedSolution(decision=cand.as_vector(), objectives=full,
                              constraint_violation=violation)
@@ -336,9 +314,6 @@ def evaluate_rbrdo_batch(cands: Sequence[Candidate], problem: RbrdoProblem,
                          robustness: Optional[RobustnessSpec] = None,
                          mpp_per_sample: bool = True) -> list[EvaluatedSolution]:
     """Evaluate many candidates with one stacked MPP pass."""
-    if problem.equalities:
-        raise UsageError("unresolved equality constraints; eliminate them "
-                         "algebraically before building the problem")
     spec = robustness or RobustnessSpec(strategy="none")
     if len(cands) != len(streams):
         raise UsageError("one rng stream is required per candidate")
@@ -406,10 +381,11 @@ def evaluate_rbrdo(cand: Candidate, problem: RbrdoProblem,
 
 
 class RbrdoEvaluator:
-    """Optimizer-facing adapter over the (d, beta_t) search space.
+    """Optimizer-facing batch evaluator over the (d, beta_t) search space.
 
-    Callable per candidate; ``evaluate_batch`` evaluates a whole population
-    (one stacked MPP pass) and is what the evolutionary drivers use.
+    ``evaluate_batch`` evaluates a whole population in one stacked MPP
+    pass. With ``fixed_beta`` the search space is d alone and beta_t is
+    dropped from the returned objectives.
     """
 
     def __init__(self, problem: RbrdoProblem,
@@ -425,25 +401,14 @@ class RbrdoEvaluator:
             return Candidate.from_vector(x)
         return Candidate(d=np.asarray(x, dtype=float), beta_t=self.fixed_beta)
 
-    def _pack(self, sol: EvaluatedSolution):
-        if self.fixed_beta is None:
-            return sol.objectives, sol.constraint_violation
-        return sol.objectives[:-1], sol.constraint_violation
-
-    def __call__(self, x, rng):
-        sol = evaluate_rbrdo(self._candidate(x), self.problem, rng,
-                             robustness=self.robustness,
-                             mpp_per_sample=self.mpp_per_sample)
-        return self._pack(sol)
-
     def evaluate_batch(self, xs, streams):
         cands = [self._candidate(x) for x in xs]
         sols = evaluate_rbrdo_batch(cands, self.problem, streams,
                                     robustness=self.robustness,
                                     mpp_per_sample=self.mpp_per_sample)
-        packed = [self._pack(s) for s in sols]
-        objs = np.array([p[0] for p in packed])
-        viol = np.array([p[1] for p in packed])
+        keep = slice(None) if self.fixed_beta is None else slice(None, -1)
+        objs = np.array([s.objectives[keep] for s in sols])
+        viol = np.array([s.constraint_violation for s in sols])
         return objs, viol
 
 
@@ -455,9 +420,6 @@ def build_mo_problem(problem: RbrdoProblem,
     Returns (evaluator, bounds, senses) with decision dimension n_d + 1 and
     beta_t appended as a maximized final objective.
     """
-    if problem.equalities:
-        raise UsageError("unresolved equality constraints; eliminate them "
-                         "algebraically before building the problem")
     evaluator = RbrdoEvaluator(problem, robustness,
                                mpp_per_sample=mpp_per_sample)
     return evaluator, problem.full_bounds(), problem.full_senses()
@@ -493,7 +455,7 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
                      strategy: str = "effective_mean",
                      eta: Optional[float] = None, scheme: str = "lhs",
                      worst_case: bool = False,
-                     mpp_per_sample: bool = True, threads: int = 1,
+                     mpp_per_sample: bool = True,
                      archive_source: str = "history", histories=None):
     """One MODE run per noise level; archives keyed by level.
 
@@ -522,7 +484,7 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
             history = histories.setdefault(level, [])
         try:
             archives[level] = mode_optimize(evaluator, bounds, senses,
-                                            run_params, threads=threads,
+                                            run_params,
                                             archive_source=archive_source,
                                             history=history)
         except Exception as exc:  # keep the other levels running

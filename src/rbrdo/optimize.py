@@ -1,20 +1,19 @@
 """Differential evolution (rand/1/bin) and a MODE-like multi-objective DE.
 
-Evaluators are callables ``f(x, rng) -> (objectives, constraint_violation)``
-receiving a per-evaluation :class:`~rbrdo.sampling.RngStream` substream
-derived from (run seed, generation, candidate index); deterministic
-problems simply ignore it. Constraint handling is by penalization: selection
+An evaluator is any object with a method
+``evaluate_batch(xs, streams) -> (objectives, violations)``: ``xs`` is the
+(n, dim) matrix of one generation's candidates and ``streams`` holds one
+:class:`~rbrdo.sampling.RngStream` per row, derived from (run seed,
+generation, candidate index), so a candidate's result does not depend on
+the rows evaluated with it; deterministic problems ignore the streams. It
+returns an (n, m) objective matrix and an (n,) vector of nonnegative
+constraint violations. Constraint handling is by penalization: selection
 compares sense-adjusted objectives worsened by ``psi * violation``.
-
-Generations are synchronous (trials are built from the current population
-and selection happens after all evaluations), so evaluating candidates in
-parallel cannot change the result.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,32 +98,15 @@ def _rand1bin_trials(pop, targets, F, CR, rng: RngStream, bounds: Bounds):
     return bounds.clip(trials)
 
 
-def _evaluate(evaluator, xs, rng: RngStream, generation: int, threads: int):
-    """Evaluate rows of xs with per-candidate substreams; order-stable.
-
-    Evaluators exposing ``evaluate_batch`` get the whole population at once
-    (they vectorize internally); results are identical to the per-candidate
-    path because each candidate keeps its own derived stream.
-    """
+def _evaluate(evaluator, xs, rng: RngStream, generation: int):
+    """Evaluate the rows of xs in one batch, each with its own substream."""
     streams = [rng.substream(1, generation, i) for i in range(len(xs))]
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if batch is not None:
-        objs, viol = batch(xs, streams)
-        return np.asarray(objs, dtype=float), np.asarray(viol, dtype=float)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda pair: evaluator(pair[0], pair[1]),
-                                  zip(xs, streams)))
-    else:
-        results = [evaluator(x, s) for x, s in zip(xs, streams)]
-    objs = np.array([np.atleast_1d(np.asarray(o, dtype=float))
-                     for o, _ in results])
-    viol = np.array([float(v) for _, v in results])
-    return objs, viol
+    objs, viol = evaluator.evaluate_batch(xs, streams)
+    return np.asarray(objs, dtype=float), np.asarray(viol, dtype=float)
 
 
 def de_minimize(evaluator, bounds: Bounds, params: DeParams,
-                sense: Sense = Sense.MINIMIZE, threads: int = 1,
+                sense: Sense = Sense.MINIMIZE,
                 history=None) -> EvaluatedSolution:
     """Single-objective DE with greedy selection on penalized fitness.
 
@@ -135,7 +117,7 @@ def de_minimize(evaluator, bounds: Bounds, params: DeParams,
     rng = RngStream(params.seed)
     sign = 1.0 if sense is Sense.MINIMIZE else -1.0
     pop = _init_population(bounds, params.NP, rng.substream(0))
-    objs, viol = _evaluate(evaluator, pop, rng, 0, threads)
+    objs, viol = _evaluate(evaluator, pop, rng, 0)
     if objs.shape[1] != 1:
         raise UsageError("de_minimize needs a scalar objective")
     fit = sign * objs[:, 0] + params.psi * viol
@@ -144,7 +126,7 @@ def de_minimize(evaluator, bounds: Bounds, params: DeParams,
         vstream = rng.substream(2, g)
         trials = _rand1bin_trials(pop, range(params.NP), params.F, params.CR,
                                   vstream, bounds)
-        t_objs, t_viol = _evaluate(evaluator, trials, rng, g, threads)
+        t_objs, t_viol = _evaluate(evaluator, trials, rng, g)
         t_fit = sign * t_objs[:, 0] + params.psi * t_viol
         better = t_fit <= fit
         pop[better] = trials[better]
@@ -216,7 +198,7 @@ def _environmental_selection(canon: np.ndarray, NP: int) -> np.ndarray:
 
 
 def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
-                  threads: int = 1, archive_source: str = "history",
+                  archive_source: str = "history",
                   history=None) -> ParetoArchive:
     """MODE-like multi-objective DE.
 
@@ -233,7 +215,7 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
     signs = sense_signs(senses)
     rng = RngStream(params.seed)
     pop = _init_population(bounds, params.NP, rng.substream(0))
-    objs, viol = _evaluate(evaluator, pop, rng, 0, threads)
+    objs, viol = _evaluate(evaluator, pop, rng, 0)
     if objs.shape[1] != len(senses):
         raise UsageError("objective dimension mismatch")
 
@@ -253,7 +235,7 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
         vstream = rng.substream(2, g)
         trials = _rand1bin_trials(pop, targets, params.F, params.CR,
                                   vstream, bounds)
-        t_objs, t_viol = _evaluate(evaluator, trials, rng, g, threads)
+        t_objs, t_viol = _evaluate(evaluator, trials, rng, g)
         if archive_source == "history":
             bank(trials, t_objs, t_viol)
 
@@ -271,9 +253,3 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
     if archive_source == "final":
         bank(pop, objs, viol)
     return archive
-
-
-def equality_violation(h_values, tol: float = 1e-8) -> float:
-    """Penalizable violation of equality constraints |h_j| <= tol."""
-    h = np.atleast_1d(np.asarray(h_values, dtype=float))
-    return float(np.maximum(np.abs(h) - tol, 0.0).sum())

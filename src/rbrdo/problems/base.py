@@ -26,9 +26,11 @@ class DeterministicProblem:
     violation: Callable[[np.ndarray], np.ndarray]
     optimum: Optional[float] = None
 
-    def evaluator(self):
-        """Adapter for the DE driver: x, rng -> ((f,), violation)."""
-        def run(x, rng):
-            return (np.atleast_1d(float(self.objective(x))),
-                    float(self.violation(x)))
-        return run
+    def evaluator(self) -> "DeterministicProblem":
+        """The problem itself: it evaluates DE populations as one batch."""
+        return self
+
+    def evaluate_batch(self, xs, streams):
+        """Rows of xs -> ((n, 1) objectives, (n,) violations); no noise."""
+        objs = np.asarray(self.objective(xs), dtype=float)
+        return objs[:, None], np.asarray(self.violation(xs), dtype=float)

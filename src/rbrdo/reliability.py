@@ -152,30 +152,82 @@ class MppResult:
     trace: list = field(default_factory=list)  # (k, u, G, tau, t_bar, err)
 
 
+def _armijo_ladder(Gfun, u, d, Gu, A, t, active, alpha_b, s_b,
+                   tau, G_ray, trial):
+    """:func:`backtracking_line_search` over the active rows of a batch.
+
+    Writes each row's step and G(u - tau d) into ``tau`` and ``G_ray`` and
+    returns the accepted mask; ``trial`` is scratch shaped like ``u``. The
+    caller owns the three arrays so that a search allocates them once:
+    fresh batch-sized arrays on every step made the allocator hand memory
+    back to the system and fault it in again (several times the page
+    faults on reactor and benchmark batches). The rounding slack accepts
+    trials whose required decrease underflows against |G| (flat
+    directions).
+    """
+    accepted = ~active
+    tau[:] = t
+    G_ray[:] = Gu
+    slack = 4.0 * _ULP * np.abs(Gu)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_HALVINGS):
+            if accepted.all():
+                break
+            np.subtract(u, np.multiply(t[:, None], d, out=trial), out=trial)
+            G_try = Gfun(trial)
+            ok = G_try <= Gu - alpha_b * t * A + slack
+            newly = ok & ~accepted
+            tau[newly] = t[newly]
+            G_ray[newly] = G_try[newly]
+            accepted |= ok
+            t = np.where(accepted, t, t * s_b)
+        if not accepted.all():
+            stuck = active & ~accepted
+            tau[stuck] = t[stuck]
+            np.subtract(u, np.multiply(t[:, None], d, out=trial), out=trial)
+            G_ray[stuck] = Gfun(trial)[stuck]
+            log.debug("Armijo condition unmet on %d rows after %d halvings",
+                      int(stuck.sum()), _MAX_HALVINGS)
+    return accepted
+
+
+def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
+    """:func:`second_order_step_bound` per row; ``A`` holds each d.d."""
+    den = 2.0 * (G_ray - G_prev + tau * A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tb = tau * tau * A / den
+        fallback = ~(np.isfinite(tb) & (tb > 0.0))
+        eta = (G_prev - G_ray - tau * A) / A + delta_eta
+        t_aug = tau + eta
+        tb_fb = t_aug * t_aug * A / (2.0 * (G_ray - G_prev + t_aug * A))
+    return np.where(fallback, tb_fb, tb)
+
+
 def backtracking_line_search(G, u, d, t_bar, alpha_b=1e-4, s_b=0.5, Gu=None):
     """Largest tau in {t_bar * s_b**j} meeting the Armijo decrease test.
 
-    Returns (tau, G(u - tau*d), satisfied). When no trial within
-    60 halvings satisfies G(u - tau d) <= G(u) - alpha_b * tau * d.d the
-    smallest trial is returned with satisfied=False.
+    Returns (tau, G(u - tau*d), satisfied). When no trial within 60
+    halvings satisfies G(u - tau d) <= G(u) - alpha_b * tau * d.d, the
+    last trial is returned with satisfied=False.
     """
     if not t_bar > 0.0:
         raise UsageError("t_bar must be positive")
+    d = np.asarray(d, dtype=float)
     dd = float(np.dot(d, d))
     if dd <= 0.0:
         raise UsageError("descent direction must be nonzero")
     if Gu is None:
         Gu = float(G(u))
-    t = float(t_bar)
-    g_t = math.inf
-    for j in range(_MAX_HALVINGS):
-        g_t = float(G(u - t * d))
-        if g_t <= Gu - alpha_b * t * dd:
-            return t, g_t, True
-        if j < _MAX_HALVINGS - 1:
-            t *= s_b
-    log.warning("Armijo condition not met within %d halvings", _MAX_HALVINGS)
-    return t, g_t, False
+    tau, g_t = np.empty(1), np.empty(1)
+    ok = _armijo_ladder(
+        lambda rows: np.array([float(G(row)) for row in rows]),
+        np.asarray(u, dtype=float)[None, :], d[None, :], np.array([Gu]),
+        np.array([dd]), np.array([float(t_bar)]), np.ones(1, dtype=bool),
+        alpha_b, s_b, tau, g_t, np.empty((1, d.size)))
+    if not ok[0]:
+        log.warning("Armijo condition not met within %d halvings",
+                    _MAX_HALVINGS)
+    return float(tau[0]), float(g_t[0]), bool(ok[0])
 
 
 def second_order_step_bound(G_prev, G_curr, d_prev, tau_prev, delta_eta):
@@ -192,13 +244,9 @@ def second_order_step_bound(G_prev, G_curr, d_prev, tau_prev, delta_eta):
         raise GradientVanishedError("gradient vanished: MPP search is stationary")
     if not tau_prev > 0.0:
         raise UsageError("tau_prev must be positive")
-    den = 2.0 * (G_curr - G_prev + tau_prev * dd)
-    t_bar = tau_prev * tau_prev * dd / den if den != 0.0 else math.inf
-    if not (math.isfinite(t_bar) and t_bar > 0.0):
-        eta = (G_prev - G_curr - tau_prev * dd) / dd + delta_eta
-        t_aug = tau_prev + eta
-        t_bar = t_aug * t_aug * dd / (2.0 * (G_curr - G_prev + t_aug * dd))
-    return t_bar
+    G_prev, G_curr, tau_prev = map(np.float64, (G_prev, G_curr, tau_prev))
+    return float(_secant_bound(G_prev, G_curr, tau_prev, np.float64(dd),
+                               delta_eta))
 
 
 def _fd_gradient(Gfun, u, h_scale=1e-6):
@@ -254,6 +302,7 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     active = np.ones(b, dtype=bool)
     converged = np.zeros(b, dtype=bool)
     iterations = np.zeros(b, dtype=int)
+    tau, G_ray, trial = np.empty(b), np.empty(b), np.empty_like(u)
     trace = []
 
     for k in range(params.max_iters):
@@ -273,29 +322,8 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
                / np.sqrt(np.maximum(A, _GRAD_EPS)))
         t = np.minimum(t_bar, cap * cap_scale)
 
-        # vectorized backtracking ladder; the rounding slack accepts trials
-        # whose required decrease underflows against |G| (flat directions)
-        accepted = ~active
-        tau = t.copy()
-        G_ray = Gu.copy()
-        slack = 4.0 * _ULP * np.abs(Gu)
-        with np.errstate(all="ignore"):
-            for _ in range(_MAX_HALVINGS):
-                if accepted.all():
-                    break
-                G_try = Gfun(u - t[:, None] * d)
-                ok = G_try <= Gu - alpha_b * t * A + slack
-                newly = ok & ~accepted
-                tau[newly] = t[newly]
-                G_ray[newly] = G_try[newly]
-                accepted |= ok
-                t = np.where(accepted, t, t * s_b)
-            if not accepted.all():
-                stuck = active & ~accepted
-                tau[stuck] = t[stuck]
-                G_ray[stuck] = Gfun(u - t[:, None] * d)[stuck]
-                log.debug("Armijo condition unmet on %d rows after %d halvings",
-                          int(stuck.sum()), _MAX_HALVINGS)
+        _armijo_ladder(Gfun, u, d, Gu, A, t, active, alpha_b, s_b,
+                       tau, G_ray, trial)
 
         u_tau = u - tau[:, None] * d
         norm = np.linalg.norm(u_tau, axis=1)
@@ -323,15 +351,7 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
 
         err = np.linalg.norm(u_new - u, axis=1)
 
-        # secant curvature bound from the ray value; eta-shift keeps it positive
-        den = 2.0 * (G_ray - Gu + tau * A)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tb = tau * tau * A / den
-            fallback = ~(np.isfinite(tb) & (tb > 0.0))
-            eta = (Gu - G_ray - tau * A) / A + delta_eta
-            t_aug = tau + eta
-            tb_fb = t_aug * t_aug * A / (2.0 * (G_ray - Gu + t_aug * A))
-        tb = np.where(fallback, tb_fb, tb)
+        tb = _secant_bound(Gu, G_ray, tau, A, delta_eta)
 
         rising = G_new > Gu
         rise_count = np.where(rising, rise_count + 1, 0)
@@ -416,24 +436,3 @@ def asosl_mpp(pf: PerformanceFunction, rvs: Sequence[RandomVariableSpec],
         converged=bool(conv[0]),
         trace=trace,
     )
-
-
-def asosl_mpp_batch(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
-                    d_batch: np.ndarray, params: AsoslParams,
-                    rng: Optional[RngStream] = None):
-    """MPP searches for one constraint across a batch of design points.
-
-    ``d_batch`` has shape (b, n_d); ``mu``/``sigma`` are either (n,) shared
-    or (b, n) per-row. Returns (g_star (b,), converged (b,), iterations (b,),
-    u_star (b, n)). Row results match scalar :func:`asosl_mpp` runs of the
-    same inputs.
-    """
-    d_batch = np.asarray(d_batch, dtype=float)
-    b = d_batch.shape[0]
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (b, np.shape(mu)[-1]))
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mu.shape)
-    n = mu.shape[1]
-    Gfun, gradfun = make_u_space(pf, mu, sigma, d_batch)
-    u, Gu, iters, conv, _ = _asosl_engine(
-        Gfun, gradfun, params.beta_t, n, b, params, rng=rng, record=False)
-    return Gu, conv, iters, u

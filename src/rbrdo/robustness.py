@@ -9,16 +9,21 @@ neighborhood of the candidate:
   between the averaged and nominal objective vectors exceeds eta;
 * the penalty approach worsens each objective by its mean normalized
   absolute deviation over the samples.
+
+Each strategy's aggregation is one function over an (M, m) matrix of
+sampled objective values (:func:`penalty_objectives`, :func:`worst_sample`,
+:func:`type2_ratio`; the effective mean is the column mean). The
+formulation's batched evaluator and the single-point helpers below both
+call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .core import Sense
+from .core import sense_signs
 from .errors import DivisionHazardError, UsageError
 from .sampling import NeighborhoodSpec, RngStream, neighborhood_samples
 
@@ -59,15 +64,42 @@ class RobustnessSpec:
             raise UsageError("eta must be positive")
 
 
-def _sample(x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
+def _sampled_values(f, x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
+    """(M, m) matrix of f at the M neighborhood samples of x."""
     ns = NeighborhoodSpec(center=np.asarray(x, dtype=float), noise=spec.delta,
                           count=spec.samples, scheme=spec.scheme)
-    return neighborhood_samples(ns, rng)
+    return np.stack([np.atleast_1d(np.asarray(f(row), dtype=float))
+                     for row in neighborhood_samples(ns, rng)])
 
 
-def _eval_rows(f: Callable, rows: np.ndarray) -> np.ndarray:
-    out = [np.atleast_1d(np.asarray(f(row), dtype=float)) for row in rows]
-    return np.stack(out)
+def penalty_objectives(vals, f_nominal, signs) -> np.ndarray:
+    """Penalty strategy over the (M, m) sample matrix ``vals``.
+
+    f(x) worsened by P_r = mean_j |f_r(xi_j) - f_r(x)| / |f_r(x)|, with the
+    sense ``signs`` of :func:`~rbrdo.core.sense_signs`.
+    """
+    if np.any(np.abs(f_nominal) < _DENOM_FLOOR):
+        raise DivisionHazardError("penalty-based robustness needs |f_r(x)| > 0")
+    pen = np.abs(vals - f_nominal).mean(axis=0) / np.abs(f_nominal)
+    return f_nominal + signs * pen
+
+
+def worst_sample(vals, f_nominal, signs) -> np.ndarray:
+    """Type II worst-case reference: the row of ``vals`` whose objectives
+    are worst sense-wise, summed after normalization by |f(x)|."""
+    scale = np.maximum(np.abs(f_nominal), _DENOM_FLOOR)
+    badness = ((vals - f_nominal) * signs / scale).sum(axis=1)
+    return vals[int(np.argmax(badness))]
+
+
+def type2_ratio(f_val, f_ref) -> float:
+    """Normalized distance ||f_ref - f|| / ||f|| of the Type II cut."""
+    f_val = np.atleast_1d(np.asarray(f_val, dtype=float))
+    f_ref = np.atleast_1d(np.asarray(f_ref, dtype=float))
+    denom = float(np.linalg.norm(f_val))
+    if denom < _DENOM_FLOOR:
+        raise DivisionHazardError("Type II robustness needs ||f(x)|| > 0")
+    return float(np.linalg.norm(f_ref - f_val)) / denom
 
 
 def effective_mean(f, x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
@@ -80,38 +112,24 @@ def effective_mean(f, x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.any(spec.delta > 0.0):
         return np.atleast_1d(np.asarray(f(x), dtype=float))
-    samples = _sample(x, spec, rng)
-    return _eval_rows(f, samples).mean(axis=0)
+    return _sampled_values(f, x, spec, rng).mean(axis=0)
 
 
 def penalty_robust(f, x, spec: RobustnessSpec, rng: RngStream,
                    senses) -> np.ndarray:
-    """f(x) worsened by the mean normalized absolute deviation per objective.
-
-    P_r = mean_j |f_r(xi_j) - f_r(x)| / |f_r(x)|; the penalty is added for
-    minimized objectives and subtracted for maximized ones, so it always
-    degrades the candidate.
+    """f(x) worsened by the mean normalized absolute deviation per objective
+    (:func:`penalty_objectives`); the penalty always degrades the candidate.
     """
     if spec.strategy != "penalty":
         raise UsageError("spec.strategy must be 'penalty'")
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    if np.any(np.abs(fx) < _DENOM_FLOOR):
-        raise DivisionHazardError("penalty-based robustness needs |f_r(x)| > 0")
-    samples = _sample(x, spec, rng)
-    vals = _eval_rows(f, samples)
-    pen = np.abs(vals - fx).mean(axis=0) / np.abs(fx)
-    sign = np.array([1.0 if s is Sense.MINIMIZE else -1.0 for s in senses])
-    return fx + sign * pen
+    vals = _sampled_values(f, x, spec, rng)
+    return penalty_objectives(vals, fx, sense_signs(senses))
 
 
 def type2_feasible(f_val, f_eff, eta: float) -> bool:
     """True when ||f_eff - f|| / ||f|| <= eta (the Type II robustness cut)."""
-    f_val = np.atleast_1d(np.asarray(f_val, dtype=float))
-    f_eff = np.atleast_1d(np.asarray(f_eff, dtype=float))
-    denom = float(np.linalg.norm(f_val))
-    if denom < _DENOM_FLOOR:
-        raise DivisionHazardError("Type II robustness needs ||f(x)|| > 0")
-    return float(np.linalg.norm(f_eff - f_val)) / denom <= eta
+    return type2_ratio(f_val, f_eff) <= eta
 
 
 def type2_reference(f, x, spec: RobustnessSpec, rng: RngStream,
@@ -119,18 +137,14 @@ def type2_reference(f, x, spec: RobustnessSpec, rng: RngStream,
     """Perturbed objective vector the Type II cut compares against f(x).
 
     Mean of the samples by default; with ``worst_case`` the sample whose
-    objectives are worst (sense-wise, summed after normalization by |f(x)|).
+    objectives are worst (see :func:`worst_sample`).
     """
     if spec.strategy != "type2":
         raise UsageError("spec.strategy must be 'type2'")
-    samples = _sample(x, spec, rng)
-    vals = _eval_rows(f, samples)
+    vals = _sampled_values(f, x, spec, rng)
     if not spec.worst_case:
         return vals.mean(axis=0)
     if senses is None:
         raise UsageError("worst-case Type II aggregation requires senses")
-    sign = np.array([1.0 if s is Sense.MINIMIZE else -1.0 for s in senses])
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    scale = np.maximum(np.abs(fx), _DENOM_FLOOR)
-    badness = ((vals - fx) * sign / scale).sum(axis=1)
-    return vals[int(np.argmax(badness))]
+    return worst_sample(vals, fx, sense_signs(senses))

@@ -3,7 +3,9 @@
 Used to quantify the dispersion of a computed Pareto front around its
 quadratic trend: fit y ~ a0 + a1 x + a2 x^2 and report the sum of squared
 residuals, R^2, adjusted R^2 and the residual-dof root mean squared error
-RMS = sqrt(SQR / (n - 3)).
+RMS = sqrt(SQR / (n - 3)). Those residuals also hold the front's own
+departure from a quadratic; :func:`second_difference_scale` measures the
+dispersion about a smooth trend of any shape.
 """
 
 from __future__ import annotations
@@ -95,3 +97,31 @@ def fit_front(x, y, population_rms: bool = False) -> FitReport:
     """Convenience wrapper: quadratic fit plus its goodness-of-fit report."""
     coef = polyfit2(x, y)
     return goodness_of_fit(x, y, coef, population_rms=population_rms)
+
+
+def second_difference_scale(x, y) -> float:
+    """Residual scale of y about a smooth trend in x, whatever its shape.
+
+    Gasser, Sroka and Jennen-Steinmetz (1986): each interior point against
+    the chord of its neighbors, e_i = a_i y_{i-1} + b_i y_{i+1} - y_i with
+    a_i = h_i / (h_{i-1} + h_i), b_i = 1 - a_i, h_i = x_{i+1} - x_i; the
+    scale is sqrt(sum(e_i^2 / (a_i^2 + b_i^2 + 1)) / (n - 2)), zero on a
+    straight line. ``x`` must be sorted ascending.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise UsageError("x and y must be equal-length 1-D vectors")
+    if x.size < 3:
+        raise UsageError("a second difference needs at least 3 points")
+    h = np.diff(x)
+    if np.any(h < 0.0):
+        raise UsageError("x must be sorted ascending")
+    h0, h1 = h[:-1], h[1:]
+    span = h0 + h1
+    if np.any(span <= 0.0):
+        raise FitError("three equal consecutive x values")
+    a, b = h1 / span, h0 / span
+    e = a * y[:-2] + b * y[2:] - y[1:-1]
+    return float(np.sqrt(np.sum(e * e / (a * a + b * b + 1.0))
+                         / (x.size - 2)))

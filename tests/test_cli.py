@@ -59,6 +59,9 @@ class TestRunRbrdo:
             assert hist.startswith("generation,offspring")
         meta = (tmp_path / "sw_meta.txt").read_text()
         assert "seed=3" in meta
+        stats = (tmp_path / "sw_stats.csv").read_text().splitlines()
+        assert stats[0] == "delta,n,a0,a1,a2,sqr,r2,r2_adj,rms,sd_scale"
+        assert all(float(row.split(",")[-1]) >= 0.0 for row in stats[1:])
 
     def test_reloaded_front_is_non_dominated(self, tmp_path):
         from rbrdo import EvaluatedSolution, Sense, non_dominated_filter
@@ -152,5 +155,14 @@ class TestInProcess:
         cfg = tmp_path / "c.txt"
         cfg.write_text("bogus=1\n")
         code = main(["run", "--problem", "benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+
+    def test_threads_key_rejected(self, tmp_path):
+        # metadata files of earlier versions carry threads=, which no longer
+        # exists: they are refused rather than silently ignored
+        cfg = tmp_path / "old_meta.txt"
+        cfg.write_text("problem=benchmark\nmode=deterministic\nthreads=1\n")
+        code = main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "x")])
         assert code == 2

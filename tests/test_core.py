@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rbrdo import (Bounds, Dominance, EvaluatedSolution, ParetoArchive, Sense,
-                   UsageError, archive_insert, dominates, non_dominated_filter)
+                   UsageError, dominates, non_dominated_filter)
 
 MIN2 = (Sense.MINIMIZE, Sense.MINIMIZE)
 
@@ -145,7 +145,7 @@ class TestArchive:
             order = np.random.default_rng(perm_seed).permutation(len(pop))
             archive = ParetoArchive(MIN2)
             for idx in order:
-                archive_insert(archive, pop[idx])
+                archive.insert(pop[idx])
             got = sorted(tuple(s.objectives) for s in archive)
             if reference is None:
                 reference = got

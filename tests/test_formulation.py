@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from rbrdo import (AsoslParams, Bounds, Candidate, ModeParams,
                    RobustnessSpec, Sense, UsageError, asosl_mpp,
                    build_mo_problem, build_rbdo_evaluator, evaluate_rbrdo,
                    sweep_robustness)
+from rbrdo.formulation import evaluate_rbrdo_batch
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
 
 
@@ -69,16 +72,6 @@ class TestEvaluateRbrdo:
         with pytest.raises(UsageError):
             evaluate_rbrdo(Candidate(np.array([1.0]), 0.1), prob,
                            RngStream(0))
-
-    def test_unresolved_equalities_rejected(self):
-        import dataclasses
-        prob = dataclasses.replace(toy_problem(1.0),
-                                   equalities=(lambda d: d[0],))
-        with pytest.raises(UsageError):
-            evaluate_rbrdo(Candidate(np.array([1.0]), 2.0), prob,
-                           RngStream(0))
-        with pytest.raises(UsageError):
-            build_mo_problem(prob)
 
     def test_noise_mask_respected(self):
         # noise only on coordinate 0; record every sample the objective sees
@@ -149,6 +142,35 @@ class TestEvaluateRbrdo:
         assert not sol.feasible
 
 
+class TestFiniteDifferenceGradient:
+    def test_matches_analytic_gradient(self):
+        # without grad_x the stacked MPP pass differentiates the margins
+        # numerically; penalties and feasibility must agree with the
+        # analytic-gradient problem on noisy benchmark candidates
+        analytic = benchmark.rbrdo()
+        numeric = dataclasses.replace(analytic, constraints=tuple(
+            dataclasses.replace(pf, grad_x=None)
+            for pf in analytic.constraints))
+        rng = np.random.default_rng(11)
+        cands = [Candidate(rng.uniform(1.5, 6.0, size=2), rng.uniform(1.0, 3.0))
+                 for _ in range(24)]
+        spec = RobustnessSpec(strategy="effective_mean",
+                              delta=np.full(2, 0.05), samples=8)
+        a, b = (evaluate_rbrdo_batch(cands, prob,
+                                     [RngStream(i) for i in range(24)],
+                                     robustness=spec)
+                for prob in (analytic, numeric))
+        feasible = [s.feasible for s in a]
+        assert 0 < sum(feasible) < len(feasible)
+        assert [s.feasible for s in b] == feasible
+        for sa, sb in zip(a, b):
+            # objectives carry psi = 1e6 times the per-sample penalties
+            assert sb.objectives[0] == pytest.approx(sa.objectives[0],
+                                                     rel=1e-12)
+            assert sb.constraint_violation == pytest.approx(
+                sa.constraint_violation, rel=0.0, abs=1e-12)
+
+
 class TestBuildMoProblem:
     @pytest.mark.parametrize("factory,n_dec,senses", [
         (benchmark.rbrdo, 3, (Sense.MINIMIZE, Sense.MAXIMIZE)),
@@ -164,17 +186,19 @@ class TestBuildMoProblem:
     def test_evaluator_round_trip(self):
         prob = toy_problem(1.0)
         evaluator, bounds, senses = build_mo_problem(prob)
-        objs, viol = evaluator(np.array([3.0, 2.0]), RngStream(0))
-        assert np.array_equal(objs, [9.0, 2.0])
-        assert viol == 0.0
+        objs, viol = evaluator.evaluate_batch(np.array([[3.0, 2.0]]),
+                                              [RngStream(0)])
+        assert np.array_equal(objs, [[9.0, 2.0]])
+        assert np.array_equal(viol, [0.0])
 
 
 class TestRbdoEvaluator:
     def test_fixed_beta(self):
         prob = toy_problem(1.0)
         evaluator, bounds, sense = build_rbdo_evaluator(prob, 2.0)
-        objs, viol = evaluator(np.array([3.0]), RngStream(0))
-        assert np.array_equal(objs, [9.0])
+        objs, viol = evaluator.evaluate_batch(np.array([[3.0]]),
+                                              [RngStream(0)])
+        assert np.array_equal(objs, [[9.0]])
         assert bounds.dim == 1 and sense is Sense.MINIMIZE
 
     def test_beta_outside_bounds(self):

@@ -4,11 +4,24 @@ import pytest
 from rbrdo import (Bounds, DeParams, ModeParams, Sense, UsageError,
                    crowding_distance, de_minimize, fast_non_dominated_sort,
                    mode_optimize, non_dominated_filter, penalized_fitness)
-from rbrdo.optimize import equality_violation
 
 
-def sphere(x, rng):
-    return np.array([float(x @ x)]), 0.0
+class Batch:
+    """Batch evaluator over a vectorized f(xs) -> (objectives, violations)."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def evaluate_batch(self, xs, streams):
+        assert len(streams) == len(xs)
+        return self.f(xs)
+
+
+def _sphere(xs):
+    return np.einsum("ij,ij->i", xs, xs)[:, None], np.zeros(len(xs))
+
+
+sphere = Batch(_sphere)
 
 
 BOX2 = Bounds(np.full(2, -5.0), np.full(2, 5.0))
@@ -45,17 +58,17 @@ class TestDeMinimize:
         assert all(a >= b for a, b in zip(best, best[1:]))
 
     def test_maximize_sense(self):
-        f = lambda x, rng: (np.array([-(x[0] - 1.0) ** 2]), 0.0)
+        f = Batch(lambda xs: (-(xs[:, :1] - 1.0) ** 2, np.zeros(len(xs))))
         best = de_minimize(f, Bounds(np.array([-5.0]), np.array([5.0])),
                            DeParams(seed=2, generations=80),
                            sense=Sense.MAXIMIZE)
         assert abs(best.decision[0] - 1.0) < 1e-3
 
     def test_penalty_steers_away_from_violations(self):
-        def constrained(x, rng):
-            viol = max(0.0, 1.0 - x[0])  # requires x0 >= 1
-            return np.array([float(x @ x)]), viol
-        best = de_minimize(constrained, BOX2, DeParams(seed=1))
+        def constrained(xs):
+            objs, _ = _sphere(xs)
+            return objs, np.maximum(0.0, 1.0 - xs[:, 0])  # requires x0 >= 1
+        best = de_minimize(Batch(constrained), BOX2, DeParams(seed=1))
         assert abs(best.decision[0] - 1.0) < 1e-3
         assert abs(best.decision[1]) < 1e-3
         assert best.constraint_violation == 0.0
@@ -66,22 +79,16 @@ class TestDeMinimize:
         assert np.array_equal(a.decision, b.decision)
         assert np.array_equal(a.objectives, b.objectives)
 
-    def test_threads_preserve_result(self):
-        a = de_minimize(sphere, BOX2, DeParams(seed=4, generations=20))
-        b = de_minimize(sphere, BOX2, DeParams(seed=4, generations=20),
-                        threads=2)
-        assert np.array_equal(a.decision, b.decision)
-
     def test_bounds_respected(self):
         seen = []
 
-        def spy(x, rng):
-            seen.append(x.copy())
-            return np.array([float(x @ x)]), 0.0
+        def spy(xs):
+            seen.append(xs.copy())
+            return _sphere(xs)
 
         bounds = Bounds(np.array([0.5, -1.0]), np.array([2.0, 1.0]))
-        de_minimize(spy, bounds, DeParams(seed=3, NP=8, generations=25))
-        arr = np.array(seen)
+        de_minimize(Batch(spy), bounds, DeParams(seed=3, NP=8, generations=25))
+        arr = np.vstack(seen)
         assert np.all(arr >= bounds.lower) and np.all(arr <= bounds.upper)
 
     def test_np_validation(self):
@@ -156,8 +163,9 @@ class TestCrowdingDistance:
                               np.argsort(by_hand[finite]))
 
 
-def biobjective(x, rng):
-    return np.array([x[0] ** 2, (x[0] - 2.0) ** 2]), 0.0
+biobjective = Batch(lambda xs: (np.hstack([xs[:, :1] ** 2,
+                                            (xs[:, :1] - 2.0) ** 2]),
+                                 np.zeros(len(xs))))
 
 
 class TestModeOptimize:
@@ -215,11 +223,3 @@ class TestModeOptimize:
         with pytest.raises(UsageError):
             mode_optimize(sphere, BOX2, (Sense.MINIMIZE,), ModeParams())
 
-
-class TestEqualityViolation:
-    def test_within_tolerance_is_zero(self):
-        assert equality_violation([1e-9, -5e-9]) == 0.0
-
-    def test_outside_tolerance_penalized(self):
-        assert abs(equality_violation([2e-8]) - 1e-8) < 1e-20
-        assert abs(equality_violation([0.5, -0.25]) - (0.75 - 2e-8)) < 1e-12

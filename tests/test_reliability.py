@@ -6,7 +6,7 @@ from rbrdo import (AsoslParams, GradientVanishedError, PerformanceFunction,
                    backtracking_line_search, failure_probability,
                    from_standard_normal, second_order_step_bound,
                    std_normal_cdf, to_standard_normal)
-from rbrdo.reliability import asosl_mpp_batch, make_u_space
+from rbrdo.reliability import _asosl_engine, make_u_space
 from rbrdo.problems import benchmark
 
 from oracles import min_on_circle
@@ -282,14 +282,17 @@ class TestAsoslEdgeCases:
 
 class TestBatchParity:
     def test_batch_matches_scalar(self):
+        # one lockstep engine batch over many designs, row by row against
+        # the scalar search
         prob = benchmark.rbrdo()
         rng = np.random.default_rng(17)
         d_batch = rng.uniform(1.5, 8.0, size=(16, 2))
         sigma = np.full((16, 2), 0.3)
         params = AsoslParams(beta_t=2.5)
         for pf in prob.constraints:
-            g_b, conv_b, _, _ = asosl_mpp_batch(pf, d_batch, sigma, d_batch,
-                                                params)
+            Gfun, gradfun = make_u_space(pf, d_batch, sigma, d_batch)
+            _, g_b, _, conv_b, _ = _asosl_engine(Gfun, gradfun, 2.5, 2, 16,
+                                                 params)
             for i, d in enumerate(d_batch):
                 rvs = [rv(m, 0.3) for m in d]
                 res = asosl_mpp(pf, rvs, d, params)

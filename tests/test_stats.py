@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rbrdo import FitError, UsageError, fit_front, goodness_of_fit, polyfit2
-from rbrdo.stats import quadratic
+from rbrdo.stats import quadratic, second_difference_scale
 
 
 class TestPolyfit2:
@@ -109,3 +109,27 @@ class TestGoodnessOfFit:
         x = np.array([0.0, 1.0, 2.0])
         with pytest.raises(UsageError):
             goodness_of_fit(x, x, (0.0, 1.0, 0.0))
+
+
+class TestSecondDifferenceScale:
+    def test_straight_line_is_exactly_zero(self):
+        # spacings 1, 3, 1, 3 make the chord weights 3/4 and 1/4 exact
+        x = np.array([0.0, 1.0, 4.0, 5.0, 8.0])
+        assert second_difference_scale(x, 3.0 * x - 2.0) == 0.0
+
+    def test_hand_computed_value(self):
+        # chords: 3/4*0 + 1/4*1 - 2 = -7/4 and 1/4*2 + 3/4*3 - 1 = 7/4, each
+        # weighted by 1/(9/16 + 1/16 + 1) = 8/13: sqrt(2 * 49/26 / 2)
+        x = np.array([0.0, 1.0, 4.0, 5.0])
+        y = np.array([0.0, 2.0, 1.0, 3.0])
+        assert second_difference_scale(x, y) == pytest.approx(
+            7.0 / np.sqrt(26.0), rel=1e-15)
+
+    def test_validation(self):
+        with pytest.raises(UsageError):
+            second_difference_scale(np.array([0.0, 2.0, 1.0]), np.zeros(3))
+        with pytest.raises(UsageError):
+            second_difference_scale(np.arange(2.0), np.zeros(2))
+        with pytest.raises(FitError):
+            second_difference_scale(np.array([0.0, 1.0, 1.0, 1.0]),
+                                    np.zeros(4))
