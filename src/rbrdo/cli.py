@@ -185,13 +185,11 @@ def _write_metadata(path: str, cfg: dict, info: dict):
 def _problem_objects(cfg):
     options = {}
     if cfg.get("variant"):
+        if cfg["problem"] != "benchmark":
+            raise UsageError("--variant applies to the benchmark problem only")
         options["variant"] = cfg["variant"]
-    det = problems.get_deterministic(cfg["problem"],
-                                     **(options if cfg["problem"] == "benchmark"
-                                        else {}))
-    unc = problems.get_rbrdo(cfg["problem"],
-                             **(options if cfg["problem"] == "benchmark"
-                                else {}))
+    det = problems.get_deterministic(cfg["problem"], **options)
+    unc = problems.get_rbrdo(cfg["problem"], **options)
     unc = dataclasses.replace(
         unc,
         psi=cfg["psi"],

@@ -455,8 +455,7 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
                      strategy: str = "effective_mean",
                      eta: Optional[float] = None, scheme: str = "lhs",
                      worst_case: bool = False,
-                     mpp_per_sample: bool = True,
-                     archive_source: str = "history", histories=None):
+                     mpp_per_sample: bool = True, histories=None):
     """One MODE run per noise level; archives keyed by level.
 
     Seeds are derived deterministically from (params.seed, level), so equal
@@ -484,9 +483,7 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
             history = histories.setdefault(level, [])
         try:
             archives[level] = mode_optimize(evaluator, bounds, senses,
-                                            run_params,
-                                            archive_source=archive_source,
-                                            history=history)
+                                            run_params, history=history)
         except Exception as exc:  # keep the other levels running
             log.error("sweep level %g failed: %s", level, exc, exc_info=True)
             errors[level] = exc

@@ -198,20 +198,18 @@ def _environmental_selection(canon: np.ndarray, NP: int) -> np.ndarray:
 
 
 def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
-                  archive_source: str = "history",
                   history=None) -> ParetoArchive:
     """MODE-like multi-objective DE.
 
     DE variation feeds an NSGA-II-style environmental selection over the
     pooled parents and offspring; the offspring count starts at R*NP and
     shrinks by the factor r per generation down to NP. The returned archive
-    is the non-dominated set of every feasible evaluation in the run
-    (``archive_source="final"`` restricts it to the final population).
+    is the non-dominated set of every feasible evaluation in the run.
+    ``history``, when given a list, receives one (generation, offspring,
+    archive size) record per generation.
     """
     if len(senses) < 2:
         raise UsageError("mode_optimize needs at least two objectives")
-    if archive_source not in ("final", "history"):
-        raise UsageError("archive_source must be 'final' or 'history'")
     signs = sense_signs(senses)
     rng = RngStream(params.seed)
     pop = _init_population(bounds, params.NP, rng.substream(0))
@@ -226,8 +224,7 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
             if v == 0.0:
                 archive.insert(EvaluatedSolution(x, o, 0.0))
 
-    if archive_source == "history":
-        bank(pop, objs, viol)
+    bank(pop, objs, viol)
 
     n_off = params.R * params.NP
     for g in range(1, params.generations + 1):
@@ -236,8 +233,7 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
         trials = _rand1bin_trials(pop, targets, params.F, params.CR,
                                   vstream, bounds)
         t_objs, t_viol = _evaluate(evaluator, trials, rng, g)
-        if archive_source == "history":
-            bank(trials, t_objs, t_viol)
+        bank(trials, t_objs, t_viol)
 
         pool_x = np.vstack([pop, trials])
         pool_o = np.vstack([objs, t_objs])
@@ -246,10 +242,6 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
         survivors = _environmental_selection(canon, params.NP)
         pop, objs, viol = pool_x[survivors], pool_o[survivors], pool_v[survivors]
         if history is not None:
-            history.append((g, n_off, len(archive) if archive_source == "history"
-                            else int((viol == 0.0).sum())))
+            history.append((g, n_off, len(archive)))
         n_off = max(params.NP, round(n_off * params.r))
-
-    if archive_source == "final":
-        bank(pop, objs, viol)
     return archive

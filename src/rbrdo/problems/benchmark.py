@@ -25,7 +25,7 @@ from ..core import Bounds, Sense
 from ..errors import UsageError
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
-from .base import DeterministicProblem
+from .base import DeterministicProblem, deterministic_form
 
 SIGMA = 0.3
 OPTIMUM_DET = 5.176532          # at d = (3.113885, 2.062648)
@@ -52,37 +52,13 @@ def margins(x) -> np.ndarray:
     return np.stack([_m1(x1, x2), _m2(x1, x2), _m3(x1, x2)], axis=-1)
 
 
-def _alternate_margins(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    a = (x1 + x2 - 5.0) ** 2 / 30.0
-    b = (x1 - x2 - 12.0) ** 2 / 120.0
-    return np.stack([1.0 - x1 * x1 * x2 / 20.0,
-                     1.0 - a + b,
-                     1.0 - 80.0 / (x1 * x1 + 8.0 * x2 + 5.0)], axis=-1)
-
-
-def _objective(d, x=None):
+def _objective(d, x):
     d = np.asarray(d, dtype=float)
     return d[..., 0] + d[..., 1]
 
 
 def deterministic(variant: str = "standard") -> DeterministicProblem:
-    mfun = margins if variant == "standard" else _alternate_margins
-    if variant not in ("standard", "alternate"):
-        raise UsageError(f"unknown benchmark variant {variant!r}")
-
-    def violation(d):
-        return np.maximum(-mfun(d), 0.0).sum(axis=-1)
-
-    return DeterministicProblem(
-        name="benchmark",
-        bounds=Bounds(np.zeros(2), np.full(2, 10.0)),
-        sense=Sense.MINIMIZE,
-        objective=_objective,
-        violation=violation,
-        optimum=OPTIMUM_DET,
-    )
+    return deterministic_form(rbrdo(variant), OPTIMUM_DET)
 
 
 def _performance_functions(variant: str):

@@ -33,7 +33,7 @@ from ..core import Bounds, Sense
 from ..errors import UsageError
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
-from .base import DeterministicProblem
+from .base import DeterministicProblem, deterministic_form
 
 OPTIMUM_DET = 0.048065  # v = (1, 0.2248, 0), t = (0.1338, 0.7237)
 DEFAULT_STEP = 1e-3
@@ -64,10 +64,6 @@ class CatalystControl:
             raise UsageError("t2 must lie in (0.5, 1]")
         object.__setattr__(self, "values", v)
 
-    @property
-    def durations(self) -> np.ndarray:
-        return np.array([self.t1, self.t2 - self.t1, 1.0 - self.t2])
-
 
 def _system_matrix(v) -> np.ndarray:
     """A(v) of y' = A(v) y, batched over the shape of v."""
@@ -83,25 +79,25 @@ def _system_matrix(v) -> np.ndarray:
 def _rk4_segment_matrix(a, duration, h):
     """RK4 propagator of one segment: (I + Z + Z^2/2 + Z^3/6 + Z^4/24)^n.
 
-    n = ceil(duration/h) equal steps of size <= h; binary exponentiation
-    reproduces the classical step-by-step iteration exactly (the system is
-    linear, so each RK4 step is the same matrix product).
+    ``duration`` holds one segment length per matrix of ``a``; each row
+    takes n = ceil(duration/h) equal steps of size <= h (none for a zero
+    duration). Binary exponentiation over the per-row exponent reproduces
+    the classical step-by-step iteration exactly (the system is linear, so
+    each RK4 step is the same matrix product).
     """
-    eye = np.broadcast_to(np.eye(2), a.shape).copy()
-    if duration <= 0.0:
-        return eye
-    n = max(1, int(np.ceil(duration / h - 1e-12)))
-    z = (duration / n) * a
+    eye = np.broadcast_to(np.eye(2), a.shape)
+    n = np.where(duration > 0.0,
+                 np.maximum(1.0, np.ceil(duration / h - 1e-12)), 0.0)
+    z = (duration / np.maximum(n, 1.0))[..., None, None] * a
     z2 = z @ z
     step = eye + z + z2 / 2.0 + (z2 @ z) / 6.0 + (z2 @ z2) / 24.0
     out = eye
     p = step
-    e = n
-    while e:
-        if e & 1:
-            out = p @ out
+    e = n.astype(np.int64)
+    while e.any():
+        out = np.where((e & 1).astype(bool)[..., None, None], p @ out, out)
         e >>= 1
-        if e:
+        if e.any():
             p = p @ p
     return out
 
@@ -121,6 +117,27 @@ def _expm_segment_matrix(a, duration):
     return (e1 * (a - l2 * eye) - e2 * (a - l1 * eye)) / (l1 - l2)
 
 
+def _final_state(v, t1, t2, method, h):
+    """y(1) for segment values v (..., 3) and switch times broadcast to
+    v's leading axes; every row integrates with its own switch times."""
+    if method not in ("rk4", "closed_form"):
+        raise UsageError(f"unknown integration method {method!r}")
+    if v.shape[-1] != 3:
+        raise UsageError("three control segments are required")
+    lead = v.shape[:-1]
+    t1 = np.broadcast_to(np.asarray(t1, dtype=float), lead)
+    t2 = np.broadcast_to(np.asarray(t2, dtype=float), lead)
+    y = np.broadcast_to(_Y0, lead + (2,)).copy()
+    for seg, duration in enumerate((t1, t2 - t1, 1.0 - t2)):
+        a = _system_matrix(v[..., seg])
+        if method == "rk4":
+            m = _rk4_segment_matrix(a, duration, h)
+        else:
+            m = _expm_segment_matrix(a, duration)
+        y = np.einsum("...ij,...j->...i", m, y)
+    return y
+
+
 def catalyst_simulate(control: CatalystControl, values=None,
                       method: str = "rk4", h: float = DEFAULT_STEP):
     """Final molar fractions (y1, y2) at t = 1.
@@ -130,20 +147,8 @@ def catalyst_simulate(control: CatalystControl, values=None,
     times are shared across the batch. ``method`` selects the fixed-step
     RK4 production integrator or the closed-form reference propagator.
     """
-    if method not in ("rk4", "closed_form"):
-        raise UsageError(f"unknown integration method {method!r}")
     v = control.values if values is None else np.asarray(values, dtype=float)
-    if v.shape[-1] != 3:
-        raise UsageError("three control segments are required")
-    y = np.broadcast_to(_Y0, v.shape[:-1] + (2,)).copy()
-    for seg, duration in enumerate(control.durations):
-        a = _system_matrix(v[..., seg])
-        if method == "rk4":
-            m = _rk4_segment_matrix(a, float(duration), h)
-        else:
-            m = _expm_segment_matrix(a, float(duration))
-        y = np.einsum("...ij,...j->...i", m, y)
-    return y
+    return _final_state(v, control.t1, control.t2, method, h)
 
 
 def conversion(control: CatalystControl, values=None, method: str = "rk4",
@@ -157,33 +162,15 @@ def _decision_objective(d, x, method="rk4", h=DEFAULT_STEP):
     """Objective over decision rows d = (c0, c1, c2, t1, t2), controls x."""
     d = np.asarray(d, dtype=float)
     x = np.asarray(x, dtype=float)
-    flat_d = d.reshape(-1, d.shape[-1])
-    t1 = flat_d[0, 3]
-    t2 = flat_d[0, 4]
-    if not (np.allclose(flat_d[:, 3], t1) and np.allclose(flat_d[:, 4], t2)):
-        out = np.array([
-            conversion(CatalystControl(row_x[:3], row_d[3], row_d[4]),
-                       method=method, h=h)
-            for row_d, row_x in zip(flat_d, np.asarray(x).reshape(-1, 3))])
-        return out.reshape(d.shape[:-1])
-    control = CatalystControl(flat_d[0, :3], float(np.clip(t1, 0.0, 0.5)),
-                              float(np.clip(t2, 0.5, 1.0)))
-    return conversion(control, values=x[..., :3], method=method, h=h)
+    y = _final_state(x[..., :3], np.clip(d[..., 3], 0.0, 0.5),
+                     np.clip(d[..., 4], 0.5, 1.0), method, h)
+    return 1.0 - y[..., 0] - y[..., 1]
 
 
 def deterministic() -> DeterministicProblem:
-    def objective(d):
-        d = np.asarray(d, dtype=float)
-        return _decision_objective(d, d[..., :3])
-
-    return DeterministicProblem(
-        name="catalyst",
-        bounds=_BOUNDS_DET,
-        sense=Sense.MAXIMIZE,
-        objective=objective,
-        violation=lambda d: np.zeros(np.asarray(d).shape[:-1]),
-        optimum=OPTIMUM_DET,
-    )
+    """The controls at their means, on bounds that admit c3 = 0 (the
+    optimum); the uncertain bounds floor the means at a positive value."""
+    return deterministic_form(rbrdo(), OPTIMUM_DET, bounds=_BOUNDS_DET)
 
 
 def _random_vars(d):

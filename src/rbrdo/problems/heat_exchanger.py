@@ -23,7 +23,7 @@ import numpy as np
 from ..core import Bounds, Sense
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
-from .base import DeterministicProblem
+from .base import DeterministicProblem, deterministic_form
 
 MU = np.array([2500.0 / 3.0, 300.0, 250000.0 / 3.0, 400.0, 1250.0,
                1.25e6, 2500.0, 100.0])
@@ -47,25 +47,14 @@ def margins(d, x) -> np.ndarray:
     return np.stack([m1, m2, m3], axis=-1)
 
 
-def _objective(d, x=None):
+def _objective(d, x):
     d = np.asarray(d, dtype=float)
     return d[..., 0] + d[..., 1] + d[..., 2]
 
 
 def deterministic() -> DeterministicProblem:
     """Reduced five-variable form evaluated at the nominal coefficients."""
-    def violation(d):
-        m = margins(d, MU)
-        return np.maximum(-m, 0.0).sum(axis=-1)
-
-    return DeterministicProblem(
-        name="heat-exchanger",
-        bounds=_BOUNDS_REDUCED,
-        sense=Sense.MINIMIZE,
-        objective=_objective,
-        violation=violation,
-        optimum=OPTIMUM_DET,
-    )
+    return deterministic_form(rbrdo(), OPTIMUM_DET)
 
 
 def full_deterministic() -> DeterministicProblem:

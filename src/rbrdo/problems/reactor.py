@@ -21,7 +21,7 @@ import numpy as np
 from ..core import Bounds, Sense
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
-from .base import DeterministicProblem
+from .base import DeterministicProblem, deterministic_form
 
 MU = np.array([0.09755988, 0.09658428, 0.0391908, 0.03527172])
 SIGMA = 0.15 * MU
@@ -101,32 +101,8 @@ def full_form_objective(d) -> np.ndarray:
     return cb2
 
 
-_SAFE_POINT = np.array([0.5, 0.25])  # placeholder for invalid orderings
-
-
 def deterministic() -> DeterministicProblem:
-    def objective(d):
-        d = np.asarray(d, dtype=float)
-        bad = domain_guard(d) > 0.0
-        safe = np.where(np.expand_dims(bad, -1), _SAFE_POINT, d)
-        return np.where(bad, 0.0, concentration(safe, MU))
-
-    def violation(d):
-        d = np.asarray(d, dtype=float)
-        v = domain_guard(d)
-        bad = v > 0.0
-        safe = np.where(np.expand_dims(bad, -1), _SAFE_POINT, d)
-        m = np.maximum(-time_budget_margin(safe, MU), 0.0)
-        return v + np.where(bad, 0.0, m)
-
-    return DeterministicProblem(
-        name="reactor",
-        bounds=_BOUNDS,
-        sense=Sense.MAXIMIZE,
-        objective=objective,
-        violation=violation,
-        optimum=OPTIMUM_DET,
-    )
+    return deterministic_form(rbrdo(), OPTIMUM_DET)
 
 
 def _random_vars(d):

@@ -11,6 +11,7 @@ period >= 2**128).
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -29,7 +30,12 @@ class RngStream:
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(int(i) for i in path)
-        self.gen = np.random.Generator(
+
+    @functools.cached_property
+    def gen(self) -> np.random.Generator:
+        """The stream's generator, built on first use: most evaluators
+        never draw from the per-candidate streams they are handed."""
+        return np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=self.seed,
                                                     spawn_key=self.path)))
 

@@ -158,6 +158,19 @@ class TestInProcess:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_variant_only_for_benchmark(self, tmp_path, source):
+        argv = ["run", "--problem", "reactor", "--mode", "deterministic",
+                "--generations", "1", "--out", str(tmp_path / "x")]
+        if source == "flag":
+            argv += ["--variant", "alternate"]
+        else:
+            cfg = tmp_path / "c.txt"
+            cfg.write_text("variant=alternate\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert not (tmp_path / "x_meta.txt").exists()
+
     def test_threads_key_rejected(self, tmp_path):
         # metadata files of earlier versions carry threads=, which no longer
         # exists: they are refused rather than silently ignored

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rbrdo import (Bounds, DeParams, ModeParams, Sense, UsageError,
-                   crowding_distance, de_minimize, fast_non_dominated_sort,
-                   mode_optimize, non_dominated_filter, penalized_fitness)
+from rbrdo import (Bounds, DeParams, EvaluatedSolution, ModeParams, Sense,
+                   UsageError, crowding_distance, de_minimize,
+                   fast_non_dominated_sort, mode_optimize,
+                   non_dominated_filter, penalized_fitness)
 
 
 class Batch:
@@ -195,19 +196,30 @@ class TestModeOptimize:
         b = mode_optimize(biobjective, self.BOX1, self.SENSES, params)
         assert np.array_equal(a.objective_matrix(), b.objective_matrix())
 
-    def test_history_archive_covers_final_population(self):
-        params = ModeParams(seed=2, generations=20)
-        final = mode_optimize(biobjective, self.BOX1, self.SENSES, params,
-                              archive_source="final")
-        hist = mode_optimize(biobjective, self.BOX1, self.SENSES, params,
-                             archive_source="history")
-        assert len(hist) >= len(final) // 2
-        for m in hist:
-            assert m.feasible
-        # nothing in the history archive is dominated by a final-pop member
-        pool = list(hist) + list(final)
-        front = non_dominated_filter(pool, self.SENSES)
-        assert {id(m) for m in hist} <= {id(m) for m in front}
+    def test_archive_is_front_of_all_feasible_evaluations(self):
+        seen = []
+
+        def spy(xs):
+            # x < 0 is infeasible, so the archive must skip those rows
+            objs, _ = biobjective.f(xs)
+            viol = np.maximum(-xs[:, 0], 0.0)
+            seen.extend(zip(xs.copy(), objs, viol))
+            return objs, viol
+
+        history = []
+        archive = mode_optimize(Batch(spy), self.BOX1, self.SENSES,
+                                ModeParams(seed=2, generations=20, NP=10, R=3),
+                                history=history)
+        feasible = [EvaluatedSolution(x, o, v) for x, o, v in seen if v == 0.0]
+        assert 0 < len(feasible) < len(seen)
+        front = non_dominated_filter(feasible, self.SENSES)
+
+        def rows(members):
+            return sorted(tuple(m.decision) + tuple(m.objectives)
+                          for m in members)
+
+        assert rows(archive) == rows(front)
+        assert history[-1][2] == len(archive)
 
     def test_offspring_schedule_shrinks(self):
         history = []

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rbrdo import (AsoslParams, Candidate, RandomVariableSpec, RngStream,
-                   UsageError, asosl_mpp, evaluate_rbrdo)
+                   RobustnessSpec, UsageError, asosl_mpp, build_mo_problem,
+                   evaluate_rbrdo)
 from rbrdo.problems import (benchmark, catalyst, get_deterministic, get_rbrdo,
                             heat_exchanger, list_problems, reactor)
 
@@ -24,6 +25,40 @@ class TestRegistry:
         for name in list_problems():
             assert get_deterministic(name).name.startswith(name)
             assert get_rbrdo(name).name == name
+
+
+class TestBatchIndependence:
+    """A row's result does not depend on the rows evaluated with it."""
+
+    @pytest.mark.parametrize("name,near_equal_times",
+                             [(name, False) for name in list_problems()]
+                             + [("catalyst", True)])
+    def test_deterministic_batch_equals_rows(self, name, near_equal_times):
+        det = get_deterministic(name)
+        rng = np.random.default_rng(11)
+        lo, hi = det.bounds.lower, det.bounds.upper
+        xs = lo + rng.random((50, lo.size)) * (hi - lo)
+        if near_equal_times:
+            # switch times within np.allclose of each other, not equal
+            xs[:, 3] = 0.1338 + rng.uniform(0.0, 1e-7, 50)
+            xs[:, 4] = 0.7237 + rng.uniform(0.0, 1e-7, 50)
+        objs, viol = det.evaluate_batch(xs, [None] * len(xs))
+        rows = [det.evaluate_batch(x[None, :], [None]) for x in xs]
+        assert np.array_equal(objs, np.vstack([o for o, _ in rows]))
+        assert np.array_equal(viol, np.concatenate([v for _, v in rows]))
+
+    def test_rbrdo_batch_reversal(self):
+        spec = RobustnessSpec(strategy="effective_mean",
+                              delta=np.full(2, 0.05), samples=5)
+        ev, bounds, _ = build_mo_problem(benchmark.rbrdo(), robustness=spec)
+        rng = np.random.default_rng(5)
+        xs = bounds.lower + rng.random((6, 3)) * (bounds.upper - bounds.lower)
+        objs, viol = ev.evaluate_batch(
+            xs, [RngStream(3, (1, 0, i)) for i in range(6)])
+        r_objs, r_viol = ev.evaluate_batch(
+            xs[::-1], [RngStream(3, (1, 0, i)) for i in reversed(range(6))])
+        assert np.array_equal(r_objs, objs[::-1])
+        assert np.array_equal(r_viol, viol[::-1])
 
 
 class TestBenchmark:

@@ -19,6 +19,15 @@ class TestRngStream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_generator_built_on_first_use(self):
+        s = RngStream(42).substream(1, 3, 7)
+        assert "gen" not in vars(s)
+        draws = s.gen.random(5)
+        assert s.gen is s.gen
+        ref = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=42, spawn_key=(1, 3, 7))))
+        assert np.array_equal(draws, ref.random(5))
+
 
 class TestLatinHypercube:
     def test_one_point_per_quartile(self):
