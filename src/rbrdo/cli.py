@@ -27,7 +27,6 @@ import time
 import numpy as np
 
 from . import __version__, problems
-from .core import Sense
 from .errors import NumericError, UsageError
 from .formulation import build_rbdo_evaluator, sweep_robustness
 from .optimize import DeParams, ModeParams, de_minimize

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

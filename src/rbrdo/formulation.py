@@ -34,7 +34,7 @@ from .core import Bounds, EvaluatedSolution, ParetoArchive, Sense, sense_signs
 from .errors import DivisionHazardError, UsageError
 from .optimize import ModeParams, mode_optimize
 from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
-                          make_u_space)
+                          _rows_memo, make_u_space)
 from .robustness import (RobustnessSpec, penalty_objectives, type2_ratio,
                          worst_sample)
 from .sampling import NeighborhoodSpec, RngStream, neighborhood_samples
@@ -203,7 +203,7 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     """One lockstep MPP pass: every constraint at every design row.
 
     ``rows`` is (R, n_d) and ``betas`` (R,). Returns per-row
-    (penalty (R,), x_mpp (R, n_s) or None, all_converged).
+    (penalty (R,), x_mpp (R, n_s) or None).
     """
     r = rows.shape[0]
     c = len(problem.constraints)
@@ -217,13 +217,25 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     blocks = [slice(i * r, (i + 1) * r) for i in range(c)]
     spaces = [make_u_space(pf, mu, sigma, rows) for pf in problem.constraints]
 
-    def Gfun(u):
-        return np.concatenate([G(u[block])
-                               for (G, _), block in zip(spaces, blocks)])
+    @_rows_memo
+    def split(idx):
+        # per constraint: its U-space pair, the positions of its stacked
+        # rows within idx (ascending) and the design rows they belong to
+        if idx is None:
+            return [(space, block, None)
+                    for space, block in zip(spaces, blocks)]
+        cuts = [0, *np.searchsorted(idx, np.arange(1, c) * r), idx.size]
+        return [(space, slice(lo, hi), idx[lo:hi] - i * r)
+                for i, (space, lo, hi) in enumerate(zip(spaces, cuts, cuts[1:]))
+                if hi > lo]
 
-    def gradfun(u):
-        return np.concatenate([grad(u[block])
-                               for (_, grad), block in zip(spaces, blocks)])
+    def Gfun(u, rows=None):
+        return np.concatenate([G(u[at], sub)
+                               for (G, _), at, sub in split(rows)])
+
+    def gradfun(u, rows=None):
+        return np.concatenate([grad(u[at], sub)
+                               for (_, grad), at, sub in split(rows)])
 
     u, g_star, _, conv, _ = _asosl_engine(Gfun, gradfun, beta_all,
                                           mu.shape[1], c * r, params)
@@ -240,7 +252,7 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
         # constraint i governs random variable i
         x_mpp = np.stack([mu[:, i] + sigma[:, i] * u[block, i]
                           for i, block in enumerate(blocks)], axis=1)
-    return penalty, x_mpp, bool(conv.all())
+    return penalty, x_mpp
 
 
 def _finish(problem: RbrdoProblem, spec: RobustnessSpec, prep: _Prep,
@@ -343,7 +355,7 @@ def evaluate_rbrdo_batch(cands: Sequence[Candidate], problem: RbrdoProblem,
     if rows:
         all_rows = np.vstack(rows)
         all_betas = np.concatenate(betas)
-        penalty_rows, x_rows, _ = _stacked_mpp(problem, all_rows, all_betas)
+        penalty_rows, x_rows = _stacked_mpp(problem, all_rows, all_betas)
     else:
         penalty_rows, x_rows = None, None
 

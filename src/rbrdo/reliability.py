@@ -13,6 +13,12 @@ estimate of the curvature along the previous search ray (no Hessian), the
 step is taken in full space and the iterate is projected back onto the
 sphere. A backtracking (Armijo) line search picks the step within the bound.
 
+Many searches run as one lockstep batch whose rows are independent. A row
+leaves the batch when it stops (converged, stalled, dead, non-finite or at
+the iteration cap): whenever half of the current width has stopped, the
+batch is compacted to its live rows, so a batch costs its row-iterations,
+not its size times its slowest row.
+
 Performance functions follow the margin convention: positive = safe,
 g <= 0 = failure.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -249,7 +256,7 @@ def second_order_step_bound(G_prev, G_curr, d_prev, tau_prev, delta_eta):
                                delta_eta))
 
 
-def _fd_gradient(Gfun, u, h_scale=1e-6):
+def _fd_gradient(Gfun, u, rows=None, h_scale=1e-6):
     """Central-difference gradient of G over the last axis of u."""
     u = np.atleast_2d(u)
     b, n = u.shape
@@ -260,7 +267,7 @@ def _fd_gradient(Gfun, u, h_scale=1e-6):
         um = u.copy()
         up[:, i] += h
         um[:, i] -= h
-        grad[:, i] = (Gfun(up) - Gfun(um)) / (2.0 * h)
+        grad[:, i] = (Gfun(up, rows) - Gfun(um, rows)) / (2.0 * h)
     return grad
 
 
@@ -279,13 +286,20 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
                   raise_on_dead: bool = False):
     """Lockstep MPP search over a batch of b independent problems.
 
-    Gfun maps (b, n) -> (b,), gradfun maps (b, n) -> (b, n); ``beta`` is a
-    scalar or a per-row vector of sphere radii. Rows evolve independently;
-    finished rows are frozen until all converge or the iteration budget
-    runs out. Rows whose gradient vanishes (a constant margin, e.g. at a
-    degenerate design) are frozen at their current value unless
-    ``raise_on_dead`` requests the hard error of the scalar API.
-    Returns (u, G, iterations, converged, trace).
+    ``Gfun(u, rows=None)`` maps (w, n) -> (w,) and ``gradfun(u, rows=None)``
+    maps (w, n) -> (w, n), where ``rows`` holds the batch indices of the w
+    rows of ``u`` (ascending) and None means all b rows in batch order.
+    ``beta`` is a scalar or a per-row vector of sphere radii. Rows evolve
+    independently and stop when they converge, when their gradient vanishes
+    (a constant margin, e.g. at a degenerate design; ``raise_on_dead``
+    requests the hard error of the scalar API instead), when they turn
+    non-finite, when they stall, or at the iteration budget. Whenever at
+    least half of the current width has stopped, the stopped rows are
+    written to the batch-order results and the search goes on over the
+    live rows only, so the work follows the rows still searching rather
+    than the batch size times the slowest row; a batch of one never
+    compacts.
+    Returns (u, G, iterations, converged, trace) in batch order.
     """
     eps, delta_eta = params.epsilon, params.delta_eta
     alpha_b, s_b = params.alpha_b, params.s_b
@@ -302,12 +316,37 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     active = np.ones(b, dtype=bool)
     converged = np.zeros(b, dtype=bool)
     iterations = np.zeros(b, dtype=int)
-    tau, G_ray, trial = np.empty(b), np.empty(b), np.empty_like(u)
+    tau_buf, G_ray_buf, trial_buf = np.empty(b), np.empty(b), np.empty_like(u)
+    tau, G_ray, trial = tau_buf, G_ray_buf, trial_buf
+    G, grad = Gfun, gradfun
+    rows = None  # batch index of each live row, once compacted
+    out = None   # batch-order (u, G, iterations, converged), once compacted
     trace = []
 
     for k in range(params.max_iters):
-        if not active.any():
+        live = np.count_nonzero(active)
+        if live == 0:
             break
+        if live <= active.size // 2:
+            # drop the stopped rows: results out, live state in, same order
+            if rows is None:
+                out = u, Gu, iterations, converged  # already in batch order
+                rows = np.flatnonzero(active)
+            else:
+                gone = ~active
+                for dst, src in zip(out, (u, Gu, iterations, converged)):
+                    dst[rows[gone]] = src[gone]
+                rows = rows[active]
+            (u, Gu, d, beta, t_bar, cap_scale, rise_count, stall_count,
+             iterations) = (a[active] for a in (
+                 u, Gu, d, beta, t_bar, cap_scale, rise_count, stall_count,
+                 iterations))
+            converged = np.zeros(live, dtype=bool)
+            active = np.ones(live, dtype=bool)
+            tau, G_ray, trial = (buf[:live]
+                                 for buf in (tau_buf, G_ray_buf, trial_buf))
+            G, grad = partial(Gfun, rows=rows), partial(gradfun, rows=rows)
+
         A = np.einsum("ij,ij->i", d, d)
         dead = active & (A < _GRAD_EPS)
         if dead.any():
@@ -322,7 +361,7 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
                / np.sqrt(np.maximum(A, _GRAD_EPS)))
         t = np.minimum(t_bar, cap * cap_scale)
 
-        _armijo_ladder(Gfun, u, d, Gu, A, t, active, alpha_b, s_b,
+        _armijo_ladder(G, u, d, Gu, A, t, active, alpha_b, s_b,
                        tau, G_ray, trial)
 
         u_tau = u - tau[:, None] * d
@@ -341,8 +380,8 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
         safe_norm = np.where(norm > 0.0, norm, 1.0)
         u_new = beta[:, None] * u_tau / safe_norm[:, None]
         with np.errstate(all="ignore"):
-            G_new = Gfun(u_new)
-            d_new = gradfun(u_new)
+            G_new = G(u_new)
+            d_new = grad(u_new)
         finite = np.isfinite(G_new) & np.all(np.isfinite(d_new), axis=1)
         bad = active & ~finite
         if bad.any():
@@ -389,21 +428,51 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
             log.debug("froze %d numerically stationary rows", int(frozen.sum()))
             active &= ~frozen
 
-    return u, Gu, iterations, converged, trace
+    if rows is None:
+        return u, Gu, iterations, converged, trace
+    for dst, src in zip(out, (u, Gu, iterations, converged)):
+        dst[rows] = src
+    return (*out, trace)
+
+
+def _rows_memo(gather):
+    """``gather(rows)`` kept for the last ``rows`` object it was called with.
+
+    The engine passes one index array per width, so each width gathers
+    once; ``rows=None`` (the whole batch) is gathered up front.
+    """
+    last = [None, gather(None)]
+
+    def at(rows):
+        if rows is not last[0]:
+            last[:] = rows, gather(rows)
+        return last[1]
+    return at
 
 
 def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
                  d_det: np.ndarray):
-    """Wrap a margin function as G(u) = g(d, mu + sigma*u) plus its gradient."""
-    def Gfun(u):
-        return np.asarray(pf.g(d_det, mu + sigma * u), dtype=float)
+    """Wrap a margin function as G(u) = g(d, mu + sigma*u) plus its gradient.
+
+    Both closures take ``(u, rows=None)``: ``rows`` indexes the batch rows
+    of ``u`` in the per-row (2-D) ones of ``mu``, ``sigma`` and ``d_det``;
+    1-D arrays are shared by every row.
+    """
+    at = _rows_memo(lambda rows: tuple(
+        a if rows is None or np.ndim(a) < 2 else a[rows]
+        for a in (mu, sigma, d_det)))
+
+    def Gfun(u, rows=None):
+        m, s, d = at(rows)
+        return np.asarray(pf.g(d, m + s * u), dtype=float)
 
     if pf.grad_x is not None:
-        def gradfun(u):
-            return sigma * np.asarray(pf.grad_x(d_det, mu + sigma * u), dtype=float)
+        def gradfun(u, rows=None):
+            m, s, d = at(rows)
+            return s * np.asarray(pf.grad_x(d, m + s * u), dtype=float)
     else:
-        def gradfun(u):
-            return _fd_gradient(Gfun, u)
+        def gradfun(u, rows=None):
+            return _fd_gradient(Gfun, u, rows)
 
     return Gfun, gradfun
 

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from rbrdo import (AsoslParams, Candidate, DeParams, Dominance, ModeParams,
+from rbrdo import (AsoslParams, DeParams, Dominance, ModeParams,
                    PerformanceFunction, RandomVariableSpec, RngStream,
                    RobustnessSpec, Sense, asosl_mpp, build_mo_problem,
                    build_rbdo_evaluator, de_minimize, dominates,
-                   effective_mean, evaluate_rbrdo, fit_front, mode_optimize,
-                   penalty_robust, second_order_step_bound, sweep_robustness)
+                   effective_mean, fit_front, mode_optimize, penalty_robust,
+                   second_order_step_bound, sweep_robustness)
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
 
 from oracles import (REACTOR_CORNER_GAIN, REACTOR_FRONT_EXACT_BETA,

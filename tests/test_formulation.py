@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rbrdo import (AsoslParams, Bounds, Candidate, ModeParams,
-                   PerformanceFunction, RbrdoProblem, RngStream,
-                   RobustnessSpec, Sense, UsageError, asosl_mpp,
+from rbrdo import (Bounds, Candidate, ModeParams, PerformanceFunction,
+                   RbrdoProblem, RngStream, RobustnessSpec, Sense, UsageError,
                    build_mo_problem, build_rbdo_evaluator, evaluate_rbrdo,
                    sweep_robustness)
 from rbrdo.formulation import evaluate_rbrdo_batch

@@ -298,3 +298,153 @@ class TestBatchParity:
                 res = asosl_mpp(pf, rvs, d, params)
                 assert conv_b[i] == res.converged
                 assert abs(g_b[i] - res.g_star) <= 1e-10
+
+
+def _mixed_margin():
+    """Margin whose batch rows stop at very different iterations.
+
+    Column 0 of each design row picks the row's kind: 0 linear (converges
+    in a few iterations), 1 |x0| (stalls unconverged), 2 Rosenbrock (runs
+    to the 200 cap), 3 constant (dead gradient), 4 linear but NaN below
+    x0 + x1 = -1 (its first steps cross the sphere and turn non-finite).
+    Columns 1-2 are the slopes of kind 0.
+    """
+    def g(d, x):
+        kind, a0, a1 = d[..., 0], d[..., 1], d[..., 2]
+        x0, x1 = x[..., 0], x[..., 1]
+        rosen = (1.0 - x0) ** 2 + 100.0 * (x1 - x0 * x0) ** 2
+        return np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [1.0 + a0 * x0 + a1 * x1, np.abs(x0) + 0.1 * x1, rosen,
+             np.full_like(x0, 5.0)],
+            np.where(x0 + x1 < -1.0, np.nan, 1.0 + x0 + x1))
+
+    def grad_x(d, x):
+        kind, a0, a1 = d[..., 0, None], d[..., 1], d[..., 2]
+        x0, x1 = x[..., 0], x[..., 1]
+        one = np.ones_like(x0)
+        rosen = np.stack([-2.0 * (1.0 - x0) - 400.0 * x0 * (x1 - x0 * x0),
+                          200.0 * (x1 - x0 * x0)], -1)
+        off = (x0 + x1 < -1.0)[..., None]
+        return np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [np.stack([a0 * one, a1 * one], -1),
+             np.stack([np.sign(x0), 0.1 * one], -1), rosen,
+             np.zeros_like(x)],
+            np.where(off, np.nan, np.ones_like(x)))
+
+    return g, grad_x
+
+
+def _mixed_batch(kinds, seed=0):
+    rng = np.random.default_rng(seed)
+    b = kinds.size
+    d = np.column_stack([kinds, rng.normal(size=(b, 2))])
+    mu = rng.normal(scale=0.1, size=(b, 2))
+    sigma = rng.uniform(0.5, 1.5, size=(b, 2))
+    beta = rng.uniform(1.5, 3.0, size=b)
+    # starts from which the search runs to the cap, or turns non-finite
+    fixed = (kinds == 2) | (kinds == 4)
+    mu[fixed], sigma[fixed], beta[fixed] = 0.0, 1.0, 3.0
+    return d, mu, sigma, beta
+
+
+class TestCompaction:
+    # 285 fast rows, 5 stalling, 6 capped stragglers, one dead and three
+    # non-finite rows, shuffled through the batch
+    KINDS = np.random.default_rng(1).permutation(
+        np.repeat([0, 1, 2, 3, 4], [285, 5, 6, 1, 3])).astype(float)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_rows_match_batches_of_one(self, analytic):
+        g, grad_x = _mixed_margin()
+        pf = PerformanceFunction(g, grad_x if analytic else None)
+        d, mu, sigma, beta = _mixed_batch(self.KINDS)
+        b = beta.size
+        params = AsoslParams(beta_t=3.0)
+        Gfun, gradfun = make_u_space(pf, mu, sigma, d)
+        u, G, iters, conv, _ = _asosl_engine(Gfun, gradfun, beta, 2, b,
+                                             params)
+        assert u.shape == (b, 2) and G.shape == iters.shape == (b,)
+        kinds = self.KINDS
+        assert (iters[kinds == 2] == params.max_iters).all()
+        assert (iters[kinds == 0] < 20).all() and conv[kinds == 0].all()
+        assert (iters[kinds == 3] == 0).all()
+        assert not conv[kinds == 4].any() and (iters[kinds == 4] < 20).all()
+        for i in range(b):
+            rows = slice(i, i + 1)
+            G1, grad1 = make_u_space(pf, mu[rows], sigma[rows], d[rows])
+            u1, g1, it1, conv1, _ = _asosl_engine(G1, grad1, beta[i], 2, 1,
+                                                  params)
+            assert u[i].tobytes() == u1[0].tobytes(), i
+            assert G[i].tobytes() == g1[0].tobytes(), i
+            assert iters[i] == it1[0] and conv[i] == conv1[0], i
+
+
+def _spy(pf):
+    """``pf`` whose margin records the rows of every call."""
+    calls = []
+
+    def g(d, x):
+        calls.append(np.shape(x)[0])
+        return pf.g(d, x)
+    return PerformanceFunction(g, pf.grad_x), calls
+
+
+class TestCompactionWork:
+    def test_work_follows_the_live_rows(self):
+        kinds = np.zeros(1200)
+        kinds[777] = 2  # one straggler to the cap
+        d, mu, sigma, beta = _mixed_batch(kinds, seed=3)
+        pf, calls = _spy(PerformanceFunction(*_mixed_margin()))
+        params = AsoslParams(beta_t=3.0)
+        _, _, iters, _, _ = _asosl_engine(*make_u_space(pf, mu, sigma, d),
+                                          beta, 2, kinds.size, params)
+        assert iters[777] == params.max_iters
+        assert (np.delete(iters, 777) < 20).all()
+        # without compaction every iteration costs at least the full width
+        assert sum(calls) < kinds.size * params.max_iters / 5
+        assert max(calls[-20:]) <= 2
+
+    def test_row_subsets_evaluate_as_the_full_batch(self):
+        rng = np.random.default_rng(5)
+        b = 40
+        d, mu, sigma, _ = _mixed_batch(rng.integers(0, 5, b).astype(float))
+        for analytic in (True, False):
+            g, grad_x = _mixed_margin()
+            pf = PerformanceFunction(g, grad_x if analytic else None)
+            Gfun, gradfun = make_u_space(pf, mu, sigma, d)
+            u = rng.normal(size=(b, 2))
+            for rows in (np.array([3]), np.flatnonzero(rng.random(b) < 0.5),
+                         np.arange(b)):
+                with np.errstate(all="ignore"):
+                    assert (Gfun(u[rows], rows).tobytes()
+                            == Gfun(u)[rows].tobytes())
+                    assert (gradfun(u[rows], rows).tobytes()
+                            == gradfun(u)[rows].tobytes())
+
+    def test_stacked_closures_take_row_subsets(self, monkeypatch):
+        from rbrdo import formulation
+        seen = []
+        engine = formulation._asosl_engine
+
+        def spy(Gfun, gradfun, beta, n, b, params, *args, **kwargs):
+            seen.append((Gfun, gradfun, n, b))
+            return engine(Gfun, gradfun, beta, n, b, params, *args, **kwargs)
+
+        monkeypatch.setattr(formulation, "_asosl_engine", spy)
+        rng = np.random.default_rng(9)
+        prob = benchmark.rbrdo()
+        r = 30
+        rows = rng.uniform(1.5, 8.0, size=(r, 2))
+        formulation._stacked_mpp(prob, rows, np.full(r, 2.5))
+        (Gfun, gradfun, n, b), = seen
+        assert b == 3 * r
+        u = rng.normal(size=(b, n))
+        # a constraint block with no rows, one with a single row, one mixed
+        for idx in (np.arange(b), np.array([r]), np.array([0, r - 1, 2 * r]),
+                    np.flatnonzero(rng.random(b) < 0.3),
+                    np.arange(2 * r, 3 * r)):
+            assert Gfun(u[idx], idx).tobytes() == Gfun(u)[idx].tobytes()
+            assert (gradfun(u[idx], idx).tobytes()
+                    == gradfun(u)[idx].tobytes())
