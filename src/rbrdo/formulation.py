@@ -16,10 +16,16 @@ index beta_t appended as its last coordinate. One evaluation:
 When every g_i* is positive and delta is zero the result is exactly
 (F(d), beta_t).
 
-Whole populations evaluate in one lockstep MPP batch (every candidate,
-neighborhood sample and constraint becomes one row of a single sphere
-search), which is what makes the evolutionary runs tractable; the
-single-candidate entry point is the batch of one.
+A whole population evaluates as arrays. Each candidate draws its samples
+from its own stream (the only per-candidate loop); the bounds checks, the
+domain guard, the neighborhood map, the objective and the robustness
+aggregators then run once over all N candidates or all N*M sample rows,
+and the MPP searches run as one lockstep batch (every candidate, sample
+and constraint becomes one row of a single sphere search). Samples the
+domain guard drops leave candidates with fewer rows; those aggregate in
+groups of equal row count, so every candidate's result is bit-identical
+to its evaluation alone. The single-candidate entry points wrap the
+population path.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Bounds, EvaluatedSolution, ParetoArchive, Sense, sense_signs
-from .errors import DivisionHazardError, UsageError
+from .errors import UsageError
 from .optimize import ModeParams, mode_optimize
 from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
                           _rows_memo, make_u_space)
@@ -128,75 +134,110 @@ def _objective_matrix(problem: RbrdoProblem, d: np.ndarray, x: np.ndarray):
     return out
 
 
-def _reject(problem: RbrdoProblem, cand: Candidate, violation: float):
-    objectives = np.concatenate([np.zeros(problem.n_objectives), [cand.beta_t]])
-    return EvaluatedSolution(decision=cand.as_vector(), objectives=objectives,
-                             constraint_violation=float(violation))
-
-
 @dataclass
-class _Prep:
-    """Per-candidate state between sampling and the stacked MPP pass."""
+class _Population:
+    """A population between sampling and the stacked MPP pass.
 
-    cand: Candidate
-    samples: np.ndarray = None        # (M, n_d) rows feeding the objective
-    guard_violation: float = 0.0
-    noisy: bool = False
-    rejected: Optional[EvaluatedSolution] = None
-    mpp_slice: slice = None           # rows of the stacked MPP pass
-    nominal_slice: slice = None       # optional nominal-reference row
+    ``live`` indexes the candidates that reached sampling; ``d`` and
+    ``beta`` are theirs. ``samples`` holds their objective rows back to
+    back, ``counts[k]`` of them for live candidate k: its neighborhood
+    samples the domain guard kept, or the design itself when the
+    evaluation is noise-free. ``rejected`` is None, or the guard violation
+    of every rejected candidate (0 on the rest).
+    """
+
+    d: np.ndarray
+    beta: np.ndarray
+    noisy: bool
+    live: np.ndarray
+    samples: np.ndarray
+    counts: np.ndarray
+    guard_violation: np.ndarray
+    rejected: Optional[np.ndarray]
 
 
-def _prepare(problem: RbrdoProblem, cand: Candidate,
-             rng: Optional[RngStream], spec: RobustnessSpec) -> _Prep:
+def _prepare(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
+             streams: Sequence[Optional[RngStream]],
+             spec: RobustnessSpec) -> _Population:
+    """Check the population's bounds, reject the designs the domain guard
+    rejects and draw the neighborhood samples of the rest."""
     lo, hi = problem.beta_bounds
     tol = 1e-9
-    if not (lo - tol <= cand.beta_t <= hi + tol):
+    if not np.all((lo - tol <= beta) & (beta <= hi + tol)):
         raise UsageError("candidate reliability index outside beta bounds")
-    if not problem.det_bounds.contains(cand.d, atol=1e-9 * (
+    if not problem.det_bounds.contains(d, atol=1e-9 * (
             1.0 + np.abs(problem.det_bounds.upper).max())):
         raise UsageError("candidate design vector outside bounds")
-
-    prep = _Prep(cand=cand)
-    d = cand.d
-    if problem.domain_guard is not None:
-        v = float(np.asarray(problem.domain_guard(d)))
-        if v > 0.0:
-            prep.rejected = _reject(problem, cand, v)
-            return prep
-
-    delta = spec.delta if spec.delta.size else np.zeros(d.size)
-    if delta.size != d.size:
+    n = d.shape[1]
+    delta = spec.delta if spec.delta.size else np.zeros(n)
+    if delta.size != n:
         raise UsageError("noise vector length must match the design dimension")
     delta = np.where(problem.noise_mask, delta, 0.0)
-    prep.noisy = spec.strategy != "none" and bool(np.any(delta > 0.0))
+    noisy = spec.strategy != "none" and bool(np.any(delta > 0.0))
 
-    if prep.noisy:
-        ns = NeighborhoodSpec(center=d, noise=delta, count=spec.samples,
+    guard = problem.domain_guard
+    rejected = np.zeros(len(d))
+    if guard is not None:
+        v = np.asarray(guard(d), dtype=float)
+        rejected = np.where(v > 0.0, v, 0.0)
+    live = np.flatnonzero(rejected == 0.0)
+    samples, counts = d[live], np.ones(live.size, dtype=int)
+    guard_violation = np.zeros(live.size)
+    if noisy and live.size:
+        ns = NeighborhoodSpec(center=samples, noise=delta, count=spec.samples,
                               scheme=spec.scheme)
         # perturbed designs are still designs: realizations stay in the box
-        samples = problem.det_bounds.clip(neighborhood_samples(ns, rng))
-        if problem.domain_guard is not None:
-            g_v = np.asarray(problem.domain_guard(samples), dtype=float)
+        samples = problem.det_bounds.clip(
+            neighborhood_samples(ns, [streams[i] for i in live]))
+        counts = np.full(live.size, spec.samples)
+        if guard is not None:
+            g_v = np.asarray(guard(samples), dtype=float)
             valid = g_v <= 0.0
-            prep.guard_violation = float(np.maximum(g_v, 0.0).mean())
-            if not valid.any():
-                prep.rejected = _reject(problem, cand,
-                                        max(prep.guard_violation, 1.0))
-                return prep
-            samples = samples[valid]
-        prep.samples = samples
-    else:
-        prep.samples = d[None, :]
-    return prep
+            counts = valid.sum(axis=1)
+            guard_violation = np.maximum(g_v, 0.0).mean(axis=1)
+            empty = counts == 0
+            rejected[live[empty]] = np.maximum(guard_violation[empty], 1.0)
+            keep = ~empty
+            live, counts, guard_violation = (
+                live[keep], counts[keep], guard_violation[keep])
+            samples = samples[valid]  # the empty candidates have no rows
+        samples = samples.reshape(-1, n)
+    return _Population(d=d[live], beta=beta[live], noisy=noisy, live=live,
+                       samples=samples, counts=counts,
+                       guard_violation=guard_violation,
+                       rejected=rejected if rejected.any() else None)
 
 
-def _needs_nominal_row(prep: _Prep, problem: RbrdoProblem,
-                       mpp_per_sample: bool) -> bool:
-    # feasibility is judged at the nominal design, so noisy per-sample
-    # blocks always carry one extra nominal row (it also provides the
-    # nominal failure-point values the penalty/type2 references need)
-    return prep.noisy and mpp_per_sample and bool(problem.constraints)
+def _per_candidate(fn, counts: np.ndarray, rows: np.ndarray, *per_cand):
+    """``fn(blocks, *per_cand)`` over each candidate's block of ``rows``.
+
+    ``rows`` holds the blocks back to back, ``counts[k]`` rows for
+    candidate k; ``fn`` gets a (k, c, ...) stack of equal-size blocks plus
+    the matching rows of the per-candidate arrays, once per distinct size.
+    A masked or padded reduction would group the terms of a sum
+    differently from the block's own, so ragged blocks are never padded.
+    Returns what ``fn`` returns, in candidate order.
+    """
+    if np.all(counts == counts[0]):
+        return fn(rows.reshape(counts.size, counts[0], *rows.shape[1:]),
+                  *per_cand)
+    starts = np.cumsum(counts) - counts
+    out = None
+    for c in np.flatnonzero(np.bincount(counts)):
+        who = np.flatnonzero(counts == c)
+        res = fn(rows[starts[who, None] + np.arange(c)],
+                 *(a[who] for a in per_cand))
+        single = not isinstance(res, tuple)
+        res = (res,) if single else res
+        if out is None:
+            out = [np.empty((counts.size, *r.shape[1:]), r.dtype) for r in res]
+        for dst, r in zip(out, res):
+            dst[who] = r
+    return out[0] if single else tuple(out)
+
+
+def _block_mean(blocks):
+    return blocks.mean(axis=1)
 
 
 def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
@@ -255,131 +296,129 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     return penalty, x_mpp
 
 
-def _finish(problem: RbrdoProblem, spec: RobustnessSpec, prep: _Prep,
-            penalty_rows, x_mpp_rows, nominal_penalty, x_nominal,
-            mpp_per_sample: bool) -> EvaluatedSolution:
-    cand, samples = prep.cand, prep.samples
-    d = cand.d
+def _population_mpp(problem: RbrdoProblem, pop: _Population,
+                    mpp_per_sample: bool):
+    """Penalties and failure points of the live candidates, one MPP pass.
 
-    if problem.constraints:
-        if mpp_per_sample:
-            penalty = float(penalty_rows.mean())
-            x_mpp = x_mpp_rows
-        else:
-            penalty = float(penalty_rows[0])
-            if problem.objective_at_mpp:
-                # reuse the nominal failure point scaling on every sample
-                mu_n, sig_n = problem.random_vars(d[None, :])
-                u_nom = (x_mpp_rows - mu_n) / sig_n
-                mu_s, sig_s = problem.random_vars(samples)
-                x_mpp = mu_s + sig_s * u_nom
-            else:
-                x_mpp = None
-    else:
-        penalty, x_mpp = 0.0, None
+    Returns (penalty, nominal_penalty, x_samples, x_nominal): per candidate
+    the penalty its objectives carry and the one at its nominal design
+    (which judges feasibility), and with ``objective_at_mpp`` the failure
+    points of its sample rows and of its nominal design.
+    """
+    d, beta = pop.d, pop.beta
+    if not problem.constraints:
+        return np.zeros(d.shape[0]), np.zeros(d.shape[0]), None, None
+    if pop.noisy and mpp_per_sample:
+        # each candidate's sample block, then its nominal row
+        nominal = np.cumsum(pop.counts + 1) - 1
+        sample = np.ones(nominal[-1] + 1, dtype=bool)
+        sample[nominal] = False
+        rows = np.empty((sample.size, d.shape[1]))
+        rows[sample], rows[nominal] = pop.samples, d
+        pen, x = _stacked_mpp(problem, rows, np.repeat(beta, pop.counts + 1))
+        penalty = _per_candidate(_block_mean, pop.counts, pen[sample])
+        if x is None:
+            return penalty, pen[nominal], None, None
+        return penalty, pen[nominal], x[sample], x[nominal]
+    # one row per candidate: its nominal design
+    penalty, x_nominal = _stacked_mpp(problem, d, beta)
+    x_samples = x_nominal
+    if x_nominal is not None and not mpp_per_sample:
+        # reuse the nominal failure point scaling on every sample
+        mu_n, sig_n = problem.random_vars(d)
+        u_nom = np.repeat((x_nominal - mu_n) / sig_n, pop.counts, axis=0)
+        mu_s, sig_s = problem.random_vars(pop.samples)
+        x_samples = mu_s + sig_s * u_nom
+    return penalty, penalty, x_samples, x_nominal
 
-    if problem.objective_at_mpp:
-        x_eval = x_mpp
-    else:
-        mu_s, _ = problem.random_vars(samples)
-        x_eval = mu_s
-    f_samples = _objective_matrix(problem, samples, x_eval)
+
+def _finish(problem: RbrdoProblem, spec: RobustnessSpec, pop: _Population,
+            penalty, nominal_penalty, x_samples, x_nominal):
+    """Robust objectives and violations of the live candidates.
+
+    Returns (objectives (K, m), violation (K,), hazard (K,)); hazard marks
+    the candidates whose robustness measure hit a division hazard.
+    """
+    d = pop.d
+    x_eval = (x_samples if problem.objective_at_mpp
+              else problem.random_vars(pop.samples)[0])
+    f_samples = _objective_matrix(problem, pop.samples, x_eval)
 
     # feasibility follows the probabilistic constraint at the nominal
     # design: a candidate whose nominal margins fail at this reliability
     # level is infeasible (barred from archives) on top of the objective
     # worsening; per-sample penalties only press on the objectives
-    violation = prep.guard_violation + nominal_penalty
+    violation = pop.guard_violation + nominal_penalty
+    hazard = np.zeros(d.shape[0], dtype=bool)
     signs = sense_signs(problem.senses)
-    try:
-        if spec.strategy in ("none", "effective_mean") or not prep.noisy:
-            f_robust = f_samples.mean(axis=0)
-        else:
-            if problem.objective_at_mpp:
-                x_nom_eval = x_nominal[0]
+    if spec.strategy in ("none", "effective_mean") or not pop.noisy:
+        f_robust = _per_candidate(_block_mean, pop.counts, f_samples)
+    else:
+        x_nom = (x_nominal if problem.objective_at_mpp
+                 else problem.random_vars(d)[0])
+        f_nominal = _objective_matrix(problem, d, x_nom)
+        if spec.strategy == "penalty":
+            f_robust, hazard = _per_candidate(
+                lambda vals, f: penalty_objectives(vals, f, signs),
+                pop.counts, f_samples, f_nominal)
+        else:  # type2
+            if spec.worst_case:
+                f_ref = _per_candidate(
+                    lambda vals, f: worst_sample(vals, f, signs),
+                    pop.counts, f_samples, f_nominal)
             else:
-                mu_d, _ = problem.random_vars(d[None, :])
-                x_nom_eval = mu_d[0]
-            f_nominal = _objective_matrix(problem, d[None, :],
-                                          x_nom_eval[None, :])[0]
-            if spec.strategy == "penalty":
-                f_robust = penalty_objectives(f_samples, f_nominal, signs)
-            else:  # type2
-                f_ref = (worst_sample(f_samples, f_nominal, signs)
-                         if spec.worst_case else f_samples.mean(axis=0))
-                f_robust = f_nominal
-                ratio = type2_ratio(f_nominal, f_ref)
-                if not ratio <= spec.eta:
-                    violation += ratio - spec.eta
-    except DivisionHazardError as exc:
-        log.info("candidate rejected (%s)", exc)
-        return _reject(problem, cand, _MPP_FAILURE_PENALTY)
+                f_ref = _per_candidate(_block_mean, pop.counts, f_samples)
+            f_robust = f_nominal
+            ratio, hazard = type2_ratio(f_nominal, f_ref)
+            violation = np.where(ratio <= spec.eta, violation,
+                                 violation + (ratio - spec.eta))
+    return f_robust + signs * problem.psi * penalty[:, None], violation, hazard
 
-    objectives = f_robust + signs * problem.psi * penalty
-    full = np.concatenate([objectives, [cand.beta_t]])
-    return EvaluatedSolution(decision=cand.as_vector(), objectives=full,
-                             constraint_violation=violation)
+
+def _evaluate(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
+              streams: Sequence[Optional[RngStream]],
+              spec: Optional[RobustnessSpec], mpp_per_sample: bool):
+    """Objectives (N, m + 1), with beta_t last, and violations (N,) of the
+    candidates (d[i], beta[i]), each sampled with its own stream.
+
+    Candidates the domain guard or a division hazard rejects get zero
+    objectives (beta_t kept) and the guard value or a fixed large
+    violation.
+    """
+    spec = spec or RobustnessSpec(strategy="none")
+    if len(streams) != len(d):
+        raise UsageError("one rng stream is required per candidate")
+    pop = _prepare(problem, d, beta, streams, spec)
+    m = problem.n_objectives
+    objs = np.zeros((len(d), m + 1))
+    objs[:, m] = beta
+    viol = np.zeros(len(d)) if pop.rejected is None else pop.rejected
+    if pop.live.size:
+        f, v, hazard = _finish(problem, spec, pop,
+                               *_population_mpp(problem, pop, mpp_per_sample))
+        if hazard.any():
+            log.info("%d candidates rejected (division hazard)",
+                     int(hazard.sum()))
+            f[hazard] = 0.0
+            v[hazard] = _MPP_FAILURE_PENALTY
+        objs[pop.live, :m] = f
+        viol[pop.live] = v
+    return objs, viol
 
 
 def evaluate_rbrdo_batch(cands: Sequence[Candidate], problem: RbrdoProblem,
                          streams: Sequence[Optional[RngStream]],
                          robustness: Optional[RobustnessSpec] = None,
                          mpp_per_sample: bool = True) -> list[EvaluatedSolution]:
-    """Evaluate many candidates with one stacked MPP pass."""
-    spec = robustness or RobustnessSpec(strategy="none")
-    if len(cands) != len(streams):
-        raise UsageError("one rng stream is required per candidate")
-
-    preps = [_prepare(problem, cand, rng, spec)
-             for cand, rng in zip(cands, streams)]
-
-    rows = []
-    betas = []
-    cursor = 0
-    if problem.constraints:
-        for prep in preps:
-            if prep.rejected is not None:
-                continue
-            block = prep.samples if mpp_per_sample \
-                else prep.cand.d[None, :]
-            prep.mpp_slice = slice(cursor, cursor + block.shape[0])
-            rows.append(block)
-            betas.append(np.full(block.shape[0], prep.cand.beta_t))
-            cursor += block.shape[0]
-            if _needs_nominal_row(prep, problem, mpp_per_sample):
-                prep.nominal_slice = slice(cursor, cursor + 1)
-                rows.append(prep.cand.d[None, :])
-                betas.append(np.array([prep.cand.beta_t]))
-                cursor += 1
-
-    if rows:
-        all_rows = np.vstack(rows)
-        all_betas = np.concatenate(betas)
-        penalty_rows, x_rows = _stacked_mpp(problem, all_rows, all_betas)
-    else:
-        penalty_rows, x_rows = None, None
-
-    out = []
-    for prep in preps:
-        if prep.rejected is not None:
-            out.append(prep.rejected)
-            continue
-        if problem.constraints:
-            pen = penalty_rows[prep.mpp_slice]
-            xm = x_rows[prep.mpp_slice] if x_rows is not None else None
-            if prep.nominal_slice is not None:
-                nom_pen = float(penalty_rows[prep.nominal_slice][0])
-                nom_x = (x_rows[prep.nominal_slice]
-                         if x_rows is not None else None)
-            else:
-                # without noise the block's single row is the nominal design
-                nom_pen = float(pen[0])
-                nom_x = xm
-        else:
-            pen, xm, nom_pen, nom_x = np.zeros(1), None, 0.0, None
-        out.append(_finish(problem, spec, prep, pen, xm, nom_pen, nom_x,
-                           mpp_per_sample))
-    return out
+    """Evaluate many candidates as one population."""
+    d = np.array([c.d for c in cands], dtype=float).reshape(
+        len(cands), problem.det_bounds.dim)
+    beta = np.array([c.beta_t for c in cands], dtype=float)
+    objs, viol = _evaluate(problem, d, beta, streams, robustness,
+                           mpp_per_sample)
+    return [EvaluatedSolution(decision=c.as_vector(), objectives=o,
+                              constraint_violation=float(v))
+            for c, o, v in zip(cands, objs, viol)]
 
 
 def evaluate_rbrdo(cand: Candidate, problem: RbrdoProblem,
@@ -395,9 +434,9 @@ def evaluate_rbrdo(cand: Candidate, problem: RbrdoProblem,
 class RbrdoEvaluator:
     """Optimizer-facing batch evaluator over the (d, beta_t) search space.
 
-    ``evaluate_batch`` evaluates a whole population in one stacked MPP
-    pass. With ``fixed_beta`` the search space is d alone and beta_t is
-    dropped from the returned objectives.
+    ``evaluate_batch`` evaluates a whole population as arrays, with one
+    stacked MPP pass. With ``fixed_beta`` the search space is d alone and
+    beta_t is dropped from the returned objectives.
     """
 
     def __init__(self, problem: RbrdoProblem,
@@ -408,20 +447,15 @@ class RbrdoEvaluator:
         self.mpp_per_sample = mpp_per_sample
         self.fixed_beta = fixed_beta
 
-    def _candidate(self, x) -> Candidate:
-        if self.fixed_beta is None:
-            return Candidate.from_vector(x)
-        return Candidate(d=np.asarray(x, dtype=float), beta_t=self.fixed_beta)
-
     def evaluate_batch(self, xs, streams):
-        cands = [self._candidate(x) for x in xs]
-        sols = evaluate_rbrdo_batch(cands, self.problem, streams,
-                                    robustness=self.robustness,
-                                    mpp_per_sample=self.mpp_per_sample)
-        keep = slice(None) if self.fixed_beta is None else slice(None, -1)
-        objs = np.array([s.objectives[keep] for s in sols])
-        viol = np.array([s.constraint_violation for s in sols])
-        return objs, viol
+        xs = np.asarray(xs, dtype=float)
+        if self.fixed_beta is None:
+            d, beta = xs[:, :-1], xs[:, -1]
+        else:
+            d, beta = xs, np.full(len(xs), self.fixed_beta)
+        objs, viol = _evaluate(self.problem, d, beta, streams,
+                               self.robustness, self.mpp_per_sample)
+        return (objs if self.fixed_beta is None else objs[:, :-1]), viol
 
 
 def build_mo_problem(problem: RbrdoProblem,

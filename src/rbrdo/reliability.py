@@ -207,6 +207,8 @@ def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
         eta = (G_prev - G_ray - tau * A) / A + delta_eta
         t_aug = tau + eta
         tb_fb = t_aug * t_aug * A / (2.0 * (G_ray - G_prev + t_aug * A))
+        # exact denominator 2*delta_eta*A; it cancels if |G_ray - G_prev| >> A
+        tb_fb = np.where(tb_fb > 0.0, tb_fb, t_aug * t_aug / (2.0 * delta_eta))
     return np.where(fallback, tb_fb, tb)
 
 
@@ -238,12 +240,16 @@ def backtracking_line_search(G, u, d, t_bar, alpha_b=1e-4, s_b=0.5, Gu=None):
 
 
 def second_order_step_bound(G_prev, G_curr, d_prev, tau_prev, delta_eta):
-    """Secant step-length bound; strictly positive on both branches.
+    """Secant step-length bound; positive on both branches.
 
     Fits a quadratic to the previous search ray from (G_prev, gradient,
     G_curr-at-step-tau_prev) and returns the estimated step to its minimum.
-    A non-positive estimate signals a non-convex section; the eta-shifted
-    re-evaluation then guarantees a positive bound.
+    A non-positive estimate signals a non-convex section; the bound then
+    comes from the eta-shifted step t_aug, whose denominator is
+    2 * delta_eta * d.d in exact arithmetic: where floating point cancels
+    it to a non-positive value, the exact t_aug**2 / (2 * delta_eta) is
+    used. Open question: the method describes a re-evaluation at t_aug,
+    but G_curr is reused, which is what makes that reduction exact.
     """
     d_prev = np.asarray(d_prev, dtype=float)
     dd = float(np.dot(d_prev, d_prev))

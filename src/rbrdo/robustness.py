@@ -10,11 +10,11 @@ neighborhood of the candidate:
 * the penalty approach worsens each objective by its mean normalized
   absolute deviation over the samples.
 
-Each strategy's aggregation is one function over an (M, m) matrix of
-sampled objective values (:func:`penalty_objectives`, :func:`worst_sample`,
-:func:`type2_ratio`; the effective mean is the column mean). The
-formulation's batched evaluator and the single-point helpers below both
-call them.
+Each strategy's aggregation is one function over (..., M, m) stacks of
+sampled objective values, one candidate per leading index
+(:func:`penalty_objectives`, :func:`worst_sample`, :func:`type2_ratio`;
+the effective mean is the sample-axis mean). They mask division hazards
+rather than raise; the single-point helpers below raise them.
 """
 
 from __future__ import annotations
@@ -72,34 +72,40 @@ def _sampled_values(f, x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
                      for row in neighborhood_samples(ns, rng)])
 
 
-def penalty_objectives(vals, f_nominal, signs) -> np.ndarray:
-    """Penalty strategy over the (M, m) sample matrix ``vals``.
+def penalty_objectives(vals, f_nominal, signs):
+    """Penalty strategy over the (..., M, m) sample matrices ``vals``.
 
     f(x) worsened by P_r = mean_j |f_r(xi_j) - f_r(x)| / |f_r(x)|, with the
-    sense ``signs`` of :func:`~rbrdo.core.sense_signs`.
+    sense ``signs`` of :func:`~rbrdo.core.sense_signs`. Returns (objectives,
+    hazard): hazard marks the candidates with some |f_r(x)| ~ 0.
     """
-    if np.any(np.abs(f_nominal) < _DENOM_FLOOR):
-        raise DivisionHazardError("penalty-based robustness needs |f_r(x)| > 0")
-    pen = np.abs(vals - f_nominal).mean(axis=0) / np.abs(f_nominal)
-    return f_nominal + signs * pen
+    f_nominal = np.asarray(f_nominal, dtype=float)
+    absf = np.abs(f_nominal)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pen = np.abs(vals - f_nominal[..., None, :]).mean(axis=-2) / absf
+    return f_nominal + signs * pen, np.any(absf < _DENOM_FLOOR, axis=-1)
 
 
 def worst_sample(vals, f_nominal, signs) -> np.ndarray:
-    """Type II worst-case reference: the row of ``vals`` whose objectives
-    are worst sense-wise, summed after normalization by |f(x)|."""
+    """Type II worst-case reference: the row of each (..., M, m) ``vals``
+    whose objectives are worst sense-wise, summed after normalization by
+    |f(x)|."""
+    f_nominal = np.asarray(f_nominal, dtype=float)[..., None, :]
     scale = np.maximum(np.abs(f_nominal), _DENOM_FLOOR)
-    badness = ((vals - f_nominal) * signs / scale).sum(axis=1)
-    return vals[int(np.argmax(badness))]
+    badness = ((vals - f_nominal) * signs / scale).sum(axis=-1)
+    worst = np.argmax(badness, axis=-1)[..., None, None]
+    return np.take_along_axis(vals, worst, axis=-2)[..., 0, :]
 
 
-def type2_ratio(f_val, f_ref) -> float:
-    """Normalized distance ||f_ref - f|| / ||f|| of the Type II cut."""
+def type2_ratio(f_val, f_ref):
+    """Normalized distance ||f_ref - f|| / ||f|| of the Type II cut over
+    the last axis. Returns (ratio, hazard): hazard marks ||f|| ~ 0."""
     f_val = np.atleast_1d(np.asarray(f_val, dtype=float))
     f_ref = np.atleast_1d(np.asarray(f_ref, dtype=float))
-    denom = float(np.linalg.norm(f_val))
-    if denom < _DENOM_FLOOR:
-        raise DivisionHazardError("Type II robustness needs ||f(x)|| > 0")
-    return float(np.linalg.norm(f_ref - f_val)) / denom
+    denom = np.linalg.norm(f_val, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.linalg.norm(f_ref - f_val, axis=-1) / denom
+    return ratio, denom < _DENOM_FLOOR
 
 
 def effective_mean(f, x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
@@ -124,12 +130,18 @@ def penalty_robust(f, x, spec: RobustnessSpec, rng: RngStream,
         raise UsageError("spec.strategy must be 'penalty'")
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
     vals = _sampled_values(f, x, spec, rng)
-    return penalty_objectives(vals, fx, sense_signs(senses))
+    out, hazard = penalty_objectives(vals, fx, sense_signs(senses))
+    if hazard:
+        raise DivisionHazardError("penalty-based robustness needs |f_r(x)| > 0")
+    return out
 
 
 def type2_feasible(f_val, f_eff, eta: float) -> bool:
     """True when ||f_eff - f|| / ||f|| <= eta (the Type II robustness cut)."""
-    return type2_ratio(f_val, f_eff) <= eta
+    ratio, hazard = type2_ratio(f_val, f_eff)
+    if hazard:
+        raise DivisionHazardError("Type II robustness needs ||f(x)|| > 0")
+    return bool(ratio <= eta)
 
 
 def type2_reference(f, x, spec: RobustnessSpec, rng: RngStream,

@@ -54,7 +54,8 @@ class NeighborhoodSpec:
     Sample coordinate s lies in [x_s - delta_s*x_s, x_s + delta_s*x_s];
     coordinates with delta_s = 0 are never perturbed. A zero center makes
     the interval degenerate to the point itself, which is accepted (and
-    flagged in logs) rather than widened.
+    flagged in logs) rather than widened. An (N, n) center holds N center
+    points that share the noise vector.
     """
 
     center: np.ndarray
@@ -65,7 +66,7 @@ class NeighborhoodSpec:
     def __post_init__(self):
         x = np.asarray(self.center, dtype=float)
         d = np.asarray(self.noise, dtype=float)
-        if x.ndim != 1 or x.shape != d.shape:
+        if x.ndim not in (1, 2) or d.ndim != 1 or x.shape[-1] != d.size:
             raise UsageError("center and noise must be equal-length vectors")
         if np.any(d < 0.0):
             raise UsageError("noise levels must be nonnegative")
@@ -77,6 +78,21 @@ class NeighborhoodSpec:
         object.__setattr__(self, "noise", d)
 
 
+def _unit_draws(streams, count: int, dim: int, scheme: str) -> np.ndarray:
+    """(len(streams), count, dim) points in [0, 1), block i drawn from
+    ``streams[i]`` exactly as a single block would draw them; the
+    arithmetic then runs once over all blocks."""
+    if scheme == "uniform":
+        return np.stack([rng.gen.random((count, dim)) for rng in streams])
+    perm = np.empty((len(streams), dim, count), dtype=np.int64)
+    jitter = np.empty((len(streams), dim, count))
+    for i, rng in enumerate(streams):
+        for j in range(dim):
+            perm[i, j] = rng.gen.permutation(count)
+            jitter[i, j] = rng.gen.random(count)
+    return ((perm + jitter) / count).transpose(0, 2, 1)
+
+
 def latin_hypercube(count: int, dim: int, rng: RngStream) -> np.ndarray:
     """Stratified count x dim sample in [0, 1).
 
@@ -86,28 +102,26 @@ def latin_hypercube(count: int, dim: int, rng: RngStream) -> np.ndarray:
     """
     if count < 1 or dim < 1:
         raise UsageError("latin_hypercube needs count >= 1 and dim >= 1")
-    out = np.empty((count, dim))
-    for j in range(dim):
-        perm = rng.gen.permutation(count)
-        jitter = rng.gen.random(count)
-        out[:, j] = (perm + jitter) / count
-    return out
+    return _unit_draws([rng], count, dim, "lhs")[0]
 
 
-def neighborhood_samples(spec: NeighborhoodSpec, rng: RngStream) -> np.ndarray:
-    """count x dim matrix of perturbed copies of the center point."""
+def neighborhood_samples(spec: NeighborhoodSpec, rng) -> np.ndarray:
+    """count x dim matrix of perturbed copies of the center point; for an
+    (N, dim) center and N streams, the (N, count, dim) stack of the
+    single-center results, row i drawn from ``rng[i]``."""
     x, d, m = spec.center, spec.noise, spec.count
     if np.any((d > 0.0) & (np.abs(x) < _DEGENERATE_CENTER)):
         log.debug("neighborhood degenerates to a point: |center| < %.0e "
                   "on a noisy coordinate", _DEGENERATE_CENTER)
-    if spec.scheme == "lhs":
-        u = latin_hypercube(m, x.size, rng)
-    else:
-        u = rng.gen.random((m, x.size))
+    streams = [rng] if x.ndim == 1 else rng
+    if len(streams) != len(np.atleast_2d(x)):
+        raise UsageError("one rng stream is required per center row")
+    u = _unit_draws(streams, m, d.size, spec.scheme)
+    u, x = (u[0], x) if x.ndim == 1 else (u, x[:, None, :])
     half = d * x  # signed half-width; sign-safe because the map is affine
     samples = x + half * (2.0 * u - 1.0)
     lo = np.minimum(x - half, x + half)
     hi = np.maximum(x - half, x + half)
     samples = np.clip(samples, lo, hi)
-    samples[:, d == 0.0] = x[d == 0.0]
+    samples[..., d == 0.0] = x[..., d == 0.0]
     return samples

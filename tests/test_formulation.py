@@ -240,3 +240,156 @@ class TestCandidate:
         assert np.array_equal(cand.d, [1.0, 2.0])
         assert cand.beta_t == 3.0
         assert np.array_equal(cand.as_vector(), [1.0, 2.0, 3.0])
+
+
+def _designs(problem, n, rng):
+    """n designs inside the problem's box, with beta_t appended."""
+    b = problem.det_bounds
+    d = b.lower + rng.uniform(0.05, 0.95, size=(n, b.dim)) * (b.upper - b.lower)
+    lo, hi = problem.beta_bounds
+    return d, rng.uniform(lo, hi, size=n)
+
+
+def _population(name, n=22):
+    """Candidates (d, beta_t) for one problem; reactor's include designs on
+    the guard's edge (samples dropped or all of them dropped), designs the
+    guard rejects, and (1, 1), whose objective is 0 (a division hazard
+    for the penalty and Type II strategies)."""
+    rng = np.random.default_rng(0)
+    problem = PROBLEMS[name]()
+    if name == "benchmark":
+        d = rng.uniform(1.5, 6.0, size=(n, 2))
+        beta = rng.uniform(1.0, 3.0, size=n)
+    elif name == "reactor":
+        d = rng.uniform(0.05, 1.0, size=(n, 2))
+        d[:, 1] = np.minimum(d[:, 1], d[:, 0])
+        d[:8, 1] = d[:8, 0] * (1.0 - 1e-9)
+        d[8:10, 1] = np.minimum(d[8:10, 0] * 1.5, 1.0)
+        d[8:10, 0] = d[8:10, 1] / 1.5
+        d[10] = (1.0, 1.0)
+        beta = rng.uniform(0.1, 5.0, size=n)
+    else:
+        d, beta = _designs(problem, n, rng)
+    return problem, np.column_stack([d, beta])
+
+
+PROBLEMS = {"benchmark": benchmark.rbrdo,
+            "heat-exchanger": heat_exchanger.rbrdo,
+            "reactor": reactor.rbrdo, "catalyst": catalyst.rbrdo}
+STRATEGIES = [("none", False), ("effective_mean", False), ("penalty", False),
+              ("type2", False), ("type2", True)]
+# every problem meets every strategy, both schemes and both MPP placements
+POPULATION_CASES = [
+    (name, strategy, worst, ("lhs", "uniform")[k % 2], (k // 2) % 2 == 0)
+    for name in PROBLEMS for k, (strategy, worst) in enumerate(STRATEGIES)]
+
+
+def _stream(i):
+    return RngStream(0).substream(1, 0, i)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+def assert_batch_independent(evaluator, xs):
+    """Each row's result in the batch equals its batch-of-one result bit
+    for bit, and shuffling rows with their streams permutes the results."""
+    n = len(xs)
+    objs, viol = evaluator.evaluate_batch(xs, [_stream(i) for i in range(n)])
+    assert objs.shape[0] == viol.shape[0] == n
+    for i in range(n):
+        o, v = evaluator.evaluate_batch(xs[i:i + 1], [_stream(i)])
+        assert _bits(o[0]) == _bits(objs[i]), i
+        assert _bits(v[0]) == _bits(viol[i]), i
+    perm = np.random.default_rng(1).permutation(n)
+    o, v = evaluator.evaluate_batch(xs[perm], [_stream(i) for i in perm])
+    assert _bits(o) == _bits(objs[perm])
+    assert _bits(v) == _bits(viol[perm])
+    return objs, viol
+
+
+class TestPopulationEvaluation:
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Populations and hazard masks the evaluations produced."""
+        from rbrdo import formulation
+        out = {"pops": [], "hazard": []}
+        prepare, finish = formulation._prepare, formulation._finish
+
+        def spy_prepare(*args, **kwargs):
+            out["pops"].append(prepare(*args, **kwargs))
+            return out["pops"][-1]
+
+        def spy_finish(*args, **kwargs):
+            res = finish(*args, **kwargs)
+            out["hazard"].append(res[2])
+            return res
+
+        monkeypatch.setattr(formulation, "_prepare", spy_prepare)
+        monkeypatch.setattr(formulation, "_finish", spy_finish)
+        return out
+
+    @pytest.mark.parametrize("name,strategy,worst,scheme,per_sample",
+                             POPULATION_CASES)
+    def test_batch_independent(self, name, strategy, worst, scheme,
+                               per_sample, seen):
+        # 16 samples: past 8 terms numpy sums pairwise, so a padded or
+        # masked mean over ragged candidates would change their bits
+        problem, xs = _population(name)
+        spec = RobustnessSpec(
+            strategy=strategy, delta=np.where(problem.noise_mask, 0.1, 0.0),
+            samples=16, eta=0.01 if strategy == "type2" else None,
+            scheme=scheme, worst_case=worst)
+        evaluator, _, _ = build_mo_problem(problem, spec,
+                                           mpp_per_sample=per_sample)
+        objs, viol = assert_batch_independent(evaluator, xs)
+        assert np.array_equal(objs[:, -1], xs[:, -1])
+        if name != "reactor":
+            return
+        # the cases the array path must get right all occur
+        admitted = reactor.domain_guard(xs[:, :2]) == 0.0
+        assert np.all(viol[~admitted] > 0.0)  # the guard rejected the design
+        if strategy == "none":
+            return
+        counts = seen["pops"][0].counts
+        assert len(np.unique(counts[counts > 8])) > 1  # ragged past 8 rows
+        if strategy in ("penalty", "type2"):
+            assert seen["hazard"][0].any()
+            assert np.any(viol == 1e6)
+
+    @pytest.mark.parametrize("scheme", ["lhs", "uniform"])
+    def test_all_samples_dropped(self, scheme, seen):
+        problem, xs = _population("reactor")
+        spec = RobustnessSpec(strategy="effective_mean",
+                              delta=np.full(2, 0.1), samples=5, scheme=scheme)
+        evaluator, _, _ = build_mo_problem(problem, spec)
+        assert_batch_independent(evaluator, xs)
+        admitted = reactor.domain_guard(xs[:, :2]) == 0.0
+        assert np.any(seen["pops"][0].rejected[admitted] > 0.0)
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_fixed_beta_batch_independent(self, name):
+        problem, xs = _population(name)
+        beta_t = problem.beta_bounds[1]
+        for per_sample in (True, False):
+            evaluator, _, _ = build_rbdo_evaluator(problem, beta_t,
+                                                   mpp_per_sample=per_sample)
+            objs, _ = assert_batch_independent(evaluator, xs[:, :-1])
+            assert objs.shape == (len(xs), 1)
+
+    def test_wrappers_match_the_array_path(self):
+        problem, xs = _population("reactor")
+        spec = RobustnessSpec(strategy="penalty", delta=np.full(2, 0.1),
+                              samples=5)
+        evaluator, _, _ = build_mo_problem(problem, spec)
+        objs, viol = evaluator.evaluate_batch(
+            xs, [_stream(i) for i in range(len(xs))])
+        sols = evaluate_rbrdo_batch(
+            [Candidate.from_vector(x) for x in xs], problem,
+            [_stream(i) for i in range(len(xs))], robustness=spec)
+        for sol, x, o, v in zip(sols, xs, objs, viol):
+            assert _bits(sol.decision) == _bits(x)
+            assert _bits(sol.objectives) == _bits(o)
+            assert sol.constraint_violation == v

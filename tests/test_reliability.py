@@ -6,7 +6,7 @@ from rbrdo import (AsoslParams, GradientVanishedError, PerformanceFunction,
                    backtracking_line_search, failure_probability,
                    from_standard_normal, second_order_step_bound,
                    std_normal_cdf, to_standard_normal)
-from rbrdo.reliability import _asosl_engine, make_u_space
+from rbrdo.reliability import _asosl_engine, _secant_bound, make_u_space
 from rbrdo.problems import benchmark
 
 from oracles import min_on_circle
@@ -144,6 +144,26 @@ class TestStepBound:
             assert t_bar > 0.0
             hit_fallback += 1
         assert hit_fallback == 2000
+
+    def test_cancelling_fallback_takes_its_exact_value(self):
+        # |G_curr - G_prev| >> d.d: the shifted denominator, 2*delta_eta*d.d
+        # in exact arithmetic, cancels to a non-positive value in floating
+        # point; eta = (2 + 1e16 - 1) + 1 rounds to 1e16, t_aug = 1 + eta
+        # to 1e16, and the exact bound is t_aug**2 / (2*delta_eta)
+        t_bar = second_order_step_bound(G_prev=2.0, G_curr=-1e16,
+                                        d_prev=np.array([1.0]), tau_prev=1.0,
+                                        delta_eta=1.0)
+        assert t_bar == 1e16 * 1e16 / 2.0
+
+    def test_fallback_positive_under_cancellation(self):
+        rng = np.random.default_rng(0)
+        n = 20_000
+        sign = rng.choice([-1.0, 1.0], size=(2, n))
+        g_prev, g_ray = sign * 10.0 ** rng.uniform(0.0, 20.0, size=(2, n))
+        tau = 10.0 ** rng.uniform(-8.0, 2.0, size=n)
+        dd = 10.0 ** rng.uniform(-10.0, 2.0, size=n)
+        t_bar = _secant_bound(g_prev, g_ray, tau, dd, 1.0)
+        assert np.all(t_bar > 0.0)
 
     def test_vanished_gradient(self):
         with pytest.raises(GradientVanishedError):

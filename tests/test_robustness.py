@@ -3,7 +3,8 @@ import pytest
 
 from rbrdo import (DivisionHazardError, RngStream, RobustnessSpec, Sense,
                    UsageError, effective_mean, penalty_robust, type2_feasible)
-from rbrdo.robustness import type2_reference
+from rbrdo.robustness import (penalty_objectives, type2_ratio,
+                              type2_reference, worst_sample)
 
 from oracles import quadratic_effective_mean, uniform_mean_abs_deviation
 
@@ -153,3 +154,67 @@ class TestTypeII:
         with pytest.raises(UsageError):
             RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
                            samples=0)
+
+
+class TestPopulationAggregators:
+    """Each aggregator over (N, M, m) equals N calls on (M, m) bit for bit."""
+
+    @staticmethod
+    def population(n, m, samples, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(n, samples, m)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, size=(n, 1, m))
+        f_nominal = vals.mean(axis=1) + rng.normal(size=(n, m))
+        f_nominal[::4, 0] = 0.0  # division hazards
+        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        return vals, f_nominal, signs
+
+    @pytest.mark.parametrize("m,samples", [(1, 50), (2, 7), (3, 33)])
+    def test_penalty_objectives(self, m, samples):
+        vals, f_nominal, signs = self.population(12, m, samples, m)
+        objs, hazard = penalty_objectives(vals, f_nominal, signs)
+        assert objs.shape == (12, m) and hazard.shape == (12,)
+        for i in range(12):
+            o, h = penalty_objectives(vals[i], f_nominal[i], signs)
+            assert h == hazard[i]
+            assert o.tobytes() == objs[i].tobytes()
+            # the scalar helper raises exactly on the hazard rows
+            f = lambda x, i=i: f_nominal[i] * x[0]
+            spec = RobustnessSpec(strategy="penalty", delta=np.array([0.1]),
+                                  samples=4)
+            if hazard[i]:
+                with pytest.raises(DivisionHazardError):
+                    penalty_robust(f, np.array([1.0]), spec, RngStream(i),
+                                   (Sense.MINIMIZE,) * m)
+            else:
+                penalty_robust(f, np.array([1.0]), spec, RngStream(i),
+                               (Sense.MINIMIZE,) * m)
+        assert hazard.any() and not hazard.all()
+
+    @pytest.mark.parametrize("m,samples", [(1, 50), (2, 7), (3, 33)])
+    def test_worst_sample(self, m, samples):
+        vals, f_nominal, signs = self.population(12, m, samples, 10 + m)
+        worst = worst_sample(vals, f_nominal, signs)
+        assert worst.shape == (12, m)
+        for i in range(12):
+            assert worst_sample(vals[i], f_nominal[i], signs).tobytes() == \
+                worst[i].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_type2_ratio(self, m):
+        vals, f_nominal, _ = self.population(12, m, 5, 20 + m)
+        f_nominal[1] = 0.0  # ||f|| = 0
+        f_ref = vals.mean(axis=1)
+        ratio, hazard = type2_ratio(f_nominal, f_ref)
+        assert ratio.shape == hazard.shape == (12,)
+        for i in range(12):
+            r, h = type2_ratio(f_nominal[i], f_ref[i])
+            assert h == hazard[i]
+            assert r.tobytes() == ratio[i].tobytes()
+            if not h:
+                assert type2_feasible(f_nominal[i], f_ref[i], 1.0) == \
+                    (ratio[i] <= 1.0)
+            else:
+                with pytest.raises(DivisionHazardError):
+                    type2_feasible(f_nominal[i], f_ref[i], 1.0)
+        assert hazard[1]

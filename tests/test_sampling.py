@@ -108,3 +108,31 @@ class TestNeighborhoodSamples:
         with pytest.raises(UsageError):
             NeighborhoodSpec(center=np.ones(2), noise=np.zeros(2), count=1,
                              scheme="sobol")
+
+
+class TestPopulationSamples:
+    @pytest.mark.parametrize("scheme", ["lhs", "uniform"])
+    def test_rows_equal_single_center_calls(self, scheme):
+        rng = np.random.default_rng(2)
+        centers = rng.uniform(-3.0, 3.0, size=(9, 4))
+        centers[4, 0] = 0.0  # degenerate on a noisy coordinate
+        noise = np.array([0.1, 0.0, 0.05, 0.2])  # coordinate 1 never moves
+        streams = [RngStream(3).substream(i) for i in range(9)]
+        spec = NeighborhoodSpec(center=centers, noise=noise, count=7,
+                                scheme=scheme)
+        got = neighborhood_samples(spec, streams)
+        want = np.stack([
+            neighborhood_samples(
+                NeighborhoodSpec(center=c, noise=noise, count=7,
+                                 scheme=scheme), RngStream(3).substream(i))
+            for i, c in enumerate(centers)])
+        assert got.shape == (9, 7, 4)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[:, :, 1] == centers[:, None, 1])
+        assert np.all(got[4, :, 0] == 0.0)
+
+    def test_one_stream_per_row(self):
+        spec = NeighborhoodSpec(center=np.ones((3, 2)), noise=np.full(2, 0.1),
+                                count=4)
+        with pytest.raises(UsageError):
+            neighborhood_samples(spec, [RngStream(0), RngStream(1)])
