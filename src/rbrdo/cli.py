@@ -274,8 +274,11 @@ def cmd_run(args) -> int:
             if len(rows) >= 4:
                 beta_col = np.array([r[n_dec] for r in rows])
                 f_col = np.array([r[n_dec + 1] for r in rows])
-                keep = np.unique(np.round(
-                    np.linspace(0, len(rows) - 1, FIT_SAMPLE)).astype(int))
+                # non-decreasing indices: drop the repeats (np.unique
+                # would import numpy.ma at the end of every run)
+                keep = np.round(
+                    np.linspace(0, len(rows) - 1, FIT_SAMPLE)).astype(int)
+                keep = keep[np.diff(keep, prepend=-1) > 0]
                 report = fit_front(beta_col[keep], f_col[keep])
                 sd = second_difference_scale(beta_col[keep], f_col[keep])
                 stats_rows.append((level, report, sd))

@@ -249,9 +249,11 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     r = rows.shape[0]
     c = len(problem.constraints)
     mu, sigma = problem.random_vars(rows)
-    # contiguous copies: every margin and gradient call transforms with them
-    mu = np.array(np.broadcast_to(mu, (r, mu.shape[-1])))
-    sigma = np.array(np.broadcast_to(sigma, mu.shape))
+    # C-contiguous copies: every margin and gradient call transforms with
+    # them, and the engine gathers their rows (np.array would keep a
+    # broadcast's column-major order, where a row gather is ~15x slower)
+    mu = np.ascontiguousarray(np.broadcast_to(mu, (r, mu.shape[-1])))
+    sigma = np.ascontiguousarray(np.broadcast_to(sigma, mu.shape))
     params = AsoslParams(beta_t=float(betas.max()), **problem.asosl_defaults)
 
     beta_all = np.tile(betas, c)

@@ -36,15 +36,25 @@ _BOUNDS_REDUCED = Bounds(
 )
 
 
+def _m1(d, x):
+    d1, d4 = d[..., 0], d[..., 3]
+    return x[..., 1] * d1 + x[..., 2] - d1 * d4 - x[..., 0] * d4
+
+
+def _m2(d, x):
+    d2, d4, d5 = d[..., 1], d[..., 3], d[..., 4]
+    return x[..., 3] * d2 + x[..., 4] * (d4 - d5) - d5 * d2
+
+
+def _m3(d, x):
+    return x[..., 6] * d[..., 4] + x[..., 7] * d[..., 2] - x[..., 5]
+
+
 def margins(d, x) -> np.ndarray:
     """Reduced-problem margins, stacked on the last axis; positive = safe."""
     d = np.asarray(d, dtype=float)
     x = np.asarray(x, dtype=float)
-    d1, d2, d3, d4, d5 = (d[..., i] for i in range(5))
-    m1 = x[..., 1] * d1 + x[..., 2] - d1 * d4 - x[..., 0] * d4
-    m2 = x[..., 3] * d2 + x[..., 4] * (d4 - d5) - d5 * d2
-    m3 = x[..., 6] * d5 + x[..., 7] * d3 - x[..., 5]
-    return np.stack([m1, m2, m3], axis=-1)
+    return np.stack([_m1(d, x), _m2(d, x), _m3(d, x)], axis=-1)
 
 
 def _objective(d, x):
@@ -90,9 +100,6 @@ def full_deterministic() -> DeterministicProblem:
 
 
 def _performance_functions():
-    def g1(d, x):
-        return margins(d, x)[..., 0]
-
     def g1_grad(d, x):
         d = np.asarray(d, dtype=float)
         g = np.zeros(np.broadcast_shapes(d[..., :1].shape, x[..., :1].shape)
@@ -102,9 +109,6 @@ def _performance_functions():
         g[..., 2] = 1.0
         return g
 
-    def g2(d, x):
-        return margins(d, x)[..., 1]
-
     def g2_grad(d, x):
         d = np.asarray(d, dtype=float)
         g = np.zeros(np.broadcast_shapes(d[..., :1].shape, x[..., :1].shape)
@@ -112,9 +116,6 @@ def _performance_functions():
         g[..., 3] = d[..., 1]
         g[..., 4] = d[..., 3] - d[..., 4]
         return g
-
-    def g3(d, x):
-        return margins(d, x)[..., 2]
 
     def g3_grad(d, x):
         d = np.asarray(d, dtype=float)
@@ -125,9 +126,9 @@ def _performance_functions():
         g[..., 7] = d[..., 2]
         return g
 
-    return (PerformanceFunction(g1, g1_grad, name="g1"),
-            PerformanceFunction(g2, g2_grad, name="g2"),
-            PerformanceFunction(g3, g3_grad, name="g3"))
+    return (PerformanceFunction(_m1, g1_grad, name="g1"),
+            PerformanceFunction(_m2, g2_grad, name="g2"),
+            PerformanceFunction(_m3, g3_grad, name="g3"))
 
 
 def _random_vars(d):

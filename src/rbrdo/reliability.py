@@ -17,7 +17,11 @@ Many searches run as one lockstep batch whose rows are independent. A row
 leaves the batch when it stops (converged, stalled, dead, non-finite or at
 the iteration cap): whenever half of the current width has stopped, the
 batch is compacted to its live rows, so a batch costs its row-iterations,
-not its size times its slowest row.
+not its size times its slowest row. The Armijo ladder inside each step
+drops its accepted rows by the same rule, so a step costs its pending
+trials, not its width times the longest ladder. Each step's fresh arrays
+become the batch state, with the stopped rows patched in, and d.d is
+computed once per step.
 
 Performance functions follow the margin convention: positive = safe,
 g <= 0 = failure.
@@ -28,7 +32,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,43 +162,87 @@ class MppResult:
     trace: list = field(default_factory=list)  # (k, u, G, tau, t_bar, err)
 
 
-def _armijo_ladder(Gfun, u, d, Gu, A, t, active, alpha_b, s_b,
+def _compact(keep, *arrays):
+    """The rows of ``arrays`` where ``keep`` holds, once they are few enough.
+
+    The lockstep searches, the engine and its Armijo ladder, drop their
+    finished rows by this one rule: once at most half of the current width
+    is kept. Returns None while more than half is kept, else the kept
+    positions and each array gathered to them, in the same row order.
+    Successive compactions at least halve the width, so the gathers of one
+    search, or of one ladder, cost at most twice its first width.
+    """
+    if np.count_nonzero(keep) > keep.size // 2:
+        return None
+    pos = np.flatnonzero(keep)
+    return pos, [np.take(a, pos, axis=0) for a in arrays]
+
+
+def _ray_point(u, d, at, t, out):
+    """u - t d into ``out``, over the rows ``at`` of ``d`` (None: all).
+
+    ``u`` holds only those rows. The rows of ``d`` are taken straight into
+    ``out``, so the ladder keeps no gathered copy of ``d``.
+    """
+    # mode='clip' writes straight into out ('raise' buffers); at is valid
+    d = d if at is None else np.take(d, at, axis=0, out=out, mode="clip")
+    return np.subtract(u, np.multiply(d, t[:, None], out=out), out=out)
+
+
+def _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
                    tau, G_ray, trial):
     """:func:`backtracking_line_search` over the active rows of a batch.
 
     Writes each row's step and G(u - tau d) into ``tau`` and ``G_ray`` and
-    returns the accepted mask; ``trial`` is scratch shaped like ``u``. The
-    caller owns the three arrays so that a search allocates them once:
-    fresh batch-sized arrays on every step made the allocator hand memory
-    back to the system and fault it in again (several times the page
-    faults on reactor and benchmark batches). The rounding slack accepts
-    trials whose required decrease underflows against |G| (flat
-    directions).
+    returns the number of active rows whose Armijo test stayed unmet.
+    ``Gfun(x, rows)`` is the engine's margin closure and ``rows`` the batch
+    indices of the rows of ``u`` (None: the whole batch). The ladder drops
+    its accepted rows by the engine's rule (:func:`_compact`), so a round
+    costs its pending rows rather than the width. ``trial`` is scratch
+    shaped like ``u``. The caller owns the three arrays so that a search
+    allocates them once: fresh batch-sized arrays on every step made the
+    allocator hand memory back to the system and fault it in again
+    (several times the page faults on reactor and benchmark batches). The
+    rounding slack accepts trials whose required decrease underflows
+    against |G| (flat directions).
     """
-    accepted = ~active
-    tau[:] = t
-    G_ray[:] = Gu
+    np.copyto(tau, t)
+    np.copyto(G_ray, Gu)
+    pending = active.copy()
     slack = 4.0 * _ULP * np.abs(Gu)
+    # once compacted: the rows' positions in u and their batch indices;
+    # their trial points and u rows live in the front of ``trial``
+    at, sub, u_at, x = None, rows, u, trial
     with np.errstate(all="ignore"):
         for _ in range(_MAX_HALVINGS):
-            if accepted.all():
+            if not pending.any():
                 break
-            np.subtract(u, np.multiply(t[:, None], d, out=trial), out=trial)
-            G_try = Gfun(trial)
+            kept = _compact(pending, Gu, A, t, slack)
+            if kept is not None:
+                pos, (Gu, A, t, slack) = kept
+                at = pos if at is None else at[pos]
+                sub = at if rows is None else rows[at]
+                m = at.size
+                pending = np.ones(m, dtype=bool)
+                x = trial[:m]
+                u_at = np.take(u, at, axis=0, out=trial[m:2 * m],
+                               mode="clip")
+            G_try = Gfun(_ray_point(u_at, d, at, t, x), sub)
             ok = G_try <= Gu - alpha_b * t * A + slack
-            newly = ok & ~accepted
-            tau[newly] = t[newly]
-            G_ray[newly] = G_try[newly]
-            accepted |= ok
-            t = np.where(accepted, t, t * s_b)
-        if not accepted.all():
-            stuck = active & ~accepted
-            tau[stuck] = t[stuck]
-            np.subtract(u, np.multiply(t[:, None], d, out=trial), out=trial)
-            G_ray[stuck] = Gfun(trial)[stuck]
+            newly = ok & pending
+            dst = newly if at is None else at[newly]
+            tau[dst] = t[newly]
+            G_ray[dst] = G_try[newly]
+            pending &= ~ok
+            t = np.where(pending, t * s_b, t)
+        stuck = np.count_nonzero(pending)
+        if stuck:
+            dst = pending if at is None else at[pending]
+            tau[dst] = t[pending]
+            G_ray[dst] = Gfun(_ray_point(u_at, d, at, t, x), sub)[pending]
             log.debug("Armijo condition unmet on %d rows after %d halvings",
-                      int(stuck.sum()), _MAX_HALVINGS)
-    return accepted
+                      stuck, _MAX_HALVINGS)
+    return stuck
 
 
 def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
@@ -228,15 +275,15 @@ def backtracking_line_search(G, u, d, t_bar, alpha_b=1e-4, s_b=0.5, Gu=None):
     if Gu is None:
         Gu = float(G(u))
     tau, g_t = np.empty(1), np.empty(1)
-    ok = _armijo_ladder(
-        lambda rows: np.array([float(G(row)) for row in rows]),
+    unmet = _armijo_ladder(
+        lambda trial, rows: np.array([float(G(row)) for row in trial]), None,
         np.asarray(u, dtype=float)[None, :], d[None, :], np.array([Gu]),
         np.array([dd]), np.array([float(t_bar)]), np.ones(1, dtype=bool),
         alpha_b, s_b, tau, g_t, np.empty((1, d.size)))
-    if not ok[0]:
+    if unmet:
         log.warning("Armijo condition not met within %d halvings",
                     _MAX_HALVINGS)
-    return float(tau[0]), float(g_t[0]), bool(ok[0])
+    return float(tau[0]), float(g_t[0]), not unmet
 
 
 def second_order_step_bound(G_prev, G_curr, d_prev, tau_prev, delta_eta):
@@ -315,6 +362,7 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     with np.errstate(all="ignore"):
         Gu = Gfun(u)
         d = gradfun(u)
+    A = np.einsum("ij,ij->i", d, d)  # d.d, carried from step to step
     t_bar = np.ones(b)
     cap_scale = np.ones(b)
     rise_count = np.zeros(b, dtype=int)
@@ -324,36 +372,33 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     iterations = np.zeros(b, dtype=int)
     tau_buf, G_ray_buf, trial_buf = np.empty(b), np.empty(b), np.empty_like(u)
     tau, G_ray, trial = tau_buf, G_ray_buf, trial_buf
-    G, grad = Gfun, gradfun
     rows = None  # batch index of each live row, once compacted
     out = None   # batch-order (u, G, iterations, converged), once compacted
     trace = []
 
     for k in range(params.max_iters):
-        live = np.count_nonzero(active)
-        if live == 0:
+        if not active.any():
             break
-        if live <= active.size // 2:
+        kept = _compact(active, u, Gu, d, A, beta, t_bar, cap_scale,
+                        rise_count, stall_count, iterations)
+        if kept is not None:
             # drop the stopped rows: results out, live state in, same order
+            pos, state = kept
             if rows is None:
                 out = u, Gu, iterations, converged  # already in batch order
-                rows = np.flatnonzero(active)
+                rows = pos
             else:
                 gone = ~active
                 for dst, src in zip(out, (u, Gu, iterations, converged)):
                     dst[rows[gone]] = src[gone]
-                rows = rows[active]
-            (u, Gu, d, beta, t_bar, cap_scale, rise_count, stall_count,
-             iterations) = (a[active] for a in (
-                 u, Gu, d, beta, t_bar, cap_scale, rise_count, stall_count,
-                 iterations))
-            converged = np.zeros(live, dtype=bool)
-            active = np.ones(live, dtype=bool)
-            tau, G_ray, trial = (buf[:live]
+                rows = rows[pos]
+            (u, Gu, d, A, beta, t_bar, cap_scale, rise_count, stall_count,
+             iterations) = state
+            converged = np.zeros(pos.size, dtype=bool)
+            active = np.ones(pos.size, dtype=bool)
+            tau, G_ray, trial = (buf[:pos.size]
                                  for buf in (tau_buf, G_ray_buf, trial_buf))
-            G, grad = partial(Gfun, rows=rows), partial(gradfun, rows=rows)
 
-        A = np.einsum("ij,ij->i", d, d)
         dead = active & (A < _GRAD_EPS)
         if dead.any():
             if raise_on_dead:
@@ -367,10 +412,10 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
                / np.sqrt(np.maximum(A, _GRAD_EPS)))
         t = np.minimum(t_bar, cap * cap_scale)
 
-        _armijo_ladder(G, u, d, Gu, A, t, active, alpha_b, s_b,
+        _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
                        tau, G_ray, trial)
 
-        u_tau = u - tau[:, None] * d
+        u_tau = _ray_point(u, d, None, tau, trial)
         norm = np.linalg.norm(u_tau, axis=1)
         bad = active & ~np.isfinite(norm)
         if bad.any():
@@ -386,15 +431,15 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
         safe_norm = np.where(norm > 0.0, norm, 1.0)
         u_new = beta[:, None] * u_tau / safe_norm[:, None]
         with np.errstate(all="ignore"):
-            G_new = G(u_new)
-            d_new = grad(u_new)
+            G_new = Gfun(u_new, rows)
+            d_new = gradfun(u_new, rows)
         finite = np.isfinite(G_new) & np.all(np.isfinite(d_new), axis=1)
         bad = active & ~finite
         if bad.any():
             log.debug("non-finite performance value on %d rows", int(bad.sum()))
             active &= ~bad
 
-        err = np.linalg.norm(u_new - u, axis=1)
+        err = np.linalg.norm(np.subtract(u_new, u, out=trial), axis=1)
 
         tb = _secant_bound(Gu, G_ray, tau, A, delta_eta)
 
@@ -407,25 +452,27 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
             log.debug("oscillation guard halved the step cap on %d rows",
                       int(burst.sum()))
 
-        upd = active
-        u[upd] = u_new[upd]
-        Gu[upd] = G_new[upd]
-        d[upd] = d_new[upd]
-        t_bar[upd] = tb[upd]
-        iterations[upd] = k + 1
+        # the step's fresh arrays become the state; stopped rows keep theirs
+        stopped = ~active
+        np.copyto(u_new, u, where=stopped[:, None])
+        np.copyto(G_new, Gu, where=stopped)
+        np.copyto(d_new, d, where=stopped[:, None])
+        np.copyto(tb, t_bar, where=stopped)
+        u, Gu, d, t_bar = u_new, G_new, d_new, tb
+        np.copyto(iterations, k + 1, where=active)
+        A = np.einsum("ij,ij->i", d, d)
 
-        if record and b == 1 and upd[0]:
+        if record and b == 1 and active[0]:
             trace.append((k, u[0].copy(), float(Gu[0]), float(tau[0]),
-                          float(tb[0]), float(err[0])))
+                          float(t_bar[0]), float(err[0])))
 
         # accept convergence only at a tangency point (the gradient's radial
         # component must not point outward), so a projection mapping a
         # truncated step back onto its start cannot stop the search early
         radial = np.einsum("ij,ij->i", d, u)
         small = err < eps
-        tangent_ok = radial <= _RADIAL_TOL * beta * np.sqrt(
-            np.einsum("ij,ij->i", d, d))
-        done = upd & small & tangent_ok
+        tangent_ok = radial <= _RADIAL_TOL * beta * np.sqrt(A)
+        done = active & small & tangent_ok
         converged |= done
         active &= ~done
         stall_count = np.where(small & ~tangent_ok, stall_count + 1, 0)
@@ -444,13 +491,16 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
 def _rows_memo(gather):
     """``gather(rows)`` kept for the last ``rows`` object it was called with.
 
-    The engine passes one index array per width, so each width gathers
-    once; ``rows=None`` (the whole batch) is gathered up front.
+    The engine and its Armijo ladder pass one index array per width, so
+    each width gathers once; ``rows=None`` (the whole batch) is gathered up
+    front. The old gather is dropped before the next one is made, so a
+    ladder's row gathers never sit beside the engine's.
     """
     last = [None, gather(None)]
 
     def at(rows):
         if rows is not last[0]:
+            last[:] = None, None  # the old gather goes before the new one
             last[:] = rows, gather(rows)
         return last[1]
     return at
@@ -465,7 +515,7 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
     1-D arrays are shared by every row.
     """
     at = _rows_memo(lambda rows: tuple(
-        a if rows is None or np.ndim(a) < 2 else a[rows]
+        a if rows is None or np.ndim(a) < 2 else np.take(a, rows, axis=0)
         for a in (mu, sigma, d_det)))
 
     def Gfun(u, rows=None):

@@ -45,7 +45,9 @@ def polyfit2(x, y) -> tuple[float, float, float]:
         raise UsageError("x and y must be equal-length 1-D vectors")
     if x.size < 3:
         raise UsageError("a quadratic fit needs at least 3 points")
-    if np.unique(x).size < 3:
+    # distinct values of the sorted x, counted without np.unique (which
+    # imports numpy.ma)
+    if np.count_nonzero(np.diff(np.sort(x))) < 2:
         raise FitError("rank-deficient design: fewer than 3 distinct x values")
     design = np.stack([np.ones_like(x), x, x * x], axis=1)
     scale = np.linalg.norm(design, axis=0)

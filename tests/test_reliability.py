@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -326,7 +328,9 @@ def _mixed_margin():
     Column 0 of each design row picks the row's kind: 0 linear (converges
     in a few iterations), 1 |x0| (stalls unconverged), 2 Rosenbrock (runs
     to the 200 cap), 3 constant (dead gradient), 4 linear but NaN below
-    x0 + x1 = -1 (its first steps cross the sphere and turn non-finite).
+    x0 + x1 = -1 (its first steps cross the sphere and turn non-finite),
+    5 x0 - x1 with its gradient's sign flipped (from a start where it is
+    exactly 0, no trial passes the Armijo test in 60 halvings).
     Columns 1-2 are the slopes of kind 0.
     """
     def g(d, x):
@@ -334,9 +338,9 @@ def _mixed_margin():
         x0, x1 = x[..., 0], x[..., 1]
         rosen = (1.0 - x0) ** 2 + 100.0 * (x1 - x0 * x0) ** 2
         return np.select(
-            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [kind == 0, kind == 1, kind == 2, kind == 3, kind == 5],
             [1.0 + a0 * x0 + a1 * x1, np.abs(x0) + 0.1 * x1, rosen,
-             np.full_like(x0, 5.0)],
+             np.full_like(x0, 5.0), x0 - x1],
             np.where(x0 + x1 < -1.0, np.nan, 1.0 + x0 + x1))
 
     def grad_x(d, x):
@@ -347,10 +351,10 @@ def _mixed_margin():
                           200.0 * (x1 - x0 * x0)], -1)
         off = (x0 + x1 < -1.0)[..., None]
         return np.select(
-            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [kind == 0, kind == 1, kind == 2, kind == 3, kind == 5],
             [np.stack([a0 * one, a1 * one], -1),
              np.stack([np.sign(x0), 0.1 * one], -1), rosen,
-             np.zeros_like(x)],
+             np.zeros_like(x), np.stack([-one, one], -1)],
             np.where(off, np.nan, np.ones_like(x)))
 
     return g, grad_x
@@ -363,28 +367,35 @@ def _mixed_batch(kinds, seed=0):
     mu = rng.normal(scale=0.1, size=(b, 2))
     sigma = rng.uniform(0.5, 1.5, size=(b, 2))
     beta = rng.uniform(1.5, 3.0, size=b)
-    # starts from which the search runs to the cap, or turns non-finite
-    fixed = (kinds == 2) | (kinds == 4)
+    # starts from which the search runs to the cap, turns non-finite, or
+    # finds no Armijo step (x0 = x1 exactly)
+    fixed = (kinds == 2) | (kinds == 4) | (kinds == 5)
     mu[fixed], sigma[fixed], beta[fixed] = 0.0, 1.0, 3.0
     return d, mu, sigma, beta
 
 
 class TestCompaction:
-    # 285 fast rows, 5 stalling, 6 capped stragglers, one dead and three
-    # non-finite rows, shuffled through the batch
+    # 285 fast rows, 5 stalling, 6 capped stragglers, one dead, three
+    # non-finite and four Armijo-stuck rows, shuffled through the batch
     KINDS = np.random.default_rng(1).permutation(
-        np.repeat([0, 1, 2, 3, 4], [285, 5, 6, 1, 3])).astype(float)
+        np.repeat([0, 1, 2, 3, 4, 5], [285, 5, 6, 1, 3, 4])).astype(float)
 
     @pytest.mark.parametrize("analytic", [True, False])
-    def test_rows_match_batches_of_one(self, analytic):
+    def test_rows_match_batches_of_one(self, analytic, caplog):
         g, grad_x = _mixed_margin()
         pf = PerformanceFunction(g, grad_x if analytic else None)
         d, mu, sigma, beta = _mixed_batch(self.KINDS)
         b = beta.size
         params = AsoslParams(beta_t=3.0)
         Gfun, gradfun = make_u_space(pf, mu, sigma, d)
-        u, G, iters, conv, _ = _asosl_engine(Gfun, gradfun, beta, 2, b,
-                                             params)
+        with caplog.at_level(logging.DEBUG, logger="rbrdo.reliability"):
+            u, G, iters, conv, _ = _asosl_engine(Gfun, gradfun, beta, 2, b,
+                                                 params)
+        unmet = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("Armijo condition unmet")]
+        # a finite-difference gradient has the right sign: no stuck row
+        assert unmet == (["Armijo condition unmet on 4 rows after 60 "
+                          "halvings"] if analytic else [])
         assert u.shape == (b, 2) and G.shape == iters.shape == (b,)
         kinds = self.KINDS
         assert (iters[kinds == 2] == params.max_iters).all()
@@ -425,6 +436,21 @@ class TestCompactionWork:
         # without compaction every iteration costs at least the full width
         assert sum(calls) < kinds.size * params.max_iters / 5
         assert max(calls[-20:]) <= 2
+
+    def test_ladder_work_follows_its_pending_rows(self):
+        # one engine step: the linear rows accept their first trial, the
+        # five Rosenbrock rows halve their step many times
+        kinds = np.zeros(1000)
+        kinds[[3, 200, 501, 777, 998]] = 2
+        d, mu, sigma, beta = _mixed_batch(kinds, seed=3)
+        pf, calls = _spy(PerformanceFunction(*_mixed_margin()))
+        _asosl_engine(*make_u_space(pf, mu, sigma, d), beta, 2, kinds.size,
+                      AsoslParams(beta_t=3.0, max_iters=1))
+        ladder = calls[1:-1]  # between the start's and the step's margins
+        assert len(ladder) >= 8 and ladder[0] == kinds.size
+        assert max(ladder[1:]) <= 5
+        # a full-width ladder evaluates every row in every round
+        assert sum(ladder) < kinds.size * len(ladder) / 5
 
     def test_row_subsets_evaluate_as_the_full_batch(self):
         rng = np.random.default_rng(5)
