@@ -7,7 +7,15 @@ Subcommands:
 * ``stats-fit``      quadratic fit + goodness-of-fit of a front file
 * ``list-problems``  names accepted by --problem
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric failure, 4 I/O failure.
+Each setting is declared once, in :data:`SETTINGS`. Its flag is ``--key``
+with underscores turned into dashes; ``mpp`` takes the problem, seed, psi,
+variant and MPP settings only. A ``--config`` file sets any of them as
+``key=value`` under the flag's type and choices, and flags override it.
+Boolean settings are plain flags; in a file they read 1/true/yes or
+0/false/no. ``None`` is accepted only where it is the default.
+
+Exit codes: 0 ok, 2 configuration error (a malformed or out-of-choice value
+included), 3 numeric failure, 4 I/O failure.
 Front files are deterministic byte-for-byte for a fixed (config, seed):
 rows are sorted and floats use shortest round-trip formatting. The
 ``RBRDO_OUTPUT_DIR`` environment variable sets the default output directory.
@@ -23,6 +31,7 @@ import os
 import platform
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,44 +50,59 @@ log = logging.getLogger(__name__)
 
 ENV_OUTPUT_DIR = "RBRDO_OUTPUT_DIR"
 
-_DEFAULTS = {
-    "mode": "rbrdo",
-    "delta": "0",
-    "strategy": "effective_mean",
-    "samples": 50,
-    "eta": None,
-    "scheme": "lhs",
-    "F": 0.5,
-    "CR": 0.8,
-    "NP": 50,
-    "generations": None,  # 100 for deterministic/rbdo, 500 for rbrdo
-    "r": 0.9,
-    "R": 10,
-    "psi": 1e6,
-    "beta_t": 3.0,
-    "delta_eta": 1.0,
-    "alpha_b": 1e-4,
-    "s_b": 0.5,
-    "epsilon": 1e-6,
-    "max_iters": 200,
-    "seed": 0,
-    "mpp_nominal": False,
-    "worst_case": False,
-    "history": False,
-    "variant": None,
-    "out": None,
+
+class Setting(NamedTuple):
+    """One ``run``/``mpp`` setting; its flag is ``--key`` with dashes."""
+
+    default: object = None
+    type: Callable = str  # bool: a store_true flag
+    mpp: bool = False     # ``mpp`` takes the flag too
+    alias: tuple = ()
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+SETTINGS = {
+    "problem": Setting(mpp=True, help="problem name (see list-problems)"),
+    "mode": Setting("rbrdo", choices=("deterministic", "rbdo", "rbrdo")),
+    "delta": Setting("0", help="comma-separated noise levels (rbrdo)"),
+    "strategy": Setting("effective_mean", choices=(
+        "effective_mean", "type2", "penalty", "none")),
+    "samples": Setting(50, int, alias=("-M",),
+                       help="neighborhood samples per evaluation"),
+    "eta": Setting(None, float, help="type2 robustness threshold"),
+    "scheme": Setting("lhs", choices=("lhs", "uniform")),
+    "F": Setting(0.5, float),
+    "CR": Setting(0.8, float),
+    "NP": Setting(50, int),
+    "generations": Setting(None, int,
+                           help="default 500 for rbrdo, 100 otherwise"),
+    "r": Setting(0.9, float),
+    "R": Setting(10, int),
+    "psi": Setting(1e6, float, mpp=True),
+    "beta_t": Setting(3.0, float, mpp=True,
+                      help="target reliability index (rbdo mode / mpp)"),
+    "delta_eta": Setting(1.0, float, mpp=True),
+    "alpha_b": Setting(1e-4, float, mpp=True),
+    "s_b": Setting(0.5, float, mpp=True),
+    "epsilon": Setting(1e-6, float, mpp=True),
+    "max_iters": Setting(200, int, mpp=True),
+    "seed": Setting(0, int, mpp=True),
+    "mpp_nominal": Setting(False, bool, help=(
+        "check constraints once per candidate at the nominal design "
+        "instead of per sample")),
+    "worst_case": Setting(False, bool, help=(
+        "type2 compares against the worst sample instead of the sample "
+        "mean")),
+    "history": Setting(False, bool,
+                       help="write per-generation progress files"),
+    "variant": Setting(mpp=True, choices=("standard", "alternate"),
+                       help="benchmark constraint sign family"),
+    "out": Setting(help="output path prefix"),
 }
 
-_TYPES = {
-    "samples": int, "NP": int, "generations": int, "R": int,
-    "max_iters": int, "seed": int,
-    "F": float, "CR": float, "r": float, "psi": float, "beta_t": float,
-    "delta_eta": float, "alpha_b": float, "s_b": float, "epsilon": float,
-    "eta": float,
-    "mpp_nominal": lambda s: s.strip().lower() in ("1", "true", "yes"),
-    "worst_case": lambda s: s.strip().lower() in ("1", "true", "yes"),
-    "history": lambda s: s.strip().lower() in ("1", "true", "yes"),
-}
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
 
 
 def _fmt(value) -> str:
@@ -101,28 +125,44 @@ def _read_config_file(path: str) -> dict:
     return cfg
 
 
+def _parse_setting(key: str, raw: str):
+    """A config-file value, held to its flag's type and choices."""
+    s = SETTINGS[key]
+    if raw == "None" and s.default is None:
+        return None
+    try:
+        value = _BOOLEANS[raw.lower()] if s.type is bool else s.type(raw)
+    except (KeyError, ValueError):
+        what = "1/true/yes/0/false/no" if s.type is bool else s.type.__name__
+        raise UsageError(f"{key}={raw}: expected {what}") from None
+    if s.choices and value not in s.choices:
+        raise UsageError(f"{key}={raw}: expected one of "
+                         f"{', '.join(s.choices)}")
+    return value
+
+
+def _floats(text: str, key: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise UsageError(f"{key}={text}: expected comma-separated "
+                         f"numbers") from None
+
+
 def _resolve_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: s.default for key, s in SETTINGS.items()}
     if args.config:
         file_cfg = _read_config_file(args.config)
-        unknown = set(file_cfg) - set(cfg) - {"problem"}
+        unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, raw in file_cfg.items():
-            if key == "problem":
-                cfg["problem"] = raw
-                continue
-            if raw == "None":
-                cfg[key] = None
-                continue
-            cfg[key] = _TYPES.get(key, str)(raw)
+            cfg[key] = _parse_setting(key, raw)
     for key in cfg:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
+        if flag is not None:
             cfg[key] = flag
-    if getattr(args, "problem", None):
-        cfg["problem"] = args.problem
-    if "problem" not in cfg or not cfg["problem"]:
+    if not cfg["problem"]:
         raise UsageError("--problem is required")
     if cfg["generations"] is None:
         cfg["generations"] = 500 if cfg["mode"] == "rbrdo" else 100
@@ -183,67 +223,54 @@ def _write_metadata(path: str, cfg: dict, info: dict):
 
 def _problem_objects(cfg):
     options = {}
-    if cfg.get("variant"):
+    if cfg["variant"]:
         if cfg["problem"] != "benchmark":
             raise UsageError("--variant applies to the benchmark problem only")
         options["variant"] = cfg["variant"]
     det = problems.get_deterministic(cfg["problem"], **options)
     unc = problems.get_rbrdo(cfg["problem"], **options)
     unc = dataclasses.replace(
-        unc,
-        psi=cfg["psi"],
-        asosl_defaults={"delta_eta": cfg["delta_eta"], "alpha_b": cfg["alpha_b"],
-                        "s_b": cfg["s_b"], "epsilon": cfg["epsilon"],
-                        "max_iters": cfg["max_iters"]},
-    )
+        unc, psi=cfg["psi"],
+        asosl_defaults={key: cfg[key] for key in (
+            "delta_eta", "alpha_b", "s_b", "epsilon", "max_iters")})
     return det, unc
 
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
+    levels = _floats(cfg["delta"], "delta")
     prefix = _output_prefix(cfg)
     t0 = time.perf_counter()
     det, unc = _problem_objects(cfg)
     mode = cfg["mode"]
-    if mode not in ("deterministic", "rbdo", "rbrdo"):
-        raise UsageError(f"unknown mode {mode!r}")
-
-    de = DeParams(F=cfg["F"], CR=cfg["CR"], NP=cfg["NP"],
-                  generations=cfg["generations"], seed=cfg["seed"],
-                  psi=cfg["psi"])
+    de = {key: cfg[key]
+          for key in ("F", "CR", "NP", "generations", "seed", "psi")}
     written = []
 
-    if mode == "deterministic":
+    if mode != "rbrdo":
+        params = DeParams(**de)
+        if mode == "deterministic":
+            evaluator, bounds, sense = det.evaluator(), det.bounds, det.sense
+            beta = 0.0
+        else:
+            beta = cfg["beta_t"]
+            evaluator, bounds, sense = build_rbdo_evaluator(
+                unc, beta, mpp_per_sample=not cfg["mpp_nominal"])
         history = [] if cfg["history"] else None
-        best = de_minimize(det.evaluator(), det.bounds, de, sense=det.sense,
+        best = de_minimize(evaluator, bounds, params, sense=sense,
                            history=history)
-        row = list(best.decision) + [0.0] + list(best.objectives) + [0.0]
-        path = f"{prefix}_front.csv"
-        _write_front(path, [row], _front_header(det.bounds.dim, 1))
-        written.append(path)
-        written.extend(_write_history(prefix, "", history))
-        print(f"deterministic optimum f={best.objectives[0]:.6f} "
-              f"violation={best.constraint_violation:.3g}")
-    elif mode == "rbdo":
-        evaluator, bounds, sense = build_rbdo_evaluator(
-            unc, cfg["beta_t"], mpp_per_sample=not cfg["mpp_nominal"])
-        history = [] if cfg["history"] else None
-        best = de_minimize(evaluator, bounds, de, sense=sense,
-                           history=history)
-        row = (list(best.decision) + [cfg["beta_t"]] + list(best.objectives)
-               + [0.0])
+        row = list(best.decision) + [beta] + list(best.objectives) + [0.0]
         path = f"{prefix}_front.csv"
         _write_front(path, [row], _front_header(bounds.dim, 1))
         written.append(path)
         written.extend(_write_history(prefix, "", history))
-        print(f"rbdo optimum at beta={cfg['beta_t']:g}: "
-              f"f={best.objectives[0]:.6f}")
+        f = best.objectives[0]
+        print(f"deterministic optimum f={f:.6f} "
+              f"violation={best.constraint_violation:.3g}"
+              if mode == "deterministic" else
+              f"rbdo optimum at beta={beta:g}: f={f:.6f}")
     else:
-        levels = [float(tok) for tok in str(cfg["delta"]).split(",") if tok]
-        mode_params = ModeParams(F=cfg["F"], CR=cfg["CR"], NP=cfg["NP"],
-                                 generations=cfg["generations"],
-                                 seed=cfg["seed"], psi=cfg["psi"],
-                                 r=cfg["r"], R=cfg["R"])
+        mode_params = ModeParams(**de, r=cfg["r"], R=cfg["R"])
         histories = {} if cfg["history"] else None
         archives, errors = sweep_robustness(
             unc, levels, mode_params, samples=cfg["samples"],
@@ -260,14 +287,11 @@ def cmd_run(args) -> int:
         for level in levels:
             if level in errors:
                 continue
-            archive = archives[level]
-            rows = []
-            for member in archive:
-                d = member.decision[:-1]
-                beta = member.decision[-1]
-                objs = member.objectives[:-1]
-                rows.append(list(d) + [beta] + list(objs) + [level])
-            rows.sort(key=lambda r: (r[n_dec], r[n_dec + 1]))
+            # a member's decision ends with its beta, its objectives with
+            # the reliability objective that repeats it
+            rows = sorted(([*m.decision, *m.objectives[:-1], level]
+                           for m in archives[level]),
+                          key=lambda r: (r[n_dec], r[n_dec + 1]))
             path = f"{prefix}_front_delta{level:g}.csv"
             _write_front(path, rows, _front_header(n_dec, n_obj))
             written.append(path)
@@ -322,12 +346,10 @@ def cmd_mpp(args) -> int:
     index = args.constraint
     if not 1 <= index <= len(unc.constraints):
         raise UsageError(f"constraint index must lie in 1..{len(unc.constraints)}")
-    d = np.array([float(tok) for tok in args.d.split(",")])
+    d = np.array(_floats(args.d, "d"))
     if d.size != unc.det_bounds.dim:
         raise UsageError(f"expected {unc.det_bounds.dim} design values")
-    params = AsoslParams(beta_t=cfg["beta_t"], delta_eta=cfg["delta_eta"],
-                         alpha_b=cfg["alpha_b"], s_b=cfg["s_b"],
-                         epsilon=cfg["epsilon"], max_iters=cfg["max_iters"])
+    params = AsoslParams(beta_t=cfg["beta_t"], **unc.asosl_defaults)
     pf = unc.constraints[index - 1]
     mu, sigma = unc.random_vars(d)
     rvs = [RandomVariableSpec(m, s) for m, s in zip(mu, sigma)]
@@ -377,20 +399,14 @@ def cmd_list_problems(args) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--problem", help="problem name (see list-problems)")
+def _add_settings(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--beta-t", dest="beta_t", type=float,
-                   help="target reliability index (rbdo mode / mpp)")
-    p.add_argument("--delta-eta", dest="delta_eta", type=float)
-    p.add_argument("--alpha-b", dest="alpha_b", type=float)
-    p.add_argument("--s-b", dest="s_b", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--psi", type=float)
-    p.add_argument("--variant", choices=["standard", "alternate"],
-                   help="benchmark constraint sign family")
+    for key, s in SETTINGS.items():
+        if command == "run" or s.mpp:
+            kind = ({"action": "store_true"} if s.type is bool
+                    else {"type": s.type, "choices": s.choices})
+            p.add_argument(f"--{key.replace('_', '-')}", *s.alias,
+                           default=None, help=s.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,37 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a configured pipeline")
-    _add_config_flags(p_run)
-    p_run.add_argument("--mode",
-                       choices=["deterministic", "rbdo", "rbrdo"])
-    p_run.add_argument("--delta", help="comma-separated noise levels (rbrdo)")
-    p_run.add_argument("--strategy",
-                       choices=["effective_mean", "type2", "penalty", "none"])
-    p_run.add_argument("--samples", "-M", type=int,
-                       help="neighborhood samples per evaluation")
-    p_run.add_argument("--eta", type=float, help="type2 robustness threshold")
-    p_run.add_argument("--scheme", choices=["lhs", "uniform"])
-    p_run.add_argument("--F", type=float)
-    p_run.add_argument("--CR", type=float)
-    p_run.add_argument("--NP", type=int)
-    p_run.add_argument("--generations", type=int)
-    p_run.add_argument("--r", type=float)
-    p_run.add_argument("--R", type=int)
-    p_run.add_argument("--mpp-nominal", dest="mpp_nominal",
-                       action="store_true", default=None,
-                       help="check constraints once per candidate at the "
-                            "nominal design instead of per sample")
-    p_run.add_argument("--worst-case", dest="worst_case",
-                       action="store_true", default=None,
-                       help="type2 compares against the worst sample "
-                            "instead of the sample mean")
-    p_run.add_argument("--history", action="store_true", default=None,
-                       help="write per-generation progress files")
-    p_run.add_argument("--out", help="output path prefix")
+    _add_settings(p_run, "run")
     p_run.set_defaults(func=cmd_run)
 
     p_mpp = sub.add_parser("mpp", help="run one MPP search and print it")
-    _add_config_flags(p_mpp)
+    _add_settings(p_mpp, "mpp")
     p_mpp.add_argument("--constraint", type=int, required=True,
                        help="1-based probabilistic constraint index")
     p_mpp.add_argument("--d", required=True,

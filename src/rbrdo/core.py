@@ -98,6 +98,11 @@ class EvaluatedSolution:
         return self.constraint_violation == 0.0
 
 
+def dominates_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether all-minimize row a dominates row b, over their leading axes."""
+    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
+
+
 def dominates(a: EvaluatedSolution, b: EvaluatedSolution, senses) -> Dominance:
     """Strict Pareto comparison of two (feasibility-adjusted) solutions."""
     fa, fb = a.objectives, b.objectives
@@ -105,9 +110,9 @@ def dominates(a: EvaluatedSolution, b: EvaluatedSolution, senses) -> Dominance:
         raise UsageError("objective dimension mismatch")
     s = sense_signs(senses)
     ca, cb = s * fa, s * fb
-    if np.all(ca <= cb) and np.any(ca < cb):
+    if dominates_rows(ca, cb):
         return Dominance.A_DOMINATES
-    if np.all(cb <= ca) and np.any(cb < ca):
+    if dominates_rows(cb, ca):
         return Dominance.B_DOMINATES
     return Dominance.NO_DOMINANCE
 
@@ -121,17 +126,7 @@ def _canonical_matrix(pop, senses) -> np.ndarray:
 
 def non_dominated_mask(canon: np.ndarray) -> np.ndarray:
     """Boolean mask of maximal rows of an all-minimize objective matrix."""
-    n = canon.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        le = np.all(canon <= canon[i], axis=1)
-        lt = np.any(canon < canon[i], axis=1)
-        dominated_by = le & lt
-        if np.any(dominated_by):
-            keep[i] = False
-    return keep
+    return ~dominates_rows(canon[:, None, :], canon[None, :, :]).any(axis=0)
 
 
 def non_dominated_filter(pop, senses) -> list:
@@ -170,13 +165,9 @@ class ParetoArchive:
             raise UsageError("infeasible solutions never enter an archive")
         c = self._signs * sol.objectives
         if len(self.members):
-            le = np.all(self._canon <= c, axis=1)
-            lt = np.any(self._canon < c, axis=1)
-            if np.any(le & lt):
+            if np.any(dominates_rows(self._canon, c)):
                 return False
-            ge = np.all(self._canon >= c, axis=1)
-            gt = np.any(self._canon > c, axis=1)
-            evict = ge & gt
+            evict = dominates_rows(c, self._canon)
             if np.any(evict):
                 keep = ~evict
                 self.members = [m for m, k in zip(self.members, keep) if k]

@@ -31,7 +31,7 @@ population path.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -522,10 +522,7 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
             samples=samples, eta=eta, scheme=scheme, worst_case=worst_case)
         evaluator, bounds, senses = build_mo_problem(
             problem, robustness=spec, mpp_per_sample=mpp_per_sample)
-        run_params = ModeParams(
-            F=params.F, CR=params.CR, NP=params.NP,
-            generations=params.generations, seed=_level_seed(params.seed, level),
-            psi=params.psi, r=params.r, R=params.R)
+        run_params = replace(params, seed=_level_seed(params.seed, level))
         history = None
         if histories is not None:
             history = histories.setdefault(level, [])

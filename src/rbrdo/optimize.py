@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, EvaluatedSolution, ParetoArchive, Sense, sense_signs
+from .core import (Bounds, EvaluatedSolution, ParetoArchive, Sense,
+                   dominates_rows, sense_signs)
 from .errors import UsageError
 from .sampling import RngStream, latin_hypercube
 
@@ -146,9 +147,8 @@ def fast_non_dominated_sort(canon: np.ndarray) -> list[np.ndarray]:
     P = canon.shape[0]
     if P == 0:
         raise UsageError("population must be nonempty")
-    le = np.all(canon[:, None, :] <= canon[None, :, :], axis=2)
-    lt = np.any(canon[:, None, :] < canon[None, :, :], axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
+    # dom[i, j]: i dominates j
+    dom = dominates_rows(canon[:, None, :], canon[None, :, :])
     n_dom = dom.sum(axis=0)
     fronts = []
     remaining = n_dom.copy()

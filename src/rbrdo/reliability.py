@@ -309,13 +309,13 @@ def second_order_step_bound(G_prev, G_curr, d_prev, tau_prev, delta_eta):
                                delta_eta))
 
 
-def _fd_gradient(Gfun, u, rows=None, h_scale=1e-6):
+def _fd_gradient(Gfun, u, rows=None):
     """Central-difference gradient of G over the last axis of u."""
     u = np.atleast_2d(u)
     b, n = u.shape
     grad = np.empty((b, n))
     for i in range(n):
-        h = h_scale * np.maximum(1.0, np.abs(u[:, i]))
+        h = 1e-6 * np.maximum(1.0, np.abs(u[:, i]))
         up = u.copy()
         um = u.copy()
         up[:, i] += h
@@ -534,8 +534,8 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
 
 
 def asosl_mpp(pf: PerformanceFunction, rvs: Sequence[RandomVariableSpec],
-              d_det, params: AsoslParams, rng: Optional[RngStream] = None,
-              record_trace: bool = True) -> MppResult:
+              d_det, params: AsoslParams,
+              rng: Optional[RngStream] = None) -> MppResult:
     """Locate the most probable failure point of one probabilistic constraint.
 
     Returns an :class:`MppResult`; ``g_star > 0`` means the constraint is
@@ -550,8 +550,8 @@ def asosl_mpp(pf: PerformanceFunction, rvs: Sequence[RandomVariableSpec],
     n = mu.size
     Gfun, gradfun = make_u_space(pf, mu, sigma, d_det)
     u, Gu, iters, conv, trace = _asosl_engine(
-        Gfun, gradfun, params.beta_t, n, 1, params, rng=rng,
-        record=record_trace, raise_on_dead=True)
+        Gfun, gradfun, params.beta_t, n, 1, params, rng=rng, record=True,
+        raise_on_dead=True)
     u_star = u[0]
     return MppResult(
         u_star=u_star,

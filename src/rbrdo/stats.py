@@ -51,18 +51,12 @@ def polyfit2(x, y) -> tuple[float, float, float]:
         raise FitError("rank-deficient design: fewer than 3 distinct x values")
     design = np.stack([np.ones_like(x), x, x * x], axis=1)
     scale = np.linalg.norm(design, axis=0)
-    a_scaled, *_ = _solve_normal(design / scale, y)
-    return tuple((a_scaled / scale).tolist())
-
-
-def _solve_normal(design, y):
-    gram = design.T @ design
-    rhs = design.T @ y
+    design /= scale
     try:
-        coef = np.linalg.solve(gram, rhs)
+        a_scaled = np.linalg.solve(design.T @ design, design.T @ y)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"normal equations are singular: {exc}") from exc
-    return coef, gram
+    return tuple((a_scaled / scale).tolist())
 
 
 def quadratic(coefficients, x):
@@ -71,12 +65,8 @@ def quadratic(coefficients, x):
     return a0 + a1 * x + a2 * x * x
 
 
-def goodness_of_fit(x, y, coefficients, population_rms: bool = False) -> FitReport:
-    """Fit statistics of the given quadratic on (x, y).
-
-    ``population_rms`` switches RMS from the residual-dof convention
-    sqrt(SQR/(n-3)) to sqrt(SQR/n).
-    """
+def goodness_of_fit(x, y, coefficients) -> FitReport:
+    """Fit statistics of the given quadratic on (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -90,15 +80,14 @@ def goodness_of_fit(x, y, coefficients, population_rms: bool = False) -> FitRepo
     r2 = 1.0 - sqr / sst if sst > 0.0 else 1.0
     p = 2  # regressor terms beyond the intercept
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 1 - p)
-    rms = float(np.sqrt(sqr / (n if population_rms else n - 3)))
+    rms = float(np.sqrt(sqr / (n - 3)))
     return FitReport(coefficients=tuple(coefficients), sqr=sqr, r2=r2,
                      r2_adj=r2_adj, rms=rms, n=n)
 
 
-def fit_front(x, y, population_rms: bool = False) -> FitReport:
+def fit_front(x, y) -> FitReport:
     """Convenience wrapper: quadratic fit plus its goodness-of-fit report."""
-    coef = polyfit2(x, y)
-    return goodness_of_fit(x, y, coef, population_rms=population_rms)
+    return goodness_of_fit(x, y, polyfit2(x, y))
 
 
 def second_difference_scale(x, y) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rbrdo.cli import main
+from rbrdo.cli import build_parser, main
 
 BENCH_DET = ["run", "--problem", "benchmark", "--mode", "deterministic",
              "--seed", "1"]
@@ -179,3 +180,85 @@ class TestInProcess:
         code = main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+# the option strings of run and mpp; a new setting changes this list
+RUN_OPTIONS = [
+    "--CR", "--F", "--NP", "--R", "--alpha-b", "--beta-t", "--config",
+    "--delta", "--delta-eta", "--epsilon", "--eta", "--generations",
+    "--help", "--history", "--max-iters", "--mode", "--mpp-nominal", "--out",
+    "--problem", "--psi", "--r", "--s-b", "--samples", "--scheme", "--seed",
+    "--strategy", "--variant", "--worst-case", "-M", "-h"]
+MPP_OPTIONS = [
+    "--alpha-b", "--beta-t", "--config", "--constraint", "--d", "--delta-eta",
+    "--epsilon", "--help", "--max-iters", "--problem", "--psi", "--s-b",
+    "--seed", "--trace", "--variant", "-h"]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command,expected", [("run", RUN_OPTIONS),
+                                                  ("mpp", MPP_OPTIONS)])
+    def test_option_strings(self, command, expected):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = sorted(opt for action in sub.choices[command]._actions
+                         for opt in action.option_strings)
+        assert options == expected
+
+    @pytest.mark.parametrize("source", [
+        "NP=abc", "seed=None", "strategy=foo", "scheme=bar", "history=ture",
+        "--delta 0,abc", "mpp --d 3.4,abc"])
+    def test_malformed_value_is_a_configuration_error(self, tmp_path, capsys,
+                                                      source):
+        out = ["--out", str(tmp_path / "x")]
+        if source.startswith("mpp"):
+            argv = ["mpp", "--problem", "benchmark", "--constraint", "1",
+                    *source.split()[1:]]
+        else:
+            argv = ["run", "--problem", "benchmark", "--mode",
+                    "deterministic", "--generations", "1", *out]
+            if source.startswith("--"):
+                argv += source.split()
+            else:
+                (tmp_path / "c.txt").write_text(source + "\n")
+                argv += ["--config", str(tmp_path / "c.txt")]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x_meta.txt").exists()
+
+    @pytest.mark.parametrize("spelling,value", [
+        ("1", True), ("TRUE", True), ("yes", True),
+        ("0", False), ("False", False), ("no", False)])
+    def test_boolean_spellings(self, tmp_path, spelling, value):
+        (tmp_path / "c.txt").write_text(f"history={spelling}\n")
+        assert main(BENCH_DET + ["--generations", "1", "--NP", "4",
+                                 "--config", str(tmp_path / "c.txt"),
+                                 "--out", str(tmp_path / "x")]) == 0
+        assert f"history={value}" in (tmp_path / "x_meta.txt").read_text()
+        assert (tmp_path / "x_history.csv").exists() is value
+
+    def test_every_setting_round_trips_through_metadata(self, tmp_path):
+        argv = ["run", "--problem", "benchmark", "--mode", "rbrdo",
+                "--delta", "0.02,0.05", "--strategy", "type2", "-M", "3",
+                "--eta", "0.5", "--scheme", "uniform", "--F", "0.6",
+                "--CR", "0.7", "--NP", "10", "--generations", "4", "--r",
+                "0.8", "--R", "2", "--psi", "1e5", "--beta-t", "2.5",
+                "--delta-eta", "0.9", "--alpha-b", "2e-4", "--s-b", "0.6",
+                "--epsilon", "1e-5", "--max-iters", "150", "--seed", "7",
+                "--mpp-nominal", "--worst-case", "--history",
+                "--variant", "standard", "--out", str(tmp_path / "a")]
+        assert main(argv) == 0
+        meta = (tmp_path / "a_meta.txt").read_text()
+        assert main(["run", "--config", str(tmp_path / "a_meta.txt"),
+                     "--out", str(tmp_path / "b")]) == 0
+        settings = [ln for ln in meta.splitlines()
+                    if not ln.startswith(("#", "out="))]
+        assert settings == [
+            ln for ln in (tmp_path / "b_meta.txt").read_text().splitlines()
+            if not ln.startswith(("#", "out="))]
+        assert "generations=4" in settings and "mpp_nominal=True" in settings
+        names = sorted(p.name[1:] for p in tmp_path.glob("a_*.csv"))
+        assert len(names) == 5  # two fronts, two histories, the stats
+        for name in names:
+            assert ((tmp_path / f"a{name}").read_bytes()
+                    == (tmp_path / f"b{name}").read_bytes()), name

@@ -5,6 +5,7 @@ from rbrdo import (Bounds, DeParams, EvaluatedSolution, ModeParams, Sense,
                    UsageError, crowding_distance, de_minimize,
                    fast_non_dominated_sort, mode_optimize,
                    non_dominated_filter, penalized_fitness)
+from rbrdo.core import non_dominated_mask
 
 
 class Batch:
@@ -133,6 +134,15 @@ class TestNonDominatedSort:
         fronts = fast_non_dominated_sort(canon)
         combined = sorted(np.concatenate(fronts).tolist())
         assert combined == list(range(80))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_front_zero_is_the_non_dominated_mask(self, seed):
+        # integer objectives tie often, in single coordinates and whole rows
+        rng = np.random.default_rng(seed)
+        canon = rng.integers(0, 4, size=(60, 1 + seed % 3)).astype(float)
+        mask = non_dominated_mask(canon)
+        assert np.flatnonzero(mask).tolist() == sorted(
+            fast_non_dominated_sort(canon)[0].tolist())
 
 
 class TestCrowdingDistance:

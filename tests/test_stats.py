@@ -77,13 +77,6 @@ class TestGoodnessOfFit:
         rep = fit_front(x, y)
         assert rep.rms == pytest.approx(np.sqrt(rep.sqr / 45.0))
 
-    def test_population_rms_flag(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0.0, 5.0, size=20)
-        y = rng.normal(size=20)
-        rep = fit_front(x, y, population_rms=True)
-        assert rep.rms == pytest.approx(np.sqrt(rep.sqr / 20.0))
-
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0.0, 5.0, size=25)
