@@ -8,8 +8,8 @@ Subcommands:
 * ``list-problems``  names accepted by --problem
 
 Each setting is declared once, in :data:`SETTINGS`. Its flag is ``--key``
-with underscores turned into dashes; ``mpp`` takes the problem, seed, psi,
-variant and MPP settings only. A ``--config`` file sets any of them as
+with underscores turned into dashes; ``mpp`` takes the problem, variant
+and MPP settings only. A ``--config`` file sets any of them as
 ``key=value`` under the flag's type and choices, and flags override it.
 Boolean settings are plain flags; in a file they read 1/true/yes or
 0/false/no. ``None`` is accepted only where it is the default.
@@ -40,6 +40,7 @@ from .errors import NumericError, UsageError
 from .formulation import build_rbdo_evaluator, sweep_robustness
 from .optimize import DeParams, ModeParams, de_minimize
 from .reliability import AsoslParams, RandomVariableSpec, asosl_mpp
+from .sampling import SCHEMES
 from .stats import fit_front, second_difference_scale
 
 # cross-level dispersion statistics compare equal-sized fronts: archives are
@@ -71,7 +72,7 @@ SETTINGS = {
     "samples": Setting(50, int, alias=("-M",),
                        help="neighborhood samples per evaluation"),
     "eta": Setting(None, float, help="type2 robustness threshold"),
-    "scheme": Setting("lhs", choices=("lhs", "uniform")),
+    "scheme": Setting("lhs", choices=SCHEMES),
     "F": Setting(0.5, float),
     "CR": Setting(0.8, float),
     "NP": Setting(50, int),
@@ -79,7 +80,7 @@ SETTINGS = {
                            help="default 500 for rbrdo, 100 otherwise"),
     "r": Setting(0.9, float),
     "R": Setting(10, int),
-    "psi": Setting(1e6, float, mpp=True),
+    "psi": Setting(1e6, float),
     "beta_t": Setting(3.0, float, mpp=True,
                       help="target reliability index (rbdo mode / mpp)"),
     "delta_eta": Setting(1.0, float, mpp=True),
@@ -87,7 +88,7 @@ SETTINGS = {
     "s_b": Setting(0.5, float, mpp=True),
     "epsilon": Setting(1e-6, float, mpp=True),
     "max_iters": Setting(200, int, mpp=True),
-    "seed": Setting(0, int, mpp=True),
+    "seed": Setting(0, int),
     "mpp_nominal": Setting(False, bool, help=(
         "check constraints once per candidate at the nominal design "
         "instead of per sample")),

@@ -2,7 +2,9 @@
 
 ``UsageError`` covers caller mistakes (bad dimensions, invalid parameters),
 ``NumericError`` covers failures of the numerical machinery itself. The CLI
-maps these onto distinct exit codes.
+maps these onto distinct exit codes. A robustness measure that would
+divide by ~0 raises nothing: the population evaluator rejects that
+candidate instead.
 """
 
 
@@ -20,14 +22,6 @@ class NumericError(RbrdoError, ArithmeticError):
 
 class GradientVanishedError(NumericError):
     """MPP search hit a stationary point: the U-space gradient is ~0."""
-
-
-class DivisionHazardError(NumericError):
-    """A robustness formula would divide by |f(x)| ~ 0.
-
-    Raised instead of silently flooring the denominator; callers that drive
-    populations map this onto candidate rejection.
-    """
 
 
 class FitError(NumericError):

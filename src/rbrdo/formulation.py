@@ -24,8 +24,8 @@ and the MPP searches run as one lockstep batch (every candidate, sample
 and constraint becomes one row of a single sphere search). Samples the
 domain guard drops leave candidates with fewer rows; those aggregate in
 groups of equal row count, so every candidate's result is bit-identical
-to its evaluation alone. The single-candidate entry points wrap the
-population path.
+to its evaluation alone. :meth:`RbrdoEvaluator.evaluate_batch` is the one
+way to score candidates; a single candidate is a population of one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Bounds, EvaluatedSolution, ParetoArchive, Sense, sense_signs
+from .core import Bounds, ParetoArchive, Sense, sense_signs
 from .errors import UsageError
 from .optimize import ModeParams, mode_optimize
 from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
@@ -103,25 +103,6 @@ class RbrdoProblem:
 
     def full_senses(self) -> tuple[Sense, ...]:
         return self.senses + (Sense.MAXIMIZE,)
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A design vector with its target reliability index."""
-
-    d: np.ndarray
-    beta_t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "Candidate":
-        x = np.asarray(x, dtype=float)
-        return cls(d=x[:-1], beta_t=float(x[-1]))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.d, [self.beta_t]])
 
 
 def _objective_matrix(problem: RbrdoProblem, d: np.ndarray, x: np.ndarray):
@@ -408,31 +389,6 @@ def _evaluate(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
     return objs, viol
 
 
-def evaluate_rbrdo_batch(cands: Sequence[Candidate], problem: RbrdoProblem,
-                         streams: Sequence[Optional[RngStream]],
-                         robustness: Optional[RobustnessSpec] = None,
-                         mpp_per_sample: bool = True) -> list[EvaluatedSolution]:
-    """Evaluate many candidates as one population."""
-    d = np.array([c.d for c in cands], dtype=float).reshape(
-        len(cands), problem.det_bounds.dim)
-    beta = np.array([c.beta_t for c in cands], dtype=float)
-    objs, viol = _evaluate(problem, d, beta, streams, robustness,
-                           mpp_per_sample)
-    return [EvaluatedSolution(decision=c.as_vector(), objectives=o,
-                              constraint_violation=float(v))
-            for c, o, v in zip(cands, objs, viol)]
-
-
-def evaluate_rbrdo(cand: Candidate, problem: RbrdoProblem,
-                   rng: Optional[RngStream],
-                   robustness: Optional[RobustnessSpec] = None,
-                   mpp_per_sample: bool = True) -> EvaluatedSolution:
-    """Evaluate one candidate of the uncertain multi-objective problem."""
-    return evaluate_rbrdo_batch([cand], problem, [rng],
-                                robustness=robustness,
-                                mpp_per_sample=mpp_per_sample)[0]
-
-
 class RbrdoEvaluator:
     """Optimizer-facing batch evaluator over the (d, beta_t) search space.
 
@@ -510,12 +466,12 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
     levels reproduce identical archives and failures in one level do not
     stop the others. Returns (archives, errors) dicts.
     """
+    levels = [float(level) for level in delta_levels]
+    if any(level < 0.0 for level in levels):
+        raise UsageError("noise levels must be nonnegative")
     archives: dict[float, ParetoArchive] = {}
     errors: dict[float, Exception] = {}
-    for level in delta_levels:
-        level = float(level)
-        if level < 0.0:
-            raise UsageError("noise levels must be nonnegative")
+    for level in levels:
         spec = RobustnessSpec(
             strategy=strategy,
             delta=np.where(problem.noise_mask, level, 0.0),

@@ -69,16 +69,6 @@ class ModeParams(DeParams):
             raise UsageError("pseudo-front count R must be >= 1")
 
 
-def penalized_fitness(objective: float, violation: float, psi: float,
-                      sense: Sense = Sense.MINIMIZE) -> float:
-    """Scalar fitness worsened by psi * violation with respect to its sense."""
-    if not psi > 0.0:
-        raise UsageError("psi must be positive")
-    if sense is Sense.MINIMIZE:
-        return objective + psi * violation
-    return objective - psi * violation
-
-
 def _init_population(bounds: Bounds, NP: int, rng: RngStream) -> np.ndarray:
     u = latin_hypercube(NP, bounds.dim, rng)
     return bounds.lower + u * (bounds.upper - bounds.lower)

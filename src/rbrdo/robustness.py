@@ -10,11 +10,13 @@ neighborhood of the candidate:
 * the penalty approach worsens each objective by its mean normalized
   absolute deviation over the samples.
 
-Each strategy's aggregation is one function over (..., M, m) stacks of
-sampled objective values, one candidate per leading index
+This module holds the strategy spec and the aggregators only. Each
+strategy's aggregation is one function over (..., M, m) stacks of sampled
+objective values, one candidate per leading index
 (:func:`penalty_objectives`, :func:`worst_sample`, :func:`type2_ratio`;
-the effective mean is the sample-axis mean). They mask division hazards
-rather than raise; the single-point helpers below raise them.
+the effective mean is the sample-axis mean). Division hazards come back as
+a mask. Sampling and scoring a candidate is the population evaluator's job
+(:meth:`rbrdo.formulation.RbrdoEvaluator.evaluate_batch`).
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import sense_signs
-from .errors import DivisionHazardError, UsageError
-from .sampling import NeighborhoodSpec, RngStream, neighborhood_samples
+from .errors import UsageError
+from .sampling import SCHEMES
 
 _DENOM_FLOOR = 1e-12
 
@@ -52,6 +53,8 @@ class RobustnessSpec:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise UsageError(f"unknown robustness strategy {self.strategy!r}")
+        if self.scheme not in SCHEMES:
+            raise UsageError(f"unknown sampling scheme {self.scheme!r}")
         d = np.asarray(self.delta, dtype=float)
         if np.any(d < 0.0):
             raise UsageError("noise levels must be nonnegative")
@@ -62,14 +65,6 @@ class RobustnessSpec:
             raise UsageError("the Type II strategy requires eta")
         if self.eta is not None and not self.eta > 0.0:
             raise UsageError("eta must be positive")
-
-
-def _sampled_values(f, x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
-    """(M, m) matrix of f at the M neighborhood samples of x."""
-    ns = NeighborhoodSpec(center=np.asarray(x, dtype=float), noise=spec.delta,
-                          count=spec.samples, scheme=spec.scheme)
-    return np.stack([np.atleast_1d(np.asarray(f(row), dtype=float))
-                     for row in neighborhood_samples(ns, rng)])
 
 
 def penalty_objectives(vals, f_nominal, signs):
@@ -106,57 +101,3 @@ def type2_ratio(f_val, f_ref):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.linalg.norm(f_ref - f_val, axis=-1) / denom
     return ratio, denom < _DENOM_FLOOR
-
-
-def effective_mean(f, x, spec: RobustnessSpec, rng: RngStream) -> np.ndarray:
-    """Coordinate-wise mean of f over the noise neighborhood of x.
-
-    With delta = 0 every sample equals x and the result is exactly f(x).
-    """
-    if spec.strategy != "effective_mean":
-        raise UsageError("spec.strategy must be 'effective_mean'")
-    x = np.asarray(x, dtype=float)
-    if not np.any(spec.delta > 0.0):
-        return np.atleast_1d(np.asarray(f(x), dtype=float))
-    return _sampled_values(f, x, spec, rng).mean(axis=0)
-
-
-def penalty_robust(f, x, spec: RobustnessSpec, rng: RngStream,
-                   senses) -> np.ndarray:
-    """f(x) worsened by the mean normalized absolute deviation per objective
-    (:func:`penalty_objectives`); the penalty always degrades the candidate.
-    """
-    if spec.strategy != "penalty":
-        raise UsageError("spec.strategy must be 'penalty'")
-    fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    vals = _sampled_values(f, x, spec, rng)
-    out, hazard = penalty_objectives(vals, fx, sense_signs(senses))
-    if hazard:
-        raise DivisionHazardError("penalty-based robustness needs |f_r(x)| > 0")
-    return out
-
-
-def type2_feasible(f_val, f_eff, eta: float) -> bool:
-    """True when ||f_eff - f|| / ||f|| <= eta (the Type II robustness cut)."""
-    ratio, hazard = type2_ratio(f_val, f_eff)
-    if hazard:
-        raise DivisionHazardError("Type II robustness needs ||f(x)|| > 0")
-    return bool(ratio <= eta)
-
-
-def type2_reference(f, x, spec: RobustnessSpec, rng: RngStream,
-                    senses=None) -> np.ndarray:
-    """Perturbed objective vector the Type II cut compares against f(x).
-
-    Mean of the samples by default; with ``worst_case`` the sample whose
-    objectives are worst (see :func:`worst_sample`).
-    """
-    if spec.strategy != "type2":
-        raise UsageError("spec.strategy must be 'type2'")
-    vals = _sampled_values(f, x, spec, rng)
-    if not spec.worst_case:
-        return vals.mean(axis=0)
-    if senses is None:
-        raise UsageError("worst-case Type II aggregation requires senses")
-    fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    return worst_sample(vals, fx, sense_signs(senses))

@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 
 _DEGENERATE_CENTER = 1e-12
 
+SCHEMES = ("lhs", "uniform")
+
 
 class RngStream:
     """A seeded, forkable random stream."""
@@ -72,7 +74,7 @@ class NeighborhoodSpec:
             raise UsageError("noise levels must be nonnegative")
         if self.count < 1:
             raise UsageError("sample count must be >= 1")
-        if self.scheme not in ("lhs", "uniform"):
+        if self.scheme not in SCHEMES:
             raise UsageError(f"unknown sampling scheme {self.scheme!r}")
         object.__setattr__(self, "center", x)
         object.__setattr__(self, "noise", d)

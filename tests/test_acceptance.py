@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from rbrdo import (AsoslParams, DeParams, Dominance, ModeParams,
-                   PerformanceFunction, RandomVariableSpec, RngStream,
-                   RobustnessSpec, Sense, asosl_mpp, build_mo_problem,
-                   build_rbdo_evaluator, de_minimize, dominates,
-                   effective_mean, fit_front, mode_optimize, penalty_robust,
+from rbrdo import (AsoslParams, Bounds, DeParams, Dominance, ModeParams,
+                   PerformanceFunction, RandomVariableSpec, RbrdoProblem,
+                   RngStream, RobustnessSpec, Sense, asosl_mpp,
+                   build_mo_problem, build_rbdo_evaluator, de_minimize,
+                   dominates, fit_front, mode_optimize,
                    second_order_step_bound, sweep_robustness)
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
 
@@ -402,24 +402,28 @@ def test_criterion_13_property_suites():
                                         delta_eta=rng.uniform(0.1, 2.0))
         assert t_bar > 0.0
 
-    # effective-mean analytic oracles
-    quad = effective_mean(
-        lambda x: x[0] ** 2, np.array([2.0]),
-        RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
-                       samples=10_000), RngStream(5))
-    assert abs(quad[0] - quadratic_effective_mean(2.0, 0.1)) < 0.04
-    lin = effective_mean(
-        lambda x: 3.0 * x[0], np.array([2.0]),
-        RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
-                       samples=10_000), RngStream(6))
-    assert abs(lin[0] - 6.0) < 0.01
+    # effective-mean analytic oracles, scored by the population evaluator
+    # on a constraint-free 1-D problem over the box [0, 10]
+    def robust(f, x0, strategy, delta, samples, seed):
+        problem = RbrdoProblem(
+            name="oracle", det_bounds=Bounds(np.zeros(1), np.full(1, 10.0)),
+            beta_bounds=(1.0, 1.0), senses=(Sense.MINIMIZE,),
+            objective=lambda d, x: f(d[..., 0]), constraints=(),
+            random_vars=lambda d: (d, d))
+        spec = RobustnessSpec(strategy=strategy, delta=np.array([delta]),
+                              samples=samples)
+        objs, _ = build_mo_problem(problem, spec)[0].evaluate_batch(
+            np.array([[x0, 1.0]]), [RngStream(seed)])
+        return objs[0, 0]
+
+    quad = robust(lambda x: x ** 2, 2.0, "effective_mean", 0.1, 10_000, 5)
+    assert abs(quad - quadratic_effective_mean(2.0, 0.1)) < 0.04
+    lin = robust(lambda x: 3.0 * x, 2.0, "effective_mean", 0.1, 10_000, 6)
+    assert abs(lin - 6.0) < 0.01
 
     # penalty nonnegativity (worsens the minimized objective)
-    pen = penalty_robust(
-        lambda x: x[0] ** 2 + 1.0, np.array([1.5]),
-        RobustnessSpec(strategy="penalty", delta=np.array([0.2]),
-                       samples=2000), RngStream(7), (Sense.MINIMIZE,))
-    assert pen[0] >= 1.5 ** 2 + 1.0
+    pen = robust(lambda x: x ** 2 + 1.0, 1.5, "penalty", 0.2, 2000, 7)
+    assert pen >= 1.5 ** 2 + 1.0
 
     # seeded bitwise reproducibility of a full (small) uncertain run
     spec = RobustnessSpec(strategy="effective_mean", delta=np.full(2, 0.05),

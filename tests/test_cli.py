@@ -191,8 +191,8 @@ RUN_OPTIONS = [
     "--strategy", "--variant", "--worst-case", "-M", "-h"]
 MPP_OPTIONS = [
     "--alpha-b", "--beta-t", "--config", "--constraint", "--d", "--delta-eta",
-    "--epsilon", "--help", "--max-iters", "--problem", "--psi", "--s-b",
-    "--seed", "--trace", "--variant", "-h"]
+    "--epsilon", "--help", "--max-iters", "--problem", "--s-b", "--trace",
+    "--variant", "-h"]
 
 
 class TestSettings:

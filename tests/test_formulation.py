@@ -3,11 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rbrdo import (Bounds, Candidate, ModeParams, PerformanceFunction,
-                   RbrdoProblem, RngStream, RobustnessSpec, Sense, UsageError,
-                   build_mo_problem, build_rbdo_evaluator, evaluate_rbrdo,
-                   sweep_robustness)
-from rbrdo.formulation import evaluate_rbrdo_batch
+from rbrdo import (Bounds, ModeParams, PerformanceFunction, RbrdoProblem,
+                   RngStream, RobustnessSpec, Sense, UsageError,
+                   build_mo_problem, build_rbdo_evaluator, sweep_robustness)
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
 
 
@@ -29,48 +27,50 @@ def toy_problem(margin_offset, sense=Sense.MINIMIZE, psi=1e6):
     )
 
 
+def score(problem, d, beta, robustness=None, mpp_per_sample=True):
+    """Objectives (beta_t last) and violation of the candidate (d, beta)
+    through the population evaluator, sampled with stream 0."""
+    evaluator, _, _ = build_mo_problem(problem, robustness, mpp_per_sample)
+    objs, viol = evaluator.evaluate_batch(np.append(d, beta)[None],
+                                          [RngStream(0)])
+    return objs[0], viol[0]
+
+
 class TestEvaluateRbrdo:
     def test_zero_noise_zero_violation_transparency(self):
         # margin min on sphere: 5 - beta - offset > 0 for offset 1, beta 2
         prob = toy_problem(margin_offset=1.0)
-        cand = Candidate(d=np.array([3.0]), beta_t=2.0)
-        sol = evaluate_rbrdo(cand, prob, RngStream(0))
-        assert np.array_equal(sol.objectives, [9.0, 2.0])
-        assert sol.feasible
+        objs, viol = score(prob, [3.0], 2.0)
+        assert np.array_equal(objs, [9.0, 2.0])
+        assert viol == 0.0
 
     def test_violated_margin_penalty_arithmetic(self):
         # g* = 5 - 2 - 7.2 = -4.2 exactly (linear margin)
         prob = toy_problem(margin_offset=7.2, psi=1e3)
-        cand = Candidate(d=np.array([3.0]), beta_t=2.0)
-        sol = evaluate_rbrdo(cand, prob, RngStream(0))
-        assert abs(sol.objectives[0] - (9.0 + 1e3 * 4.2)) < 1e-6
+        objs, viol = score(prob, [3.0], 2.0)
+        assert abs(objs[0] - (9.0 + 1e3 * 4.2)) < 1e-6
         # a violated probabilistic constraint also marks infeasibility
-        assert not sol.feasible
-        assert abs(sol.constraint_violation - 4.2) < 1e-6
+        assert viol > 0.0
+        assert abs(viol - 4.2) < 1e-6
 
     def test_maximize_sense_subtracts_penalty(self):
         prob = toy_problem(margin_offset=7.2, sense=Sense.MAXIMIZE, psi=1e3)
-        cand = Candidate(d=np.array([3.0]), beta_t=2.0)
-        sol = evaluate_rbrdo(cand, prob, RngStream(0))
-        assert abs(sol.objectives[0] - (9.0 - 1e3 * 4.2)) < 1e-6
+        objs, _ = score(prob, [3.0], 2.0)
+        assert abs(objs[0] - (9.0 - 1e3 * 4.2)) < 1e-6
 
     def test_penalty_monotone_in_margin(self):
         vals = []
         for offset in (4.0, 5.0, 6.0):  # g* = 3 - offset, more negative
             prob = toy_problem(margin_offset=offset, psi=10.0)
-            sol = evaluate_rbrdo(Candidate(np.array([1.0]), 2.0), prob,
-                                 RngStream(0))
-            vals.append(sol.objectives[0])
+            vals.append(score(prob, [1.0], 2.0)[0][0])
         assert vals[0] < vals[1] < vals[2]
 
     def test_bounds_validation(self):
         prob = toy_problem(1.0)
         with pytest.raises(UsageError):
-            evaluate_rbrdo(Candidate(np.array([11.0]), 2.0), prob,
-                           RngStream(0))
+            score(prob, [11.0], 2.0)
         with pytest.raises(UsageError):
-            evaluate_rbrdo(Candidate(np.array([1.0]), 0.1), prob,
-                           RngStream(0))
+            score(prob, [1.0], 0.1)
 
     def test_noise_mask_respected(self):
         # noise only on coordinate 0; record every sample the objective sees
@@ -93,52 +93,64 @@ class TestEvaluateRbrdo:
         )
         spec = RobustnessSpec(strategy="effective_mean",
                               delta=np.array([0.3, 0.3]), samples=40)
-        evaluate_rbrdo(Candidate(np.array([2.0, 4.0]), 1.0), prob,
-                       RngStream(0), robustness=spec)
+        score(prob, [2.0, 4.0], 1.0, robustness=spec)
         samples = np.vstack(seen)
         assert np.all(samples[:, 1] == 4.0)
         assert samples[:, 0].std() > 0.0
 
+    def test_samples_clipped_into_box(self):
+        # d = 9.8 with delta 0.1 reaches 10.78, past the box's upper edge:
+        # perturbed designs are still designs, so the objective sees the
+        # samples clipped to 10
+        seen = []
+
+        def spy_objective(d, x):
+            seen.append(np.atleast_2d(d))
+            return d[..., 0]
+
+        prob = dataclasses.replace(toy_problem(1.0), objective=spy_objective,
+                                   constraints=())
+        spec = RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
+                              samples=1000)
+        score(prob, [9.8], 1.0, robustness=spec)
+        samples = np.vstack(seen)[:, 0]
+        assert samples.size == 1000
+        assert np.all((samples >= 8.82 - 1e-12) & (samples <= 10.0))
+        assert np.any(samples == 10.0)
+
     def test_per_sample_flag_equivalent_at_zero_noise(self):
         prob = toy_problem(1.0)
-        cand = Candidate(np.array([2.0]), 1.5)
-        a = evaluate_rbrdo(cand, prob, RngStream(0), mpp_per_sample=True)
-        b = evaluate_rbrdo(cand, prob, RngStream(0), mpp_per_sample=False)
-        assert np.array_equal(a.objectives, b.objectives)
+        a, _ = score(prob, [2.0], 1.5, mpp_per_sample=True)
+        b, _ = score(prob, [2.0], 1.5, mpp_per_sample=False)
+        assert np.array_equal(a, b)
 
     def test_domain_guard_rejects(self):
-        import dataclasses
         prob = dataclasses.replace(
             toy_problem(1.0),
             domain_guard=lambda d: np.maximum(d[..., 0] - 2.0, 0.0) * 1e6)
-        sol = evaluate_rbrdo(Candidate(np.array([3.0]), 2.0), prob,
-                             RngStream(0))
-        assert not sol.feasible
-        assert sol.constraint_violation == 1e6
+        _, viol = score(prob, [3.0], 2.0)
+        assert viol == 1e6
 
     def test_constant_margin_candidate_survives(self):
         # reactor corner (1, 1): both residence times vanish, the margin is
         # the constant 4 (satisfied) and its gradient is identically zero;
         # the evaluator must not blow up on the stationary search
         prob = reactor.rbrdo()
-        sol = evaluate_rbrdo(Candidate(np.array([1.0, 1.0]), 5.0), prob,
-                             RngStream(0))
-        assert sol.feasible
-        assert sol.objectives[0] == pytest.approx(0.0, abs=1e-12)
+        objs, viol = score(prob, [1.0, 1.0], 5.0)
+        assert viol == 0.0
+        assert objs[0] == pytest.approx(0.0, abs=1e-12)
         spec = RobustnessSpec(strategy="effective_mean",
                               delta=np.full(2, 0.05), samples=16)
-        sol = evaluate_rbrdo(Candidate(np.array([1.0, 1.0]), 5.0), prob,
-                             RngStream(0), robustness=spec)
-        assert sol.constraint_violation < 1e12  # noisy samples stay sane
+        _, viol = score(prob, [1.0, 1.0], 5.0, robustness=spec)
+        assert viol < 1e12  # noisy samples stay sane
 
     def test_division_hazard_rejects_candidate(self):
         prob = toy_problem(1.0)
         spec = RobustnessSpec(strategy="penalty", delta=np.array([0.2]),
                               samples=16)
         # objective d^2 = 0 at d = 0: the nominal value hits the hazard
-        sol = evaluate_rbrdo(Candidate(np.array([0.0]), 2.0), prob,
-                             RngStream(0), robustness=spec)
-        assert not sol.feasible
+        _, viol = score(prob, [0.0], 2.0, robustness=spec)
+        assert viol > 0.0
 
 
 class TestFiniteDifferenceGradient:
@@ -151,23 +163,21 @@ class TestFiniteDifferenceGradient:
             dataclasses.replace(pf, grad_x=None)
             for pf in analytic.constraints))
         rng = np.random.default_rng(11)
-        cands = [Candidate(rng.uniform(1.5, 6.0, size=2), rng.uniform(1.0, 3.0))
-                 for _ in range(24)]
+        xs = np.array([[*rng.uniform(1.5, 6.0, size=2), rng.uniform(1.0, 3.0)]
+                       for _ in range(24)])
         spec = RobustnessSpec(strategy="effective_mean",
                               delta=np.full(2, 0.05), samples=8)
-        a, b = (evaluate_rbrdo_batch(cands, prob,
-                                     [RngStream(i) for i in range(24)],
-                                     robustness=spec)
-                for prob in (analytic, numeric))
-        feasible = [s.feasible for s in a]
-        assert 0 < sum(feasible) < len(feasible)
-        assert [s.feasible for s in b] == feasible
-        for sa, sb in zip(a, b):
+        (a_objs, a_viol), (b_objs, b_viol) = (
+            build_mo_problem(prob, spec)[0].evaluate_batch(
+                xs, [RngStream(i) for i in range(24)])
+            for prob in (analytic, numeric))
+        feasible = a_viol == 0.0
+        assert 0 < feasible.sum() < len(feasible)
+        assert np.array_equal(b_viol == 0.0, feasible)
+        for oa, ob, va, vb in zip(a_objs, b_objs, a_viol, b_viol):
             # objectives carry psi = 1e6 times the per-sample penalties
-            assert sb.objectives[0] == pytest.approx(sa.objectives[0],
-                                                     rel=1e-12)
-            assert sb.constraint_violation == pytest.approx(
-                sa.constraint_violation, rel=0.0, abs=1e-12)
+            assert ob[0] == pytest.approx(oa[0], rel=1e-12)
+            assert vb == pytest.approx(va, rel=0.0, abs=1e-12)
 
 
 class TestBuildMoProblem:
@@ -215,7 +225,6 @@ class TestSweep:
         assert len(archives) == 1  # keyed by level value
 
     def test_errors_do_not_stop_other_levels(self):
-        import dataclasses
         prob = toy_problem(1.0)
         boom = dataclasses.replace(
             prob, random_vars=lambda d: (_ for _ in ()).throw(RuntimeError()))
@@ -223,6 +232,20 @@ class TestSweep:
         archives, errors = sweep_robustness(boom, [0.0, 0.1], params,
                                             samples=4)
         assert set(errors) == {0.0, 0.1}
+
+    @pytest.mark.parametrize("levels,scheme", [([0.0, -0.1], "lhs"),
+                                               ([0.0, 0.05], "bogus")])
+    def test_bad_setting_rejected_before_any_run(self, monkeypatch, levels,
+                                                 scheme):
+        from rbrdo import formulation
+        calls = []
+        monkeypatch.setattr(formulation, "mode_optimize",
+                            lambda *args, **kwargs: calls.append(args))
+        params = ModeParams(seed=3, NP=8, generations=3, R=2)
+        with pytest.raises(UsageError):
+            sweep_robustness(toy_problem(1.0), levels, params, samples=4,
+                             scheme=scheme)
+        assert calls == []
 
     def test_level_keying_and_determinism(self):
         prob = toy_problem(1.0)
@@ -232,14 +255,6 @@ class TestSweep:
         for level in (0.0, 0.1):
             assert np.array_equal(a[level].objective_matrix(),
                                   b[level].objective_matrix())
-
-
-class TestCandidate:
-    def test_vector_round_trip(self):
-        cand = Candidate.from_vector(np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(cand.d, [1.0, 2.0])
-        assert cand.beta_t == 3.0
-        assert np.array_equal(cand.as_vector(), [1.0, 2.0, 3.0])
 
 
 def _designs(problem, n, rng):
@@ -378,18 +393,3 @@ class TestPopulationEvaluation:
                                                    mpp_per_sample=per_sample)
             objs, _ = assert_batch_independent(evaluator, xs[:, :-1])
             assert objs.shape == (len(xs), 1)
-
-    def test_wrappers_match_the_array_path(self):
-        problem, xs = _population("reactor")
-        spec = RobustnessSpec(strategy="penalty", delta=np.full(2, 0.1),
-                              samples=5)
-        evaluator, _, _ = build_mo_problem(problem, spec)
-        objs, viol = evaluator.evaluate_batch(
-            xs, [_stream(i) for i in range(len(xs))])
-        sols = evaluate_rbrdo_batch(
-            [Candidate.from_vector(x) for x in xs], problem,
-            [_stream(i) for i in range(len(xs))], robustness=spec)
-        for sol, x, o, v in zip(sols, xs, objs, viol):
-            assert _bits(sol.decision) == _bits(x)
-            assert _bits(sol.objectives) == _bits(o)
-            assert sol.constraint_violation == v

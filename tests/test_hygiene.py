@@ -5,7 +5,10 @@ unused-import rule over the package and the test modules: every imported
 name is read in the module importing it. A name counts as read when it
 appears as a loaded name anywhere in the module or is listed in the
 module's ``__all__``; ``from __future__`` imports are directives, not
-names. A run also must not pull in heavy modules it does not need.
+names. A second scan bars orphan helpers: every private module-level
+name of the package (a ``_name`` function, class or constant) is read
+somewhere in the package. A run also must not pull in heavy modules it
+does not need.
 """
 
 import ast
@@ -17,8 +20,8 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "rbrdo").rglob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "rbrdo").rglob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,6 +53,53 @@ def test_scan_flags_unused_names():
               "import os, sys\nimport a.b\nfrom m import x, y as z, w\n"
               "__all__ = ['w']\nprint(sys.argv, a.b, z)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: x"]
+
+
+def orphan_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of ``sources`` (module name -> source)
+    that nothing reads: not the defining module by name, and no module by
+    ``from ... import`` or as an attribute."""
+    defined, local, shared = [], {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        local[module] = {node.id for node in ast.walk(tree)
+                         if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                shared |= {alias.name for alias in node.names}
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in local[module] and name not in shared]
+
+
+def test_scan_flags_orphan_privates():
+    sources = {
+        "a": ("_LIMIT = 3\n_SEEN: set = set()\nclass _Box: pass\n"
+              "def _used(x): return x\ndef _orphan(): return _used(_LIMIT)\n"
+              "def _imported(): pass\ndef _attr(): pass\n"),
+        "b": "from a import _imported\nimport a\n_imported(a._attr)\n"}
+    assert orphan_privates(sources) == [
+        "a line 2: _SEEN", "a line 3: _Box", "a line 5: _orphan"]
+
+
+def test_no_orphan_privates():
+    assert orphan_privates({path.relative_to(ROOT).as_posix():
+                            path.read_text(encoding="utf-8")
+                            for path in PACKAGE}) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT)

@@ -4,7 +4,7 @@ import pytest
 from rbrdo import (Bounds, DeParams, EvaluatedSolution, ModeParams, Sense,
                    UsageError, crowding_distance, de_minimize,
                    fast_non_dominated_sort, mode_optimize,
-                   non_dominated_filter, penalized_fitness)
+                   non_dominated_filter)
 from rbrdo.core import non_dominated_mask
 
 
@@ -27,21 +27,6 @@ sphere = Batch(_sphere)
 
 
 BOX2 = Bounds(np.full(2, -5.0), np.full(2, 5.0))
-
-
-class TestPenalizedFitness:
-    def test_zero_violation_is_identity(self):
-        assert penalized_fitness(5.0, 0.0, 1e3) == 5.0
-
-    def test_minimize_adds(self):
-        assert penalized_fitness(5.0, 0.2, 1e3, Sense.MINIMIZE) == 205.0
-
-    def test_maximize_subtracts(self):
-        assert penalized_fitness(5.0, 0.2, 1e3, Sense.MAXIMIZE) == -195.0
-
-    def test_psi_validation(self):
-        with pytest.raises(UsageError):
-            penalized_fitness(1.0, 0.0, 0.0)
 
 
 class TestDeMinimize:
@@ -96,6 +81,10 @@ class TestDeMinimize:
     def test_np_validation(self):
         with pytest.raises(UsageError):
             DeParams(NP=3)
+
+    def test_psi_validation(self):
+        with pytest.raises(UsageError):
+            DeParams(psi=0.0)
 
 
 class TestNonDominatedSort:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from rbrdo import (AsoslParams, Candidate, RandomVariableSpec, RngStream,
-                   RobustnessSpec, UsageError, asosl_mpp, build_mo_problem,
-                   evaluate_rbrdo)
+from rbrdo import (AsoslParams, RandomVariableSpec, RngStream, RobustnessSpec,
+                   UsageError, asosl_mpp, build_mo_problem)
 from rbrdo.problems import (benchmark, catalyst, get_deterministic, get_rbrdo,
                             heat_exchanger, list_problems, reactor)
 
@@ -133,9 +132,10 @@ class TestHeatExchanger:
         # just stay positive on the beta=3 sphere
         prob = heat_exchanger.rbrdo()
         d = np.array([551.11, 1279.83, 8822.10, 153.48, 246.37])
-        sol = evaluate_rbrdo(Candidate(d, 3.0), prob, RngStream(0))
-        assert sol.feasible
-        assert abs(sol.objectives[0] - 10653.04) < 0.01
+        objs, viol = build_mo_problem(prob)[0].evaluate_batch(
+            np.append(d, 3.0)[None], [RngStream(0)])
+        assert viol[0] == 0.0
+        assert abs(objs[0, 0] - 10653.04) < 0.01
 
 
 class TestReactor:
@@ -326,7 +326,9 @@ class TestCatalystReliability:
             (np.array([0.9984, 0.2695, 0.0004, 0.1669, 0.7341]), 0.0476),
             (np.array([0.9982, 0.2601, 0.0002, 0.1728, 0.7242]), 0.0474),
         ]
+        evaluator = build_mo_problem(prob)[0]
         for d, f_expected in rows:
-            sol = evaluate_rbrdo(Candidate(d, 1.6), prob, RngStream(0))
-            assert sol.feasible
-            assert abs(sol.objectives[0] - f_expected) < 5e-4
+            objs, viol = evaluator.evaluate_batch(np.append(d, 1.6)[None],
+                                                  [RngStream(0)])
+            assert viol[0] == 0.0
+            assert abs(objs[0, 0] - f_expected) < 5e-4

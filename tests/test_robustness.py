@@ -1,12 +1,37 @@
 import numpy as np
 import pytest
 
-from rbrdo import (DivisionHazardError, RngStream, RobustnessSpec, Sense,
-                   UsageError, effective_mean, penalty_robust, type2_feasible)
-from rbrdo.robustness import (penalty_objectives, type2_ratio,
-                              type2_reference, worst_sample)
+from rbrdo import (Bounds, RbrdoProblem, RngStream, RobustnessSpec, Sense,
+                   UsageError, build_mo_problem)
+from rbrdo.robustness import penalty_objectives, type2_ratio, worst_sample
 
 from oracles import quadratic_effective_mean, uniform_mean_abs_deviation
+
+
+def design_problem(f, senses=(Sense.MINIMIZE,), dim=1):
+    """Constraint-free problem on the box [0, 10]^dim whose objective f(d)
+    reads the design alone."""
+    def rv(d):
+        return (np.zeros(d.shape[:-1] + (1,)), np.ones(d.shape[:-1] + (1,)))
+
+    return RbrdoProblem(name="design", det_bounds=Bounds(np.zeros(dim),
+                                                         np.full(dim, 10.0)),
+                        beta_bounds=(1.0, 1.0), senses=senses,
+                        objective=lambda d, x: f(d), constraints=(),
+                        random_vars=rv)
+
+
+def robust(f, xs, spec, seeds, senses=(Sense.MINIMIZE,)):
+    """Robust objectives (N, m) and violations (N,) of the designs xs,
+    design i sampled with stream ``seeds[i]``, through the population
+    evaluator."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    evaluator, _, _ = build_mo_problem(
+        design_problem(f, senses, xs.shape[1]), spec)
+    objs, viol = evaluator.evaluate_batch(
+        np.column_stack([xs, np.ones(len(xs))]),
+        [RngStream(s) for s in np.atleast_1d(seeds)])
+    return objs[:, :-1], viol
 
 
 def spec_em(delta, samples=50):
@@ -16,135 +41,119 @@ def spec_em(delta, samples=50):
 
 class TestEffectiveMean:
     def test_zero_noise_is_exact(self):
-        f = lambda x: np.array([x[0] ** 3, np.sin(x[0])])
-        out = effective_mean(f, np.array([1.7]), spec_em(0.0), RngStream(0))
-        assert np.array_equal(out, f(np.array([1.7])))
+        f = lambda d: np.stack([d[..., 0] ** 3, np.sin(d[..., 0])], axis=-1)
+        out, _ = robust(f, [1.7], spec_em(0.0), 0,
+                        (Sense.MINIMIZE, Sense.MINIMIZE))
+        assert np.array_equal(out[0], f(np.array([1.7])))
 
     def test_quadratic_closed_form(self):
         # exact mean of x^2 over [x0(1-d), x0(1+d)] is x0^2 (1 + d^2/3)
-        f = lambda x: x[0] ** 2
-        out = effective_mean(f, np.array([2.0]), spec_em(0.1, samples=10_000),
-                             RngStream(1))
+        out, _ = robust(lambda d: d[..., 0] ** 2, [2.0],
+                        spec_em(0.1, samples=10_000), 1)
         expected = quadratic_effective_mean(2.0, 0.1)
         assert abs(expected - 4.013333333333334) < 1e-12
-        assert abs(out[0] - expected) / expected < 0.01
+        assert abs(out[0, 0] - expected) / expected < 0.01
 
     def test_linear_function_close_to_nominal(self):
-        f = lambda x: 3.0 * x[0] - 1.0
-        out = effective_mean(f, np.array([2.0]), spec_em(0.1, samples=4000),
-                             RngStream(2))
-        assert abs(out[0] - 5.0) < 0.05
+        out, _ = robust(lambda d: 3.0 * d[..., 0] - 1.0, [2.0],
+                        spec_em(0.1, samples=4000), 2)
+        assert abs(out[0, 0] - 5.0) < 0.05
 
     def test_jensen_inequality_for_convex(self):
-        f = lambda x: (x[0] - 1.0) ** 2
-        out = effective_mean(f, np.array([3.0]), spec_em(0.2, samples=10_000),
-                             RngStream(3))
-        assert out[0] >= f(np.array([3.0]))
+        f = lambda d: (d[..., 0] - 1.0) ** 2
+        out, _ = robust(f, [3.0], spec_em(0.2, samples=10_000), 3)
+        assert out[0, 0] >= f(np.array([3.0]))
 
     def test_seeded_determinism(self):
-        f = lambda x: np.array([x.sum(), x.prod()])
-        a = effective_mean(f, np.ones(2), spec_em([0.1, 0.1]), RngStream(7))
-        b = effective_mean(f, np.ones(2), spec_em([0.1, 0.1]), RngStream(7))
+        f = lambda d: np.stack([d.sum(axis=-1), d.prod(axis=-1)], axis=-1)
+        senses = (Sense.MINIMIZE, Sense.MINIMIZE)
+        a, _ = robust(f, np.ones(2), spec_em([0.1, 0.1]), 7, senses)
+        b, _ = robust(f, np.ones(2), spec_em([0.1, 0.1]), 7, senses)
         assert np.array_equal(a, b)
-
-    def test_wrong_strategy_rejected(self):
-        with pytest.raises(UsageError):
-            effective_mean(lambda x: x, np.ones(1),
-                           RobustnessSpec(strategy="none"), RngStream(0))
 
 
 class TestPenaltyRobust:
-    SENSES = (Sense.MINIMIZE,)
-
     def test_constant_function_unpenalized(self):
-        f = lambda x: 4.0
-        out = penalty_robust(f, np.array([2.0]),
-                             RobustnessSpec(strategy="penalty",
-                                            delta=np.array([0.3])),
-                             RngStream(0), self.SENSES)
-        assert out[0] == 4.0
+        out, _ = robust(lambda d: np.full(d.shape[:-1], 4.0), [2.0],
+                        RobustnessSpec(strategy="penalty",
+                                       delta=np.array([0.3])), 0)
+        assert out[0, 0] == 4.0
 
     def test_zero_noise_unpenalized(self):
-        f = lambda x: x[0] ** 2 + 1.0
-        out = penalty_robust(f, np.array([2.0]),
-                             RobustnessSpec(strategy="penalty",
-                                            delta=np.array([0.0])),
-                             RngStream(0), self.SENSES)
-        assert out[0] == 5.0
+        out, _ = robust(lambda d: d[..., 0] ** 2 + 1.0, [2.0],
+                        RobustnessSpec(strategy="penalty",
+                                       delta=np.array([0.0])), 0)
+        assert out[0, 0] == 5.0
 
     def test_linear_mean_abs_deviation_oracle(self):
         # f(x) = x around 2 with delta 0.1: P = E|xi - 2| / 2 = 0.05
-        f = lambda x: x[0]
-        out = penalty_robust(f, np.array([2.0]),
-                             RobustnessSpec(strategy="penalty",
-                                            delta=np.array([0.1]),
-                                            samples=10_000),
-                             RngStream(1), self.SENSES)
+        out, _ = robust(lambda d: d[..., 0], [2.0],
+                        RobustnessSpec(strategy="penalty",
+                                       delta=np.array([0.1]), samples=10_000),
+                        1)
         expected_pen = uniform_mean_abs_deviation(2.0, 0.2) / 2.0
         assert abs(expected_pen - 0.05) < 1e-15
-        assert abs((out[0] - 2.0) - expected_pen) / expected_pen < 0.03
+        assert abs((out[0, 0] - 2.0) - expected_pen) / expected_pen < 0.03
 
     def test_penalty_worsens_each_sense(self):
-        f = lambda x: np.array([x[0] ** 2, x[0] ** 2])
+        f = lambda d: np.stack([d[..., 0] ** 2, d[..., 0] ** 2], axis=-1)
         senses = (Sense.MINIMIZE, Sense.MAXIMIZE)
-        x = np.array([1.5])
-        out = penalty_robust(f, x, RobustnessSpec(strategy="penalty",
-                                                  delta=np.array([0.2]),
-                                                  samples=500),
-                             RngStream(2), senses)
-        fx = f(x)
-        assert out[0] >= fx[0]
-        assert out[1] <= fx[1]
+        out, _ = robust(f, [1.5], RobustnessSpec(strategy="penalty",
+                                                 delta=np.array([0.2]),
+                                                 samples=500), 2, senses)
+        fx = f(np.array([1.5]))
+        assert out[0, 0] >= fx[0]
+        assert out[0, 1] <= fx[1]
 
     def test_division_hazard(self):
-        f = lambda x: x[0] - 2.0
-        with pytest.raises(DivisionHazardError):
-            penalty_robust(f, np.array([2.0]),
-                           RobustnessSpec(strategy="penalty",
-                                          delta=np.array([0.1])),
-                           RngStream(0), self.SENSES)
+        # f(x) = 0 at the nominal design: the penalty's |f(x)| denominator
+        _, hazard = penalty_objectives(np.array([[0.1], [-0.1]]),
+                                       np.array([0.0]), np.array([1.0]))
+        assert hazard
 
 
 class TestTypeII:
     def test_zero_distance_always_accepted(self):
-        assert type2_feasible(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
-                              eta=1e-9)
+        ratio, hazard = type2_ratio(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        assert ratio <= 1e-9 and not hazard
 
     def test_hand_example(self):
-        assert not type2_feasible(np.array([1.0, 0.0]), np.array([1.2, 0.0]),
-                                  eta=0.1)
-        assert type2_feasible(np.array([1.0, 0.0]), np.array([1.05, 0.0]),
-                              eta=0.1)
+        ratio, _ = type2_ratio(np.array([1.0, 0.0]), np.array([1.2, 0.0]))
+        assert not ratio <= 0.1
+        ratio, _ = type2_ratio(np.array([1.0, 0.0]), np.array([1.05, 0.0]))
+        assert ratio <= 0.1
 
     def test_division_hazard(self):
-        with pytest.raises(DivisionHazardError):
-            type2_feasible(np.zeros(2), np.ones(2), eta=0.5)
+        _, hazard = type2_ratio(np.zeros(2), np.ones(2))
+        assert hazard
 
     def test_eta_monotonicity_on_fixed_population(self):
         # a stricter eta never enlarges the accepted count
         rng = np.random.default_rng(5)
-        f = lambda x: np.array([x[0] ** 2 + x[1], x[0] * x[1] + 2.0])
+        f = lambda d: np.stack([d[..., 0] ** 2 + d[..., 1],
+                                d[..., 0] * d[..., 1] + 2.0], axis=-1)
         pop = rng.uniform(0.5, 2.0, size=(40, 2))
-        refs = []
-        for i, x in enumerate(pop):
-            spec = RobustnessSpec(strategy="type2", delta=np.full(2, 0.2),
-                                  samples=100, eta=1.0)
-            refs.append((f(x), type2_reference(f, x, spec, RngStream(i))))
         counts = []
-        for eta in (0.5, 0.2, 0.1, 0.05, 0.01):
-            counts.append(sum(type2_feasible(fx, fr, eta) for fx, fr in refs))
+        for eta in (0.5, 0.2, 0.1, 0.05, 0.01, 0.005, 0.002, 0.001):
+            spec = RobustnessSpec(strategy="type2", delta=np.full(2, 0.2),
+                                  samples=100, eta=eta)
+            _, viol = robust(f, pop, spec, range(40),
+                             (Sense.MINIMIZE, Sense.MINIMIZE))
+            counts.append(int(np.sum(viol == 0.0)))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert counts[0] == 40 and counts[-1] < 40  # the cut bites
 
     def test_worst_case_aggregator(self):
-        f = lambda x: np.array([x[0]])
-        spec = RobustnessSpec(strategy="type2", delta=np.array([0.2]),
-                              samples=64, eta=0.1, worst_case=True)
-        ref = type2_reference(f, np.array([1.0]), spec, RngStream(3),
-                              senses=(Sense.MINIMIZE,))
-        mean_spec = RobustnessSpec(strategy="type2", delta=np.array([0.2]),
-                                   samples=64, eta=0.1)
-        mean_ref = type2_reference(f, np.array([1.0]), mean_spec, RngStream(3))
-        assert ref[0] > mean_ref[0]  # worst minimized sample sits above mean
+        # the worst minimized sample sits above the mean: against it the
+        # cut rejects a design that the sample mean lets through
+        f = lambda d: d[..., 0]
+        worst = RobustnessSpec(strategy="type2", delta=np.array([0.2]),
+                               samples=64, eta=0.1, worst_case=True)
+        mean = RobustnessSpec(strategy="type2", delta=np.array([0.2]),
+                              samples=64, eta=0.1)
+        _, viol_worst = robust(f, [1.0], worst, 3)
+        _, viol_mean = robust(f, [1.0], mean, 3)
+        assert viol_worst[0] > 0.0 == viol_mean[0]
 
     def test_spec_validation(self):
         with pytest.raises(UsageError):
@@ -154,6 +163,9 @@ class TestTypeII:
         with pytest.raises(UsageError):
             RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
                            samples=0)
+        with pytest.raises(UsageError):
+            RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
+                           scheme="bogus")
 
 
 class TestPopulationAggregators:
@@ -178,17 +190,6 @@ class TestPopulationAggregators:
             o, h = penalty_objectives(vals[i], f_nominal[i], signs)
             assert h == hazard[i]
             assert o.tobytes() == objs[i].tobytes()
-            # the scalar helper raises exactly on the hazard rows
-            f = lambda x, i=i: f_nominal[i] * x[0]
-            spec = RobustnessSpec(strategy="penalty", delta=np.array([0.1]),
-                                  samples=4)
-            if hazard[i]:
-                with pytest.raises(DivisionHazardError):
-                    penalty_robust(f, np.array([1.0]), spec, RngStream(i),
-                                   (Sense.MINIMIZE,) * m)
-            else:
-                penalty_robust(f, np.array([1.0]), spec, RngStream(i),
-                               (Sense.MINIMIZE,) * m)
         assert hazard.any() and not hazard.all()
 
     @pytest.mark.parametrize("m,samples", [(1, 50), (2, 7), (3, 33)])
@@ -211,10 +212,4 @@ class TestPopulationAggregators:
             r, h = type2_ratio(f_nominal[i], f_ref[i])
             assert h == hazard[i]
             assert r.tobytes() == ratio[i].tobytes()
-            if not h:
-                assert type2_feasible(f_nominal[i], f_ref[i], 1.0) == \
-                    (ratio[i] <= 1.0)
-            else:
-                with pytest.raises(DivisionHazardError):
-                    type2_feasible(f_nominal[i], f_ref[i], 1.0)
         assert hazard[1]
