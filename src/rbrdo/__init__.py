@@ -15,10 +15,7 @@ from .formulation import (RbrdoProblem, build_mo_problem, build_rbdo_evaluator,
 from .optimize import (DeParams, ModeParams, crowding_distance, de_minimize,
                        fast_non_dominated_sort, mode_optimize)
 from .reliability import (AsoslParams, MppResult, PerformanceFunction,
-                          RandomVariableSpec, asosl_mpp,
-                          backtracking_line_search, failure_probability,
-                          from_standard_normal, second_order_step_bound,
-                          std_normal_cdf, to_standard_normal)
+                          asosl_mpp)
 from .robustness import RobustnessSpec
 from .sampling import (NeighborhoodSpec, RngStream, latin_hypercube,
                        neighborhood_samples)
@@ -30,13 +27,10 @@ __all__ = [
     "AsoslParams", "Bounds", "DeParams", "Dominance", "EvaluatedSolution",
     "FitError", "FitReport", "GradientVanishedError", "ModeParams",
     "MppResult", "NeighborhoodSpec", "NumericError", "ParetoArchive",
-    "PerformanceFunction", "RandomVariableSpec", "RbrdoError", "RbrdoProblem",
-    "RngStream", "RobustnessSpec", "Sense", "UsageError", "asosl_mpp",
-    "backtracking_line_search", "build_mo_problem", "build_rbdo_evaluator",
-    "crowding_distance", "de_minimize", "dominates", "failure_probability",
-    "fit_front", "fast_non_dominated_sort", "from_standard_normal",
-    "goodness_of_fit", "latin_hypercube", "mode_optimize",
-    "neighborhood_samples", "non_dominated_filter", "polyfit2",
-    "second_order_step_bound", "std_normal_cdf", "sweep_robustness",
-    "to_standard_normal",
+    "PerformanceFunction", "RbrdoError", "RbrdoProblem", "RngStream",
+    "RobustnessSpec", "Sense", "UsageError", "asosl_mpp", "build_mo_problem",
+    "build_rbdo_evaluator", "crowding_distance", "de_minimize", "dominates",
+    "fit_front", "fast_non_dominated_sort", "goodness_of_fit",
+    "latin_hypercube", "mode_optimize", "neighborhood_samples",
+    "non_dominated_filter", "polyfit2", "sweep_robustness",
 ]

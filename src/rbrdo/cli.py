@@ -39,7 +39,7 @@ from . import __version__, problems
 from .errors import NumericError, UsageError
 from .formulation import build_rbdo_evaluator, sweep_robustness
 from .optimize import DeParams, ModeParams, de_minimize
-from .reliability import AsoslParams, RandomVariableSpec, asosl_mpp
+from .reliability import AsoslParams, asosl_mpp
 from .sampling import SCHEMES
 from .stats import fit_front, second_difference_scale
 
@@ -144,10 +144,12 @@ def _parse_setting(key: str, raw: str):
 
 def _floats(text: str, key: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        values = [float(tok) for tok in text.split(",") if tok]
+        if np.all(np.isfinite(values)):
+            return values
     except ValueError:
-        raise UsageError(f"{key}={text}: expected comma-separated "
-                         f"numbers") from None
+        pass
+    raise UsageError(f"{key}={text}: expected comma-separated finite numbers")
 
 
 def _resolve_config(args) -> dict:
@@ -350,11 +352,13 @@ def cmd_mpp(args) -> int:
     d = np.array(_floats(args.d, "d"))
     if d.size != unc.det_bounds.dim:
         raise UsageError(f"expected {unc.det_bounds.dim} design values")
+    # the design a run would score: inside the box and the evaluable domain
+    unc.check_designs(d)
+    if unc.domain_guard is not None and unc.domain_guard(d) > 0.0:
+        raise UsageError("the problem's domain guard rejects this design")
     params = AsoslParams(beta_t=cfg["beta_t"], **unc.asosl_defaults)
     pf = unc.constraints[index - 1]
-    mu, sigma = unc.random_vars(d)
-    rvs = [RandomVariableSpec(m, s) for m, s in zip(mu, sigma)]
-    result = asosl_mpp(pf, rvs, d, params)
+    result = asosl_mpp(pf, *unc.random_vars(d), d, params)
     print(f"constraint {pf.name} at beta={cfg['beta_t']:g}:")
     print(f"  u* = {np.array2string(result.u_star, precision=6)}")
     print(f"  x* = {np.array2string(result.x_star, precision=6)}")

@@ -41,8 +41,8 @@ from .errors import UsageError
 from .optimize import ModeParams, mode_optimize
 from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
                           _rows_memo, make_u_space)
-from .robustness import (RobustnessSpec, penalty_objectives, type2_ratio,
-                         worst_sample)
+from .robustness import (RobustnessSpec, noise_levels, penalty_objectives,
+                         type2_ratio, worst_sample)
 from .sampling import NeighborhoodSpec, RngStream, neighborhood_samples
 
 log = logging.getLogger(__name__)
@@ -91,6 +91,8 @@ class RbrdoProblem:
         object.__setattr__(self, "noise_mask", mask)
         if self.objective_at_mpp and len(self.constraints) == 0:
             raise UsageError("objective_at_mpp needs probabilistic constraints")
+        # bad MPP settings are refused here, not inside the first search
+        AsoslParams(beta_t=lo, **self.asosl_defaults)
 
     @property
     def n_objectives(self) -> int:
@@ -103,6 +105,12 @@ class RbrdoProblem:
 
     def full_senses(self) -> tuple[Sense, ...]:
         return self.senses + (Sense.MAXIMIZE,)
+
+    def check_designs(self, d: np.ndarray):
+        """Refuse design rows outside the box, to a rounding tolerance."""
+        if not self.det_bounds.contains(d, atol=1e-9 * (
+                1.0 + np.abs(self.det_bounds.upper).max())):
+            raise UsageError("candidate design vector outside bounds")
 
 
 def _objective_matrix(problem: RbrdoProblem, d: np.ndarray, x: np.ndarray):
@@ -146,9 +154,7 @@ def _prepare(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
     tol = 1e-9
     if not np.all((lo - tol <= beta) & (beta <= hi + tol)):
         raise UsageError("candidate reliability index outside beta bounds")
-    if not problem.det_bounds.contains(d, atol=1e-9 * (
-            1.0 + np.abs(problem.det_bounds.upper).max())):
-        raise UsageError("candidate design vector outside bounds")
+    problem.check_designs(d)
     n = d.shape[1]
     delta = spec.delta if spec.delta.size else np.zeros(n)
     if delta.size != n:
@@ -466,9 +472,7 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
     levels reproduce identical archives and failures in one level do not
     stop the others. Returns (archives, errors) dicts.
     """
-    levels = [float(level) for level in delta_levels]
-    if any(level < 0.0 for level in levels):
-        raise UsageError("noise levels must be nonnegative")
+    levels = noise_levels(delta_levels).tolist()
     archives: dict[float, ParetoArchive] = {}
     errors: dict[float, Exception] = {}
     for level in levels:

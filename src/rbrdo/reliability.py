@@ -1,11 +1,13 @@
-"""Inverse reliability analysis: U-space transform and the MPP search.
+"""Inverse reliability analysis: the most-probable-point (MPP) search.
 
 The probabilistic constraint P[g(d, X) <= 0] <= Phi(-beta_t) is checked with
-the performance measure approach: transform the independent normal variables
-X into standard normal space U, minimize the performance function G(u) on
-the hypersphere ||u|| = beta_t, and declare the constraint satisfied when
-the minimum g* stays positive. The minimizer u* is the most probable point
-of failure.
+the performance measure approach: map the independent normal variables X,
+given by their (mu, sigma) arrays, into standard normal space U with
+x = mu + sigma*u (:func:`make_u_space`), minimize the performance function
+G(u) on the hypersphere ||u|| = beta_t, and declare the constraint satisfied
+when the minimum g* stays positive. The minimizer u* is the most probable
+point of failure. Only beta_t enters: the failure probability Phi(-beta_t)
+itself is never computed.
 
 The sphere-constrained minimization is a steepest-descent iteration with an
 adaptive second-order step length: each step length is bounded by a secant
@@ -32,12 +34,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import GradientVanishedError, UsageError
-from .sampling import RngStream
 
 log = logging.getLogger(__name__)
 
@@ -53,57 +54,6 @@ _OSCILLATION_LIMIT = 5
 # whole iteration budget.
 _STALL_LIMIT = 8
 _ULP = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class RandomVariableSpec:
-    """Independent normal random variable entering a probabilistic constraint."""
-
-    mean: float
-    std: float
-    distribution: str = "normal"
-
-    def __post_init__(self):
-        if self.distribution != "normal":
-            raise UsageError("only normal random variables are supported")
-        if not self.std > 0.0:
-            raise UsageError("standard deviation must be positive")
-
-
-def rv_arrays(rvs: Sequence[RandomVariableSpec]) -> tuple[np.ndarray, np.ndarray]:
-    mu = np.array([rv.mean for rv in rvs], dtype=float)
-    sigma = np.array([rv.std for rv in rvs], dtype=float)
-    return mu, sigma
-
-
-def to_standard_normal(x: np.ndarray, rvs: Sequence[RandomVariableSpec]) -> np.ndarray:
-    """u_i = (x_i - mu_i) / sigma_i (independent-normal Rosenblatt map)."""
-    mu, sigma = rv_arrays(rvs)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != mu.size:
-        raise UsageError("x length does not match the random-variable vector")
-    return (x - mu) / sigma
-
-
-def from_standard_normal(u: np.ndarray, rvs: Sequence[RandomVariableSpec]) -> np.ndarray:
-    """Exact inverse of :func:`to_standard_normal`."""
-    mu, sigma = rv_arrays(rvs)
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != mu.size:
-        raise UsageError("u length does not match the random-variable vector")
-    return mu + sigma * u
-
-
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF via erfc; absolute error well below 1e-10."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def failure_probability(beta_t: float) -> float:
-    """p_f = Phi(-beta_t), strictly decreasing in the reliability index."""
-    if beta_t < 0.0:
-        raise UsageError("reliability index must be nonnegative")
-    return std_normal_cdf(-beta_t)
 
 
 @dataclass(frozen=True)
@@ -131,23 +81,20 @@ class AsoslParams:
     s_b: float = 0.5
     epsilon: float = 1e-6
     max_iters: int = 200
-    initial: str = "deterministic"  # or "random": seeded point on the sphere
 
     def __post_init__(self):
-        if not self.beta_t > 0.0:
-            raise UsageError("beta_t must be positive")
-        if not self.delta_eta > 0.0:
-            raise UsageError("delta_eta must be positive")
+        if not 0.0 < self.beta_t < math.inf:
+            raise UsageError("beta_t must be positive and finite")
+        if not 0.0 < self.delta_eta < math.inf:
+            raise UsageError("delta_eta must be positive and finite")
         if not 0.0 < self.alpha_b < 1.0:
             raise UsageError("alpha_b must lie in (0, 1)")
         if not 0.0 < self.s_b < 1.0:
             raise UsageError("s_b must lie in (0, 1)")
-        if not self.epsilon > 0.0:
-            raise UsageError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise UsageError("epsilon must be positive and finite")
         if self.max_iters < 1:
             raise UsageError("max_iters must be >= 1")
-        if self.initial not in ("deterministic", "random"):
-            raise UsageError("initial must be 'deterministic' or 'random'")
 
 
 @dataclass
@@ -191,10 +138,13 @@ def _ray_point(u, d, at, t, out):
 
 def _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
                    tau, G_ray, trial):
-    """:func:`backtracking_line_search` over the active rows of a batch.
+    """Backtracking (Armijo) line search over the active rows of a batch.
 
-    Writes each row's step and G(u - tau d) into ``tau`` and ``G_ray`` and
-    returns the number of active rows whose Armijo test stayed unmet.
+    Each row's step tau is the largest of t * s_b**j (j < 60) meeting
+    G(u - tau d) <= G(u) - alpha_b * tau * d.d; a row that meets it on no
+    trial keeps its last one. Writes each row's step and G(u - tau d) into
+    ``tau`` and ``G_ray`` and returns the number of active rows whose
+    Armijo test stayed unmet.
     ``Gfun(x, rows)`` is the engine's margin closure and ``rows`` the batch
     indices of the rows of ``u`` (None: the whole batch). The ladder drops
     its accepted rows by the engine's rule (:func:`_compact`), so a round
@@ -246,7 +196,16 @@ def _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
 
 
 def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
-    """:func:`second_order_step_bound` per row; ``A`` holds each d.d."""
+    """Secant step-length bound per row; positive on both branches.
+
+    Fits a quadratic to the previous search ray from (G_prev, gradient d
+    with ``A`` = d.d, G_ray at step tau) and returns the step to its
+    minimum. A non-positive estimate signals a non-convex section; the
+    bound then comes from the eta-shifted step t_aug, whose denominator is
+    2 * delta_eta * A in exact arithmetic: where rounding cancels it, the
+    exact t_aug**2 / (2 * delta_eta) is used. Open question: the method
+    re-evaluates G at t_aug; reusing G_ray is what makes that exact.
+    """
     den = 2.0 * (G_ray - G_prev + tau * A)
     with np.errstate(divide="ignore", invalid="ignore"):
         tb = tau * tau * A / den
@@ -257,56 +216,6 @@ def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
         # exact denominator 2*delta_eta*A; it cancels if |G_ray - G_prev| >> A
         tb_fb = np.where(tb_fb > 0.0, tb_fb, t_aug * t_aug / (2.0 * delta_eta))
     return np.where(fallback, tb_fb, tb)
-
-
-def backtracking_line_search(G, u, d, t_bar, alpha_b=1e-4, s_b=0.5, Gu=None):
-    """Largest tau in {t_bar * s_b**j} meeting the Armijo decrease test.
-
-    Returns (tau, G(u - tau*d), satisfied). When no trial within 60
-    halvings satisfies G(u - tau d) <= G(u) - alpha_b * tau * d.d, the
-    last trial is returned with satisfied=False.
-    """
-    if not t_bar > 0.0:
-        raise UsageError("t_bar must be positive")
-    d = np.asarray(d, dtype=float)
-    dd = float(np.dot(d, d))
-    if dd <= 0.0:
-        raise UsageError("descent direction must be nonzero")
-    if Gu is None:
-        Gu = float(G(u))
-    tau, g_t = np.empty(1), np.empty(1)
-    unmet = _armijo_ladder(
-        lambda trial, rows: np.array([float(G(row)) for row in trial]), None,
-        np.asarray(u, dtype=float)[None, :], d[None, :], np.array([Gu]),
-        np.array([dd]), np.array([float(t_bar)]), np.ones(1, dtype=bool),
-        alpha_b, s_b, tau, g_t, np.empty((1, d.size)))
-    if unmet:
-        log.warning("Armijo condition not met within %d halvings",
-                    _MAX_HALVINGS)
-    return float(tau[0]), float(g_t[0]), not unmet
-
-
-def second_order_step_bound(G_prev, G_curr, d_prev, tau_prev, delta_eta):
-    """Secant step-length bound; positive on both branches.
-
-    Fits a quadratic to the previous search ray from (G_prev, gradient,
-    G_curr-at-step-tau_prev) and returns the estimated step to its minimum.
-    A non-positive estimate signals a non-convex section; the bound then
-    comes from the eta-shifted step t_aug, whose denominator is
-    2 * delta_eta * d.d in exact arithmetic: where floating point cancels
-    it to a non-positive value, the exact t_aug**2 / (2 * delta_eta) is
-    used. Open question: the method describes a re-evaluation at t_aug,
-    but G_curr is reused, which is what makes that reduction exact.
-    """
-    d_prev = np.asarray(d_prev, dtype=float)
-    dd = float(np.dot(d_prev, d_prev))
-    if dd < _GRAD_EPS:
-        raise GradientVanishedError("gradient vanished: MPP search is stationary")
-    if not tau_prev > 0.0:
-        raise UsageError("tau_prev must be positive")
-    G_prev, G_curr, tau_prev = map(np.float64, (G_prev, G_curr, tau_prev))
-    return float(_secant_bound(G_prev, G_curr, tau_prev, np.float64(dd),
-                               delta_eta))
 
 
 def _fd_gradient(Gfun, u, rows=None):
@@ -324,19 +233,8 @@ def _fd_gradient(Gfun, u, rows=None):
     return grad
 
 
-def _initial_point(beta, n, b, initial, rng):
-    if initial == "random":
-        if rng is None:
-            raise UsageError("random initial point requires an RngStream")
-        v = rng.gen.standard_normal((b, n))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return beta[:, None] * v
-    return np.broadcast_to(beta[:, None] / math.sqrt(n), (b, n)).copy()
-
-
 def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
-                  rng: Optional[RngStream] = None, record: bool = False,
-                  raise_on_dead: bool = False):
+                  record: bool = False, raise_on_dead: bool = False):
     """Lockstep MPP search over a batch of b independent problems.
 
     ``Gfun(u, rows=None)`` maps (w, n) -> (w,) and ``gradfun(u, rows=None)``
@@ -345,7 +243,7 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     ``beta`` is a scalar or a per-row vector of sphere radii. Rows evolve
     independently and stop when they converge, when their gradient vanishes
     (a constant margin, e.g. at a degenerate design; ``raise_on_dead``
-    requests the hard error of the scalar API instead), when they turn
+    requests :func:`asosl_mpp`'s hard error instead), when they turn
     non-finite, when they stall, or at the iteration budget. Whenever at
     least half of the current width has stopped, the stopped rows are
     written to the batch-order results and the search goes on over the
@@ -358,7 +256,8 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     alpha_b, s_b = params.alpha_b, params.s_b
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (b,))
 
-    u = _initial_point(beta, n, b, params.initial, rng)
+    # every row starts where all coordinates are equal and positive
+    u = np.broadcast_to(beta[:, None] / math.sqrt(n), (b, n)).copy()
     with np.errstate(all="ignore"):
         Gu = Gfun(u)
         d = gradfun(u)
@@ -533,24 +432,26 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
     return Gfun, gradfun
 
 
-def asosl_mpp(pf: PerformanceFunction, rvs: Sequence[RandomVariableSpec],
-              d_det, params: AsoslParams,
-              rng: Optional[RngStream] = None) -> MppResult:
+def asosl_mpp(pf: PerformanceFunction, mu, sigma, d_det,
+              params: AsoslParams) -> MppResult:
     """Locate the most probable failure point of one probabilistic constraint.
 
-    Returns an :class:`MppResult`; ``g_star > 0`` means the constraint is
-    satisfied at reliability level ``params.beta_t``. Non-convergence within
-    the iteration budget yields ``converged=False`` with the best iterate
-    (the caller decides how to penalize).
+    ``mu`` and ``sigma`` are the normal variables' vectors at the design
+    ``d_det``, as ``RbrdoProblem.random_vars(d_det)`` returns them. One
+    engine row with its trace recorded; a vanished gradient raises
+    :class:`GradientVanishedError`. ``g_star > 0`` means the constraint
+    holds at ``params.beta_t``; a search unconverged within the iteration
+    budget returns its last iterate with ``converged=False``.
     """
-    if len(rvs) < 1:
-        raise UsageError("at least one random variable is required")
-    mu, sigma = rv_arrays(rvs)
-    d_det = np.asarray(d_det, dtype=float)
-    n = mu.size
-    Gfun, gradfun = make_u_space(pf, mu, sigma, d_det)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if mu.ndim != 1 or mu.size < 1 or sigma.shape != mu.shape:
+        raise UsageError("mu and sigma must be nonempty vectors of one length")
+    if not np.all(sigma > 0.0):
+        raise UsageError("standard deviations must be positive")
+    Gfun, gradfun = make_u_space(pf, mu, sigma, np.asarray(d_det, dtype=float))
     u, Gu, iters, conv, trace = _asosl_engine(
-        Gfun, gradfun, params.beta_t, n, 1, params, rng=rng, record=True,
+        Gfun, gradfun, params.beta_t, mu.size, 1, params, record=True,
         raise_on_dead=True)
     u_star = u[0]
     return MppResult(

@@ -33,6 +33,14 @@ _DENOM_FLOOR = 1e-12
 STRATEGIES = ("none", "effective_mean", "type2", "penalty")
 
 
+def noise_levels(values) -> np.ndarray:
+    """``values`` as a float array; each must be finite and nonnegative."""
+    levels = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(levels) & (levels >= 0.0)):
+        raise UsageError("noise levels must be finite and nonnegative")
+    return levels
+
+
 @dataclass(frozen=True)
 class RobustnessSpec:
     """Which strategy to apply and with what noise level.
@@ -55,16 +63,13 @@ class RobustnessSpec:
             raise UsageError(f"unknown robustness strategy {self.strategy!r}")
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown sampling scheme {self.scheme!r}")
-        d = np.asarray(self.delta, dtype=float)
-        if np.any(d < 0.0):
-            raise UsageError("noise levels must be nonnegative")
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", noise_levels(self.delta))
         if self.strategy != "none" and self.samples < 1:
             raise UsageError("sample count must be >= 1")
         if self.strategy == "type2" and self.eta is None:
             raise UsageError("the Type II strategy requires eta")
-        if self.eta is not None and not self.eta > 0.0:
-            raise UsageError("eta must be positive")
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise UsageError("eta must be positive and finite")
 
 
 def penalty_objectives(vals, f_nominal, signs):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from rbrdo import (AsoslParams, Bounds, DeParams, Dominance, ModeParams,
-                   PerformanceFunction, RandomVariableSpec, RbrdoProblem,
-                   RngStream, RobustnessSpec, Sense, asosl_mpp,
-                   build_mo_problem, build_rbdo_evaluator, de_minimize,
-                   dominates, fit_front, mode_optimize,
-                   second_order_step_bound, sweep_robustness)
+                   PerformanceFunction, RbrdoProblem, RngStream,
+                   RobustnessSpec, Sense, asosl_mpp, build_mo_problem,
+                   build_rbdo_evaluator, de_minimize, dominates, fit_front,
+                   mode_optimize, sweep_robustness)
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
+from rbrdo.reliability import _secant_bound
 
 from oracles import (REACTOR_CORNER_GAIN, REACTOR_FRONT_EXACT_BETA,
                      min_on_circle, quadratic_effective_mean,
@@ -122,8 +122,9 @@ def test_criterion_02_benchmark_rbdo():
     assert abs(best.objectives[0] - 6.720532) <= 0.02
     assert np.all(np.abs(best.decision
                          - np.array([3.440563, 3.279963])) <= 0.05)
-    rvs = [RandomVariableSpec(m, 0.3) for m in best.decision]
-    g = [asosl_mpp(pf, rvs, best.decision, AsoslParams(beta_t=3.0)).g_star
+    mu, sigma = prob.random_vars(best.decision)
+    g = [asosl_mpp(pf, mu, sigma, best.decision,
+                   AsoslParams(beta_t=3.0)).g_star
          for pf in prob.constraints]
     assert abs(g[0]) <= 1e-2 and abs(g[1]) <= 1e-2
     assert abs(g[2] - 0.5118) <= 0.02
@@ -140,9 +141,8 @@ def test_criterion_03_asosl_oracle_equivalence():
     for _ in range(100):
         d = rng.uniform(1.0, 10.0, size=2)
         beta = rng.uniform(1.0, 3.0)
-        rvs = [RandomVariableSpec(m, 0.3) for m in d]
         for pf in prob.constraints:
-            res = asosl_mpp(pf, rvs, d, AsoslParams(beta_t=beta))
+            res = asosl_mpp(pf, d, sigma, d, AsoslParams(beta_t=beta))
             ref, _ = min_on_circle(lambda x, pf=pf: pf.g(d, x), d, sigma,
                                    beta, n_points=1_000_000)
             err = abs(res.g_star - ref)
@@ -167,7 +167,7 @@ def test_criterion_04_linear_closed_form():
         pf = PerformanceFunction(
             g=lambda d, x, a=a, c=c: c + np.asarray(x) @ a,
             grad_x=lambda d, x, a=a: np.broadcast_to(a, np.shape(x)).copy())
-        res = asosl_mpp(pf, [RandomVariableSpec(0.0, 1.0)] * n, np.zeros(1),
+        res = asosl_mpp(pf, np.zeros(n), np.ones(n), np.zeros(1),
                         AsoslParams(beta_t=beta))
         u_expect = -beta * a / np.linalg.norm(a)
         g_expect = c - beta * np.linalg.norm(a)
@@ -386,9 +386,9 @@ def test_criterion_13_property_suites():
     prob = benchmark.rbrdo()
     for seed in range(10):
         d = np.random.default_rng(seed).uniform(1.5, 8.0, size=2)
-        rvs = [RandomVariableSpec(m, 0.3) for m in d]
         for pf in prob.constraints:
-            res = asosl_mpp(pf, rvs, d, AsoslParams(beta_t=2.0))
+            res = asosl_mpp(pf, *prob.random_vars(d), d,
+                            AsoslParams(beta_t=2.0))
             for _, u, *_ in res.trace:
                 assert abs(np.linalg.norm(u) - 2.0) <= 1e-10 * 2.0
 
@@ -398,8 +398,9 @@ def test_criterion_13_property_suites():
         tau = rng.uniform(0.01, 5.0)
         g_prev = 10.0 * rng.normal()
         g_curr = g_prev + rng.normal() * rng.uniform(0.1, 50.0)
-        t_bar = second_order_step_bound(g_prev, g_curr, dvec, tau,
-                                        delta_eta=rng.uniform(0.1, 2.0))
+        t_bar = _secant_bound(*map(np.float64, (g_prev, g_curr, tau,
+                                                dvec @ dvec)),
+                              rng.uniform(0.1, 2.0))
         assert t_bar > 0.0
 
     # effective-mean analytic oracles, scored by the population evaluator

@@ -101,6 +101,13 @@ class TestMpp:
                         "--d", "3,3", "--beta-t", "0"], tmp_path)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("design", ["0.3,0.5", "1.5,0.5"])
+    def test_design_run_would_refuse_is_rejected(self, capsys, design):
+        # d2 > d1: the domain guard rejects it; d1 = 1.5: outside the box
+        assert main(["mpp", "--problem", "reactor", "--constraint", "1",
+                     "--d", design, "--beta-t", "2"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestStatsFit:
     def _write_front(self, path, noise=0.0):
@@ -207,7 +214,9 @@ class TestSettings:
 
     @pytest.mark.parametrize("source", [
         "NP=abc", "seed=None", "strategy=foo", "scheme=bar", "history=ture",
-        "--delta 0,abc", "mpp --d 3.4,abc"])
+        "--delta 0,abc", "mpp --d 3.4,abc", "--delta nan", "--delta inf",
+        "mpp --d 3,nan", "mpp --d 3.4,3.3 --beta-t inf", "--alpha-b 2",
+        "--epsilon inf"])
     def test_malformed_value_is_a_configuration_error(self, tmp_path, capsys,
                                                       source):
         out = ["--out", str(tmp_path / "x")]

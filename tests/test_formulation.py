@@ -234,7 +234,9 @@ class TestSweep:
         assert set(errors) == {0.0, 0.1}
 
     @pytest.mark.parametrize("levels,scheme", [([0.0, -0.1], "lhs"),
-                                               ([0.0, 0.05], "bogus")])
+                                               ([0.0, 0.05], "bogus"),
+                                               ([0.0, np.nan], "lhs"),
+                                               ([0.0, np.inf], "lhs")])
     def test_bad_setting_rejected_before_any_run(self, monkeypatch, levels,
                                                  scheme):
         from rbrdo import formulation

@@ -8,7 +8,7 @@ module's ``__all__``; ``from __future__`` imports are directives, not
 names. A second scan bars orphan helpers: every private module-level
 name of the package (a ``_name`` function, class or constant) is read
 somewhere in the package. A run also must not pull in heavy modules it
-does not need.
+does not need, and the MPP search sits below the rest of the package.
 """
 
 import ast
@@ -100,6 +100,35 @@ def test_no_orphan_privates():
     assert orphan_privates({path.relative_to(ROOT).as_posix():
                             path.read_text(encoding="utf-8")
                             for path in PACKAGE}) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``rbrdo`` modules ``source`` imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("rbrdo")):
+            module = (node.module or "").removeprefix("rbrdo").lstrip(".")
+            found |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("rbrdo.") for a in node.names
+                      if a.name.startswith("rbrdo.")}
+    return found
+
+
+def test_scan_finds_package_imports():
+    source = ("import numpy, rbrdo.core\nfrom . import stats\n"
+              "from .errors import UsageError\nfrom rbrdo.sampling import x\n"
+              "from typing import Callable\n")
+    assert package_imports(source) == {"core", "stats", "errors", "sampling"}
+
+
+def test_reliability_imports_only_errors():
+    # the MPP search works on the problem's arrays alone: no sampling,
+    # problem or robustness types reach into it
+    source = (ROOT / "src" / "rbrdo" / "reliability.py").read_text(
+        encoding="utf-8")
+    assert package_imports(source) <= {"errors"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rbrdo import (AsoslParams, RandomVariableSpec, RngStream, RobustnessSpec,
-                   UsageError, asosl_mpp, build_mo_problem)
+from rbrdo import (AsoslParams, RngStream, RobustnessSpec, UsageError,
+                   asosl_mpp, build_mo_problem)
 from rbrdo.problems import (benchmark, catalyst, get_deterministic, get_rbrdo,
                             heat_exchanger, list_problems, reactor)
 
@@ -314,9 +314,8 @@ class TestCatalystReliability:
         prob = catalyst.rbrdo()
         d = np.array([0.5, 0.3, 0.2, 0.15, 0.7])
         mu, sigma = prob.random_vars(d)
-        rvs = [RandomVariableSpec(m, s) for m, s in zip(mu, sigma)]
         for i, pf in enumerate(prob.constraints):
-            res = asosl_mpp(pf, rvs, d, AsoslParams(beta_t=2.0))
+            res = asosl_mpp(pf, mu, sigma, d, AsoslParams(beta_t=2.0))
             assert res.converged
             assert abs(res.g_star - d[i] * 0.8) < 1e-6
 

@@ -4,116 +4,78 @@ import numpy as np
 import pytest
 
 from rbrdo import (AsoslParams, GradientVanishedError, PerformanceFunction,
-                   RandomVariableSpec, RngStream, UsageError, asosl_mpp,
-                   backtracking_line_search, failure_probability,
-                   from_standard_normal, second_order_step_bound,
-                   std_normal_cdf, to_standard_normal)
-from rbrdo.reliability import _asosl_engine, _secant_bound, make_u_space
+                   UsageError, asosl_mpp)
+from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _secant_bound,
+                               make_u_space)
 from rbrdo.problems import benchmark
 
 from oracles import min_on_circle
 
 
-def rv(mean, std=1.0):
-    return RandomVariableSpec(mean=mean, std=std)
+ALPHA_B, S_B = 1e-4, 0.5
+_A = np.array([2.0, -1.0])
+# quadratic (full step accepted), linear (first trial 0.7 accepted) and
+# quartic (halves) rows, with their descent directions and per-row t
+LADDER_FUNCS = [lambda u: 0.5 * float(u @ u), lambda u: 4.0 - float(_A @ u),
+                lambda u: float(u @ u) ** 2]
+LADDER_U = np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+LADDER_D = np.array([[1.0, 0.0], -_A, [32.0, 0.0]])
+LADDER_T = np.array([1.0, 0.7, 1.0])
 
 
-class TestTransform:
-    def test_centering(self):
-        rvs = [rv(2.0, 0.5), rv(-1.0, 3.0)]
-        assert np.allclose(to_standard_normal(np.array([2.0, -1.0]), rvs), 0.0)
-
-    def test_identity_for_standard_marginals(self):
-        rvs = [rv(0.0), rv(0.0)]
-        x = np.array([2.0, -1.0])
-        assert np.allclose(to_standard_normal(x, rvs), x)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        rvs = [rv(m, s) for m, s in zip(rng.normal(size=6),
-                                        rng.uniform(0.1, 5.0, size=6))]
-        xs = rng.normal(scale=10.0, size=(10_000, 6))
-        back = from_standard_normal(to_standard_normal(xs, rvs), rvs)
-        assert np.allclose(back, xs, rtol=1e-12, atol=1e-12)
-
-    def test_sigma_validation(self):
-        with pytest.raises(UsageError):
-            RandomVariableSpec(mean=0.0, std=0.0)
+def ladder_G(x, rows):
+    rows = range(len(LADDER_FUNCS)) if rows is None else rows
+    return np.array([LADDER_FUNCS[r](xi) for r, xi in zip(rows, x)])
 
 
-class TestStdNormalCdf:
-    def test_symmetry_point(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_reference_values(self):
-        assert abs(std_normal_cdf(3.0) - 0.99865) <= 1e-5
-        assert abs(std_normal_cdf(1.0) - 0.8413) <= 1e-4
-
-    def test_complement_identity(self):
-        for z in np.linspace(-6, 6, 101):
-            assert abs(std_normal_cdf(z) + std_normal_cdf(-z) - 1.0) < 1e-14
-
-    def test_monotone(self):
-        zs = np.linspace(-8, 8, 401)
-        vals = [std_normal_cdf(z) for z in zs]
-        assert np.all(np.diff(vals) >= 0.0)
-        assert all(0.0 < v < 1.0 for v in vals)
+def run_ladder():
+    """One :func:`_armijo_ladder` call over the three rows."""
+    u, d = LADDER_U, LADDER_D
+    A = np.einsum("ij,ij->i", d, d)
+    tau, G_ray = np.empty(3), np.empty(3)
+    stuck = _armijo_ladder(ladder_G, None, u, d, ladder_G(u, None), A,
+                           LADDER_T.copy(), np.ones(3, dtype=bool), ALPHA_B,
+                           S_B, tau, G_ray, np.empty_like(u))
+    return stuck, tau, G_ray
 
 
-class TestFailureProbability:
-    def test_zero_index(self):
-        assert failure_probability(0.0) == 0.5
-
-    def test_beta_three(self):
-        assert abs(failure_probability(3.0) - 0.00135) <= 1e-5
-
-    def test_strictly_decreasing(self):
-        betas = np.linspace(0.0, 5.0, 51)
-        vals = [failure_probability(b) for b in betas]
-        assert np.all(np.diff(vals) < 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(UsageError):
-            failure_probability(-0.1)
+def ladder_oracle(row):
+    """First (largest) trial on the scalar ladder satisfying Armijo."""
+    G, u, d, t = (LADDER_FUNCS[row], LADDER_U[row], LADDER_D[row],
+                  LADDER_T[row])
+    dd = float(d @ d)
+    for _ in range(60):
+        if G(u - t * d) <= G(u) - ALPHA_B * t * dd:
+            return t
+        t *= S_B
+    return None
 
 
 class TestBacktracking:
     def test_quadratic_accepts_full_step(self):
-        G = lambda u: 0.5 * float(u @ u)
-        tau, _, ok = backtracking_line_search(G, np.array([1.0, 0.0]),
-                                              np.array([1.0, 0.0]), 1.0)
-        assert ok and tau == 1.0
+        stuck, tau, _ = run_ladder()
+        assert stuck == 0 and tau[0] == 1.0
 
     def test_linear_accepts_first_trial(self):
-        a = np.array([2.0, -1.0])
-        G = lambda u: 4.0 - float(a @ u)
-        d = -a  # descent direction for this G
-        tau, _, ok = backtracking_line_search(G, np.zeros(2), d, 0.7)
-        assert ok and tau == 0.7
+        stuck, tau, _ = run_ladder()
+        assert stuck == 0 and tau[1] == 0.7
 
     def test_quartic_matches_ladder_oracle(self):
-        G = lambda u: float(u @ u) ** 2
-        u = np.array([2.0, 0.0])
-        d = np.array([32.0, 0.0])  # gradient of ||u||^4 at u
-        t_bar, alpha_b, s_b = 1.0, 1e-4, 0.5
-        tau, _, ok = backtracking_line_search(G, u, d, t_bar, alpha_b, s_b)
-        # oracle: first (largest) trial on the ladder satisfying Armijo
-        dd = float(d @ d)
-        expected = None
-        t = t_bar
-        for _ in range(60):
-            if G(u - t * d) <= G(u) - alpha_b * t * dd:
-                expected = t
-                break
-            t *= s_b
-        assert ok and tau == expected
+        stuck, tau, _ = run_ladder()
+        assert stuck == 0 and tau[2] == ladder_oracle(2)
 
-    def test_validation(self):
-        G = lambda u: float(u @ u)
-        with pytest.raises(UsageError):
-            backtracking_line_search(G, np.ones(2), np.ones(2), 0.0)
-        with pytest.raises(UsageError):
-            backtracking_line_search(G, np.ones(2), np.zeros(2), 1.0)
+    def test_rows_match_scalar_ladder_oracles(self):
+        stuck, tau, G_ray = run_ladder()
+        assert stuck == 0
+        assert tau.tolist() == [ladder_oracle(r) for r in range(3)]
+        assert np.array_equal(
+            G_ray, ladder_G(LADDER_U - tau[:, None] * LADDER_D, None))
+
+
+def bound(g_prev, g_ray, d, tau, delta_eta):
+    """:func:`_secant_bound` on one search ray with direction ``d``."""
+    return _secant_bound(*map(np.float64, (g_prev, g_ray, tau, d @ d)),
+                         delta_eta)
 
 
 class TestStepBound:
@@ -121,14 +83,11 @@ class TestStepBound:
         # G(u - t d) = G - t d.d + t^2 d.d / 2 at tau=1: dG = -d.d/2
         d = np.array([3.0, 4.0])
         dd = float(d @ d)
-        t_bar = second_order_step_bound(G_prev=10.0, G_curr=10.0 - dd / 2.0,
-                                        d_prev=d, tau_prev=1.0, delta_eta=1.0)
+        t_bar = bound(10.0, 10.0 - dd / 2.0, d, 1.0, 1.0)
         assert abs(t_bar - 1.0) < 1e-14
 
     def test_hand_arithmetic(self):
-        d = np.array([2.0])  # d.d = 4
-        t_bar = second_order_step_bound(G_prev=1.0, G_curr=0.0, d_prev=d,
-                                        tau_prev=1.0, delta_eta=1.0)
+        t_bar = bound(1.0, 0.0, np.array([2.0]), 1.0, 1.0)  # d.d = 4
         assert abs(t_bar - 2.0 / 3.0) < 1e-14
 
     def test_nonconvex_fallback_positive(self):
@@ -139,22 +98,19 @@ class TestStepBound:
             dd = float(d @ d)
             tau = rng.uniform(0.01, 5.0)
             g_prev = rng.normal() * 10
-            # force the primary denominator negative: G_curr < G_prev - tau d.d
-            g_curr = g_prev - tau * dd - rng.uniform(0.001, 50.0)
-            t_bar = second_order_step_bound(g_prev, g_curr, d, tau,
-                                            delta_eta=rng.uniform(0.1, 2.0))
+            # force the primary denominator negative: G_ray < G_prev - tau d.d
+            g_ray = g_prev - tau * dd - rng.uniform(0.001, 50.0)
+            t_bar = bound(g_prev, g_ray, d, tau, rng.uniform(0.1, 2.0))
             assert t_bar > 0.0
             hit_fallback += 1
         assert hit_fallback == 2000
 
     def test_cancelling_fallback_takes_its_exact_value(self):
-        # |G_curr - G_prev| >> d.d: the shifted denominator, 2*delta_eta*d.d
+        # |G_ray - G_prev| >> d.d: the shifted denominator, 2*delta_eta*d.d
         # in exact arithmetic, cancels to a non-positive value in floating
         # point; eta = (2 + 1e16 - 1) + 1 rounds to 1e16, t_aug = 1 + eta
         # to 1e16, and the exact bound is t_aug**2 / (2*delta_eta)
-        t_bar = second_order_step_bound(G_prev=2.0, G_curr=-1e16,
-                                        d_prev=np.array([1.0]), tau_prev=1.0,
-                                        delta_eta=1.0)
+        t_bar = bound(2.0, -1e16, np.array([1.0]), 1.0, 1.0)
         assert t_bar == 1e16 * 1e16 / 2.0
 
     def test_fallback_positive_under_cancellation(self):
@@ -166,10 +122,6 @@ class TestStepBound:
         dd = 10.0 ** rng.uniform(-10.0, 2.0, size=n)
         t_bar = _secant_bound(g_prev, g_ray, tau, dd, 1.0)
         assert np.all(t_bar > 0.0)
-
-    def test_vanished_gradient(self):
-        with pytest.raises(GradientVanishedError):
-            second_order_step_bound(1.0, 0.5, np.zeros(2), 1.0, 1.0)
 
 
 def linear_pf(a, c):
@@ -187,9 +139,8 @@ class TestAsoslLinear:
             a = rng.normal(size=n)
             c = 3.0 * rng.normal()
             beta = rng.uniform(0.5, 5.0)
-            rvs = [rv(0.0) for _ in range(n)]
-            res = asosl_mpp(linear_pf(a, c), rvs, np.zeros(1),
-                            AsoslParams(beta_t=beta))
+            res = asosl_mpp(linear_pf(a, c), np.zeros(n), np.ones(n),
+                            np.zeros(1), AsoslParams(beta_t=beta))
             u_expect = -beta * a / np.linalg.norm(a)
             g_expect = c - beta * np.linalg.norm(a)
             assert res.converged
@@ -200,11 +151,10 @@ class TestAsoslLinear:
 
     def test_general_marginals_back_transform(self):
         a = np.array([1.0, -2.0])
-        rvs = [rv(3.0, 0.5), rv(-1.0, 2.0)]
-        res = asosl_mpp(linear_pf(a, 0.0), rvs, np.zeros(1),
+        mu, sigma = np.array([3.0, -1.0]), np.array([0.5, 2.0])
+        res = asosl_mpp(linear_pf(a, 0.0), mu, sigma, np.zeros(1),
                         AsoslParams(beta_t=2.0))
-        assert np.allclose(res.x_star,
-                           from_standard_normal(res.u_star, rvs))
+        assert np.allclose(res.x_star, mu + sigma * res.u_star)
         assert abs(np.linalg.norm(res.u_star) - 2.0) <= 1e-10 * 2.0
 
 
@@ -214,8 +164,7 @@ class TestAsoslBenchmark:
 
     def _run(self, pf, beta=3.0, d=None):
         d = self.D_STAR if d is None else d
-        rvs = [rv(m, 0.3) for m in d]
-        return asosl_mpp(pf, rvs, d, AsoslParams(beta_t=beta))
+        return asosl_mpp(pf, d, self.SIGMA, d, AsoslParams(beta_t=beta))
 
     def test_published_margin_values(self):
         prob = benchmark.rbrdo()
@@ -276,30 +225,36 @@ class TestAsoslEdgeCases:
         pf = PerformanceFunction(g=lambda d, x: np.ones(np.shape(x)[:-1]),
                                  grad_x=lambda d, x: np.zeros(np.shape(x)))
         with pytest.raises(GradientVanishedError):
-            asosl_mpp(pf, [rv(0.0), rv(0.0)], np.zeros(1),
+            asosl_mpp(pf, np.zeros(2), np.ones(2), np.zeros(1),
                       AsoslParams(beta_t=1.0))
 
     def test_nonconvergence_flag(self):
         a = np.array([1.0, 1.0])
-        res = asosl_mpp(linear_pf(a, 0.0), [rv(0.0), rv(0.0)], np.zeros(1),
-                        AsoslParams(beta_t=2.0, max_iters=2))
+        res = asosl_mpp(linear_pf(a, 0.0), np.zeros(2), np.ones(2),
+                        np.zeros(1), AsoslParams(beta_t=2.0, max_iters=2))
         assert not res.converged
         assert res.iterations == 2
 
     def test_requires_random_variables(self):
         with pytest.raises(UsageError):
-            asosl_mpp(linear_pf(np.ones(1), 0.0), [], np.zeros(1),
+            asosl_mpp(linear_pf(np.ones(1), 0.0), [], [], np.zeros(1),
                       AsoslParams(beta_t=1.0))
 
-    def test_random_initial_point(self):
-        a = np.array([1.0, -1.0, 2.0])
-        params = AsoslParams(beta_t=2.0, initial="random")
-        res = asosl_mpp(linear_pf(a, 0.0), [rv(0.0)] * 3, np.zeros(1),
-                        params, rng=RngStream(5))
-        u_expect = -2.0 * a / np.linalg.norm(a)
-        assert np.linalg.norm(res.u_star - u_expect) < 1e-5
+    @pytest.mark.parametrize("mu,sigma", [
+        ([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]]), ([0.0, 0.0], [1.0, 0.0]),
+        ([0.0], [-1.0]), ([0.0], [np.nan])], ids=[
+            "mismatched", "matrix", "zero-sigma", "negative-sigma",
+            "nan-sigma"])
+    def test_random_variable_validation(self, mu, sigma):
         with pytest.raises(UsageError):
-            asosl_mpp(linear_pf(a, 0.0), [rv(0.0)] * 3, np.zeros(1), params)
+            asosl_mpp(linear_pf(np.ones(len(mu)), 0.0), mu, sigma,
+                      np.zeros(1), AsoslParams(beta_t=1.0))
+
+    @pytest.mark.parametrize("key", ["beta_t", "delta_eta", "epsilon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_params_positive_and_finite(self, key, value):
+        with pytest.raises(UsageError):
+            AsoslParams(**{"beta_t": 1.0, key: value})
 
 
 class TestBatchParity:
@@ -316,8 +271,7 @@ class TestBatchParity:
             _, g_b, _, conv_b, _ = _asosl_engine(Gfun, gradfun, 2.5, 2, 16,
                                                  params)
             for i, d in enumerate(d_batch):
-                rvs = [rv(m, 0.3) for m in d]
-                res = asosl_mpp(pf, rvs, d, params)
+                res = asosl_mpp(pf, d, sigma[i], d, params)
                 assert conv_b[i] == res.converged
                 assert abs(g_b[i] - res.g_star) <= 1e-10
 

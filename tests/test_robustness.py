@@ -166,6 +166,13 @@ class TestTypeII:
         with pytest.raises(UsageError):
             RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
                            scheme="bogus")
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(UsageError):
+                RobustnessSpec(strategy="effective_mean",
+                               delta=np.array([0.1, bad]))
+            with pytest.raises(UsageError):
+                RobustnessSpec(strategy="type2", delta=np.array([0.1]),
+                               eta=bad)
 
 
 class TestPopulationAggregators:
