@@ -6,8 +6,7 @@ multi-objective search, and ships four fully parameterized application
 problems with published optima.
 """
 
-from .core import (Bounds, Dominance, EvaluatedSolution, ParetoArchive, Sense,
-                   dominates, non_dominated_filter)
+from .core import Bounds, EvaluatedSolution, ParetoArchive, Sense
 from .errors import (FitError, GradientVanishedError, NumericError,
                      RbrdoError, UsageError)
 from .formulation import (RbrdoProblem, build_mo_problem, build_rbdo_evaluator,
@@ -24,13 +23,12 @@ from .stats import FitReport, fit_front, goodness_of_fit, polyfit2
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsoslParams", "Bounds", "DeParams", "Dominance", "EvaluatedSolution",
-    "FitError", "FitReport", "GradientVanishedError", "ModeParams",
-    "MppResult", "NeighborhoodSpec", "NumericError", "ParetoArchive",
+    "AsoslParams", "Bounds", "DeParams", "EvaluatedSolution", "FitError",
+    "FitReport", "GradientVanishedError", "ModeParams", "MppResult",
+    "NeighborhoodSpec", "NumericError", "ParetoArchive",
     "PerformanceFunction", "RbrdoError", "RbrdoProblem", "RngStream",
     "RobustnessSpec", "Sense", "UsageError", "asosl_mpp", "build_mo_problem",
-    "build_rbdo_evaluator", "crowding_distance", "de_minimize", "dominates",
-    "fit_front", "fast_non_dominated_sort", "goodness_of_fit",
-    "latin_hypercube", "mode_optimize", "neighborhood_samples",
-    "non_dominated_filter", "polyfit2", "sweep_robustness",
+    "build_rbdo_evaluator", "crowding_distance", "de_minimize", "fit_front",
+    "fast_non_dominated_sort", "goodness_of_fit", "latin_hypercube",
+    "mode_optimize", "neighborhood_samples", "polyfit2", "sweep_robustness",
 ]

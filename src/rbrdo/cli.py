@@ -192,7 +192,7 @@ def _front_header(n_dec: int, n_obj: int) -> list[str]:
             + [f"f{i + 1}" for i in range(n_obj)] + ["delta"])
 
 
-def _write_front(path: str, rows: list[list[float]], header: list[str]):
+def _write_front(path: str, rows, header: list[str]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -253,7 +253,7 @@ def cmd_run(args) -> int:
     if mode != "rbrdo":
         params = DeParams(**de)
         if mode == "deterministic":
-            evaluator, bounds, sense = det.evaluator(), det.bounds, det.sense
+            evaluator, bounds, sense = det, det.bounds, det.sense
             beta = 0.0
         else:
             beta = cfg["beta_t"]
@@ -287,20 +287,18 @@ def cmd_run(args) -> int:
         stats_rows = []
         n_dec = unc.det_bounds.dim
         n_obj = unc.n_objectives
-        for level in levels:
-            if level in errors:
-                continue
+        for level, archive in archives.items():
             # a member's decision ends with its beta, its objectives with
-            # the reliability objective that repeats it
-            rows = sorted(([*m.decision, *m.objectives[:-1], level]
-                           for m in archives[level]),
-                          key=lambda r: (r[n_dec], r[n_dec + 1]))
+            # the reliability objective that repeats it; rows go by (beta, f1)
+            dec, obj = archive.decisions, archive.objectives
+            order = np.lexsort((obj[:, 0], dec[:, -1]))
+            rows = np.column_stack([dec, obj[:, :-1],
+                                    np.full(len(dec), level)])[order]
             path = f"{prefix}_front_delta{level:g}.csv"
             _write_front(path, rows, _front_header(n_dec, n_obj))
             written.append(path)
             if len(rows) >= 4:
-                beta_col = np.array([r[n_dec] for r in rows])
-                f_col = np.array([r[n_dec + 1] for r in rows])
+                beta_col, f_col = rows[:, n_dec], rows[:, n_dec + 1]
                 # non-decreasing indices: drop the repeats (np.unique
                 # would import numpy.ma at the end of every run)
                 keep = np.round(

@@ -1,4 +1,4 @@
-"""Decision/objective vector types, Pareto dominance and non-dominated archives.
+"""Senses, bounds, Pareto dominance and the array-backed non-dominated archive.
 
 Conventions used throughout the package:
 
@@ -22,12 +22,6 @@ from .errors import UsageError
 class Sense(enum.Enum):
     MINIMIZE = "min"
     MAXIMIZE = "max"
-
-
-class Dominance(enum.Enum):
-    A_DOMINATES = 1
-    B_DOMINATES = -1
-    NO_DOMINANCE = 0
 
 
 def sense_signs(senses) -> np.ndarray:
@@ -73,11 +67,8 @@ class Bounds:
 
 @dataclass(frozen=True)
 class EvaluatedSolution:
-    """A decision vector together with its objective values and feasibility.
-
-    ``feasible`` is derived: a solution is feasible exactly when its
-    accumulated constraint violation is zero.
-    """
+    """A decision vector with its objective values and constraint violation:
+    what single-objective DE returns."""
 
     decision: np.ndarray
     objectives: np.ndarray
@@ -93,92 +84,67 @@ class EvaluatedSolution:
         object.__setattr__(self, "decision", dec)
         object.__setattr__(self, "objectives", obj)
 
-    @property
-    def feasible(self) -> bool:
-        return self.constraint_violation == 0.0
-
 
 def dominates_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether all-minimize row a dominates row b, over their leading axes."""
-    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
+    """Whether all-minimize row a dominates row b, over their leading axes.
+
+    One comparison per objective column: reducing over a last axis of a
+    few objectives costs about ten times as much.
+    """
+    le, lt = a[..., 0] <= b[..., 0], a[..., 0] < b[..., 0]
+    for j in range(1, a.shape[-1]):
+        le &= a[..., j] <= b[..., j]
+        lt |= a[..., j] < b[..., j]
+    return le & lt
 
 
-def dominates(a: EvaluatedSolution, b: EvaluatedSolution, senses) -> Dominance:
-    """Strict Pareto comparison of two (feasibility-adjusted) solutions."""
-    fa, fb = a.objectives, b.objectives
-    if fa.shape != fb.shape or fa.size != len(senses):
-        raise UsageError("objective dimension mismatch")
-    s = sense_signs(senses)
-    ca, cb = s * fa, s * fb
-    if dominates_rows(ca, cb):
-        return Dominance.A_DOMINATES
-    if dominates_rows(cb, ca):
-        return Dominance.B_DOMINATES
-    return Dominance.NO_DOMINANCE
+def non_dominated_mask(canon: np.ndarray, settled: int = 0) -> np.ndarray:
+    """Boolean mask of maximal rows of an all-minimize objective matrix.
 
-
-def _canonical_matrix(pop, senses) -> np.ndarray:
-    objs = np.array([s.objectives for s in pop], dtype=float)
-    if objs.shape[1] != len(senses):
-        raise UsageError("objective dimension mismatch")
-    return objs * sense_signs(senses)
-
-
-def non_dominated_mask(canon: np.ndarray) -> np.ndarray:
-    """Boolean mask of maximal rows of an all-minimize objective matrix."""
-    return ~dominates_rows(canon[:, None, :], canon[None, :, :]).any(axis=0)
-
-
-def non_dominated_filter(pop, senses) -> list:
-    """Maximal elements of ``pop`` under the dominance partial order."""
-    if not pop:
-        raise UsageError("population must be nonempty")
-    keep = non_dominated_mask(_canonical_matrix(pop, senses))
-    return [s for s, k in zip(pop, keep) if k]
+    A MODE run calls it once per generation, over its archive followed by
+    the generation's feasible offspring. The first ``settled`` rows must
+    be mutually non-dominated already: pairs of them are not compared, so
+    k settled rows and a new ones cost (k + a) * a comparisons instead of
+    (k + a) ** 2.
+    """
+    new = canon[settled:]
+    return np.concatenate([
+        ~dominates_rows(new[:, None, :], canon[None, :settled, :]).any(axis=0),
+        ~dominates_rows(canon[:, None, :], new[None, :, :]).any(axis=0)])
 
 
 class ParetoArchive:
-    """Mutually non-dominated set of feasible solutions.
+    """Mutually non-dominated set of feasible evaluations, as two arrays.
 
-    Insertions keep the invariant: a candidate enters only if no member
-    dominates it, and members it dominates are evicted. Capacity is
-    unbounded. Single-writer; reads may be shared.
+    ``decisions`` (k, dim) and ``objectives`` (k, m) hold the members in
+    first-entry order. A batch insert keeps the rows of the members
+    followed by the batch that no other of those rows dominates: the same
+    rows, in the same order, as inserting the batch one row at a time,
+    since a row dominated by an evicted row is dominated by a survivor.
+    Equal rows all stay. Capacity is unbounded; single-writer.
     """
 
-    def __init__(self, senses):
+    def __init__(self, senses, dim: int):
         self.senses = tuple(senses)
         self._signs = sense_signs(self.senses)
-        self.members: list[EvaluatedSolution] = []
-        self._canon = np.empty((0, len(self.senses)))
+        self.decisions = np.empty((0, dim))
+        self.objectives = np.empty((0, len(self.senses)))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.objectives)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def insert(self, sol: EvaluatedSolution) -> bool:
-        """Try to add ``sol``; returns True if it entered the archive."""
-        if sol.objectives.size != len(self.senses):
+    def insert(self, xs, objs) -> int:
+        """Add a batch of feasible rows; returns how many of them entered."""
+        xs = np.asarray(xs, dtype=float)
+        objs = np.asarray(objs, dtype=float)
+        if objs.ndim != 2 or objs.shape[1] != len(self.senses):
             raise UsageError("objective dimension mismatch")
-        if not sol.feasible:
-            raise UsageError("infeasible solutions never enter an archive")
-        c = self._signs * sol.objectives
-        if len(self.members):
-            if np.any(dominates_rows(self._canon, c)):
-                return False
-            evict = dominates_rows(c, self._canon)
-            if np.any(evict):
-                keep = ~evict
-                self.members = [m for m, k in zip(self.members, keep) if k]
-                self._canon = self._canon[keep]
-        self.members.append(sol)
-        self._canon = np.vstack([self._canon, c])
-        return True
-
-    def objective_matrix(self) -> np.ndarray:
-        return np.array([m.objectives for m in self.members], dtype=float)
-
-    def decision_matrix(self) -> np.ndarray:
-        return np.array([m.decision for m in self.members], dtype=float)
-
+        if xs.shape != (len(objs), self.decisions.shape[1]):
+            raise UsageError("decision dimension mismatch")
+        if not np.all(np.isfinite(xs)):
+            raise UsageError("decision vector must be finite")
+        objectives = np.vstack([self.objectives, objs])
+        keep = non_dominated_mask(self._signs * objectives, len(self))
+        self.decisions = np.vstack([self.decisions, xs])[keep]
+        self.objectives = objectives[keep]
+        return int(keep[keep.size - len(objs):].sum())

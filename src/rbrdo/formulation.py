@@ -466,13 +466,16 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
                      eta: Optional[float] = None, scheme: str = "lhs",
                      worst_case: bool = False,
                      mpp_per_sample: bool = True, histories=None):
-    """One MODE run per noise level; archives keyed by level.
+    """One MODE run per distinct noise level; archives keyed by level.
 
-    Seeds are derived deterministically from (params.seed, level), so equal
-    levels reproduce identical archives and failures in one level do not
-    stop the others. Returns (archives, errors) dicts.
+    Levels run once each, in first-seen order. Seeds are derived
+    deterministically from (params.seed, level), so equal levels reproduce
+    identical archives and failures in one level do not stop the others.
+    Returns (archives, errors) dicts, each in level order.
     """
-    levels = noise_levels(delta_levels).tolist()
+    levels = list(dict.fromkeys(noise_levels(delta_levels).tolist()))
+    if not levels:
+        raise UsageError("at least one noise level is required")
     archives: dict[float, ParetoArchive] = {}
     errors: dict[float, Exception] = {}
     for level in levels:

@@ -40,14 +40,17 @@ class DeParams:
     def __post_init__(self):
         if self.NP < 4:
             raise UsageError("rand/1/bin needs NP >= 4")
-        if not self.F > 0.0:
-            raise UsageError("amplification factor F must be positive")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
+        if not 0.0 < self.F < np.inf:
+            raise UsageError("amplification factor F must be finite and "
+                             "positive")
         if not 0.0 <= self.CR <= 1.0:
             raise UsageError("crossover probability CR must lie in [0, 1]")
         if self.generations < 1:
             raise UsageError("generations must be >= 1")
-        if not self.psi > 0.0:
-            raise UsageError("penalty coefficient must be positive")
+        if not 0.0 < self.psi < np.inf:
+            raise UsageError("penalty coefficient must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -207,14 +210,8 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
     if objs.shape[1] != len(senses):
         raise UsageError("objective dimension mismatch")
 
-    archive = ParetoArchive(senses)
-
-    def bank(xs, os, vs):
-        for x, o, v in zip(xs, os, vs):
-            if v == 0.0:
-                archive.insert(EvaluatedSolution(x, o, 0.0))
-
-    bank(pop, objs, viol)
+    archive = ParetoArchive(senses, bounds.dim)
+    archive.insert(pop[viol == 0.0], objs[viol == 0.0])
 
     n_off = params.R * params.NP
     for g in range(1, params.generations + 1):
@@ -223,7 +220,8 @@ def mode_optimize(evaluator, bounds: Bounds, senses, params: ModeParams,
         trials = _rand1bin_trials(pop, targets, params.F, params.CR,
                                   vstream, bounds)
         t_objs, t_viol = _evaluate(evaluator, trials, rng, g)
-        bank(trials, t_objs, t_viol)
+        ok = t_viol == 0.0
+        archive.insert(trials[ok], t_objs[ok])
 
         pool_x = np.vstack([pop, trials])
         pool_o = np.vstack([objs, t_objs])

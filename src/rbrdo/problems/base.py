@@ -18,7 +18,8 @@ class DeterministicProblem:
 
     ``objective`` and ``violation`` broadcast over a leading batch axis of
     the design vector; ``violation`` is the summed positive part of the
-    constraint residuals (zero when feasible).
+    constraint residuals (zero when feasible). The problem is its own DE
+    evaluator: ``de_minimize(problem, problem.bounds, ...)``.
     """
 
     name: str
@@ -27,10 +28,6 @@ class DeterministicProblem:
     objective: Callable[[np.ndarray], np.ndarray]
     violation: Callable[[np.ndarray], np.ndarray]
     optimum: Optional[float] = None
-
-    def evaluator(self) -> "DeterministicProblem":
-        """The problem itself: it evaluates DE populations as one batch."""
-        return self
 
     def evaluate_batch(self, xs, streams):
         """Rows of xs -> ((n, 1) objectives, (n,) violations); no noise."""

@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from rbrdo import (AsoslParams, Bounds, DeParams, Dominance, ModeParams,
+from rbrdo import (AsoslParams, Bounds, DeParams, ModeParams, ParetoArchive,
                    PerformanceFunction, RbrdoProblem, RngStream,
                    RobustnessSpec, Sense, asosl_mpp, build_mo_problem,
-                   build_rbdo_evaluator, de_minimize, dominates, fit_front,
+                   build_rbdo_evaluator, de_minimize, fit_front,
                    mode_optimize, sweep_robustness)
+from rbrdo.core import dominates_rows
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
 from rbrdo.reliability import _secant_bound
 
@@ -98,7 +99,7 @@ def test_criterion_01_benchmark_deterministic():
     times = []
     for seed in range(10):
         t0 = time.perf_counter()
-        best = de_minimize(det.evaluator(), det.bounds,
+        best = de_minimize(det, det.bounds,
                            DeParams(seed=seed, generations=100),
                            sense=det.sense)
         times.append(time.perf_counter() - t0)
@@ -183,7 +184,7 @@ def test_criterion_04_linear_closed_form():
 
 def test_criterion_05_benchmark_front_ordering(benchmark_sweep):
     archives, per_level = benchmark_sweep
-    objs = {lv: a.objective_matrix() for lv, a in archives.items()}
+    objs = {lv: a.objectives for lv, a in archives.items()}
     for lv, o in objs.items():
         assert len(o) >= 30, f"delta={lv} front too small ({len(o)})"
     frac1, n1 = matched_pair_fraction(objs[0.0], objs[0.05])
@@ -199,7 +200,7 @@ def test_criterion_06_heat_exchanger_deterministic():
     det = heat_exchanger.deterministic()
     best_val = np.inf
     for seed in range(10):
-        best = de_minimize(det.evaluator(), det.bounds,
+        best = de_minimize(det, det.bounds,
                            DeParams(seed=seed, generations=100),
                            sense=det.sense)
         if best.constraint_violation == 0.0:
@@ -209,7 +210,7 @@ def test_criterion_06_heat_exchanger_deterministic():
 
 
 def test_criterion_07_heat_exchanger_fronts(heat_sweep):
-    objs = {lv: a.objective_matrix() for lv, a in heat_sweep.items()}
+    objs = {lv: a.objectives for lv, a in heat_sweep.items()}
     top = objs[0.0][objs[0.0][:, 1] >= 2.9]
     assert len(top) > 0
     a_t = top[:, 0].min()
@@ -228,7 +229,7 @@ def test_criterion_08_reactor_multistart():
     basins = set()
     best_f = -np.inf
     for seed in range(20):
-        best = de_minimize(det.evaluator(), det.bounds,
+        best = de_minimize(det, det.bounds,
                            DeParams(seed=seed, generations=100),
                            sense=det.sense)
         f = best.objectives[0]
@@ -263,7 +264,7 @@ def test_criterion_09_reactor_dispersion(reactor_sweep):
     levels = (0.0, 0.05, 0.1)
     fronts = {}
     for lv in levels:
-        o = reactor_sweep[lv].objective_matrix()
+        o = reactor_sweep[lv].objectives
         order = np.argsort(o[:, 1], kind="stable")
         keep = order[np.unique(np.round(
             np.linspace(0, len(order) - 1, 50)).astype(int))]
@@ -279,7 +280,7 @@ def test_criterion_09_reactor_dispersion(reactor_sweep):
     # reliability is never overstated: no zero-noise member lies above the
     # exact front (past REACTOR_FRONT_EXACT_BETA a two-reactor corner design
     # may lie above f*0 by up to REACTOR_CORNER_GAIN)
-    o = reactor_sweep[0.0].objective_matrix()
+    o = reactor_sweep[0.0].objectives
     excess = o[:, 0] - reactor_zero_noise_front(o[:, 1])
     slack = np.where(o[:, 1] <= REACTOR_FRONT_EXACT_BETA, 1e-6,
                      REACTOR_CORNER_GAIN)
@@ -305,7 +306,7 @@ def test_criterion_09_reactor_dispersion(reactor_sweep):
 
 def test_criterion_10_catalyst_deterministic():
     det = catalyst.deterministic()
-    best = de_minimize(det.evaluator(), det.bounds,
+    best = de_minimize(det, det.bounds,
                        DeParams(seed=0, generations=100), sense=det.sense)
     d = best.decision
     assert abs(best.objectives[0] - 0.048065) <= 5e-4
@@ -339,7 +340,7 @@ def test_criterion_11_catalyst_integrator():
 
 
 def test_criterion_12_catalyst_insensitivity(catalyst_sweep):
-    objs = {lv: a.objective_matrix() for lv, a in catalyst_sweep.items()}
+    objs = {lv: a.objectives for lv, a in catalyst_sweep.items()}
     near0 = objs[0.0][np.abs(objs[0.0][:, 1] - 1.6) <= 0.1]
     near2 = objs[0.2][np.abs(objs[0.2][:, 1] - 1.6) <= 0.1]
     assert len(near0) and len(near2)
@@ -356,29 +357,24 @@ def test_criterion_13_property_suites():
     rng = np.random.default_rng(13)
     senses = (Sense.MINIMIZE, Sense.MINIMIZE)
 
-    # dominance partial-order laws over 10^4 random triples
-    from rbrdo import EvaluatedSolution
-    def sol(o):
-        return EvaluatedSolution(np.zeros(1), np.asarray(o, dtype=float))
+    # dominance partial-order laws over 10^4 random triples (both
+    # objectives minimized, so the rows are already all-minimize)
     triples = rng.integers(0, 4, size=(10_000, 3, 2)).astype(float)
     for oa, ob, oc in triples:
-        a, b, c = sol(oa), sol(ob), sol(oc)
-        assert dominates(a, a, senses) is Dominance.NO_DOMINANCE
-        ab = dominates(a, b, senses)
-        if ab is Dominance.A_DOMINATES:
-            assert dominates(b, a, senses) is Dominance.B_DOMINATES
-            if dominates(b, c, senses) is Dominance.A_DOMINATES:
-                assert dominates(a, c, senses) is Dominance.A_DOMINATES
+        assert not dominates_rows(oa, oa)
+        if dominates_rows(oa, ob):
+            assert not dominates_rows(ob, oa)
+            if dominates_rows(ob, oc):
+                assert dominates_rows(oa, oc)
 
-    # archive insertion order independence
-    from rbrdo import ParetoArchive
-    pop = [sol(row) for row in rng.integers(0, 6, size=(40, 2))]
+    # archive insertion order independence, one row at a time
+    pop = rng.integers(0, 6, size=(40, 2)).astype(float)
     reference = None
     for perm_seed in range(4):
-        archive = ParetoArchive(senses)
+        archive = ParetoArchive(senses, 1)
         for idx in np.random.default_rng(perm_seed).permutation(len(pop)):
-            archive.insert(pop[idx])
-        got = sorted(tuple(m.objectives) for m in archive)
+            archive.insert(np.zeros((1, 1)), pop[idx:idx + 1])
+        got = sorted(map(tuple, archive.objectives))
         reference = got if reference is None else reference
         assert got == reference
 
@@ -433,8 +429,8 @@ def test_criterion_13_property_suites():
     params = ModeParams(seed=1313, NP=12, generations=8, R=2)
     a = mode_optimize(evaluator, bounds, mo_senses, params)
     b = mode_optimize(evaluator, bounds, mo_senses, params)
-    assert np.array_equal(a.objective_matrix(), b.objective_matrix())
-    assert np.array_equal(a.decision_matrix(), b.decision_matrix())
+    assert np.array_equal(a.objectives, b.objectives)
+    assert np.array_equal(a.decisions, b.decisions)
 
     ok("criterion-13", "dominance laws, archive order-independence, sphere "
                        "invariant, step-bound positivity, effective-mean "

@@ -65,19 +65,41 @@ class TestRunRbrdo:
         assert all(float(row.split(",")[-1]) >= 0.0 for row in stats[1:])
 
     def test_reloaded_front_is_non_dominated(self, tmp_path):
-        from rbrdo import EvaluatedSolution, Sense, non_dominated_filter
+        from rbrdo.core import non_dominated_mask
         proc = run_cli(["run", "--problem", "benchmark", "--mode", "rbrdo",
                         "--delta", "0", "--generations", "8", "--NP", "16",
                         "--R", "2", "--seed", "5", "--out", "nd"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         rows = (tmp_path / "nd_front_delta0.csv").read_text().splitlines()[1:]
-        pop = []
-        for row in rows:
-            d1, d2, beta, f1, _ = map(float, row.split(","))
-            pop.append(EvaluatedSolution(np.array([d1, d2, beta]),
-                                         np.array([f1, beta])))
-        senses = (Sense.MINIMIZE, Sense.MAXIMIZE)
-        assert len(non_dominated_filter(pop, senses)) == len(pop)
+        front = np.array([list(map(float, row.split(","))) for row in rows])
+        assert len(front) > 1
+        # f1 minimized, beta maximized
+        assert non_dominated_mask(front[:, [3, 2]] * [1.0, -1.0]).all()
+
+    def test_repeated_level_runs_once(self, tmp_path, capsys):
+        argv = ["run", "--problem", "benchmark", "--mode", "rbrdo",
+                "--generations", "5", "--NP", "12", "--R", "2", "--samples",
+                "4", "--seed", "5", "--history"]
+        assert main(argv + ["--delta", "0.05,0,0.05",
+                            "--out", str(tmp_path / "a")]) == 0
+        twice = capsys.readouterr().out
+        assert main(argv + ["--delta", "0.05,0",
+                            "--out", str(tmp_path / "b")]) == 0
+        once = capsys.readouterr().out
+        assert twice.count("delta=0.05:") == 1 and "n=" in twice
+        assert twice.splitlines()[:-1] == once.splitlines()[:-1]
+        meta = (tmp_path / "a_meta.txt").read_text()
+        assert meta.count("a_front_delta0.05.csv") == 1
+        for name in ("front_delta0.05", "front_delta0", "history_delta0.05",
+                     "stats"):
+            assert ((tmp_path / f"a_{name}.csv").read_bytes()
+                    == (tmp_path / f"b_{name}.csv").read_bytes()), name
+
+    def test_empty_level_list_is_a_configuration_error(self, tmp_path, capsys):
+        assert main(["run", "--problem", "benchmark", "--mode", "rbrdo",
+                     "--delta", ",", "--out", str(tmp_path / "x")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x_meta.txt").exists()
 
 
 class TestMpp:
@@ -216,7 +238,7 @@ class TestSettings:
         "NP=abc", "seed=None", "strategy=foo", "scheme=bar", "history=ture",
         "--delta 0,abc", "mpp --d 3.4,abc", "--delta nan", "--delta inf",
         "mpp --d 3,nan", "mpp --d 3.4,3.3 --beta-t inf", "--alpha-b 2",
-        "--epsilon inf"])
+        "--epsilon inf", "--seed -1", "--F inf", "--psi inf", "seed=-1"])
     def test_malformed_value_is_a_configuration_error(self, tmp_path, capsys,
                                                       source):
         out = ["--out", str(tmp_path / "x")]

@@ -236,7 +236,8 @@ class TestSweep:
     @pytest.mark.parametrize("levels,scheme", [([0.0, -0.1], "lhs"),
                                                ([0.0, 0.05], "bogus"),
                                                ([0.0, np.nan], "lhs"),
-                                               ([0.0, np.inf], "lhs")])
+                                               ([0.0, np.inf], "lhs"),
+                                               ([], "lhs")])
     def test_bad_setting_rejected_before_any_run(self, monkeypatch, levels,
                                                  scheme):
         from rbrdo import formulation
@@ -255,8 +256,7 @@ class TestSweep:
         a, _ = sweep_robustness(prob, [0.0, 0.1], params, samples=8)
         b, _ = sweep_robustness(prob, [0.0, 0.1], params, samples=8)
         for level in (0.0, 0.1):
-            assert np.array_equal(a[level].objective_matrix(),
-                                  b[level].objective_matrix())
+            assert np.array_equal(a[level].objectives, b[level].objectives)
 
 
 def _designs(problem, n, rng):

@@ -7,8 +7,10 @@ appears as a loaded name anywhere in the module or is listed in the
 module's ``__all__``; ``from __future__`` imports are directives, not
 names. A second scan bars orphan helpers: every private module-level
 name of the package (a ``_name`` function, class or constant) is read
-somewhere in the package. A run also must not pull in heavy modules it
-does not need, and the MPP search sits below the rest of the package.
+somewhere in the package. A third bars test-only public faces: every name
+in ``rbrdo.__all__`` is read by name in some package module other than
+``rbrdo/__init__.py``. A run also must not pull in heavy modules it does
+not need, and the MPP search sits below the rest of the package.
 """
 
 import ast
@@ -100,6 +102,35 @@ def test_no_orphan_privates():
     assert orphan_privates({path.relative_to(ROOT).as_posix():
                             path.read_text(encoding="utf-8")
                             for path in PACKAGE}) == []
+
+
+def unread_exports(exports, sources: dict[str, str]) -> list[str]:
+    """Names of ``exports`` that no module of ``sources`` (module name ->
+    source) reads as a loaded name."""
+    read = set()
+    for source in sources.values():
+        read |= {node.id for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+    return sorted(set(exports) - read)
+
+
+def test_scan_flags_unread_exports():
+    sources = {"a": "def f(): pass\ndef g(): pass\nclass C: pass\nf()\n",
+               "b": "from a import g\nx: C = None\n"}
+    assert unread_exports(["f", "g", "C"], sources) == ["g"]
+
+
+def test_every_export_is_read_by_the_package():
+    init = ROOT / "src" / "rbrdo" / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    exports = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", "") == "__all__"
+                           for t in node.targets))
+    assert unread_exports(exports, {
+        path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+        for path in PACKAGE if path != init}) == []
 
 
 def package_imports(source: str) -> set[str]:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from rbrdo import (Bounds, DeParams, EvaluatedSolution, ModeParams, Sense,
-                   UsageError, crowding_distance, de_minimize,
-                   fast_non_dominated_sort, mode_optimize,
-                   non_dominated_filter)
+from rbrdo import (Bounds, DeParams, ModeParams, Sense, UsageError,
+                   crowding_distance, de_minimize, fast_non_dominated_sort,
+                   mode_optimize)
 from rbrdo.core import non_dominated_mask
 
 
@@ -85,6 +84,12 @@ class TestDeMinimize:
     def test_psi_validation(self):
         with pytest.raises(UsageError):
             DeParams(psi=0.0)
+
+    @pytest.mark.parametrize("bad", [{"psi": np.inf}, {"F": np.inf},
+                                     {"F": np.nan}, {"seed": -1}])
+    def test_nonfinite_factor_or_negative_seed_rejected(self, bad):
+        with pytest.raises(UsageError):
+            DeParams(**bad)
 
 
 class TestNonDominatedSort:
@@ -175,25 +180,24 @@ class TestModeOptimize:
     def test_biobjective_front(self):
         params = ModeParams(seed=0, generations=120)
         archive = mode_optimize(biobjective, self.BOX1, self.SENSES, params)
-        objs = archive.objective_matrix()
+        objs = archive.objectives
         assert len(archive) >= 30
         # true front spans (0, 4) .. (4, 0) along x in [0, 2]
         assert objs[:, 0].min() <= 0.05
         assert objs[:, 1].min() <= 0.05
-        front = non_dominated_filter(list(archive), self.SENSES)
-        assert len(front) == len(archive)
+        assert non_dominated_mask(objs).all()
 
     def test_members_inside_bounds(self):
         params = ModeParams(seed=1, generations=30)
         archive = mode_optimize(biobjective, self.BOX1, self.SENSES, params)
-        dec = archive.decision_matrix()
+        dec = archive.decisions
         assert np.all(dec >= -5.0) and np.all(dec <= 5.0)
 
     def test_deterministic(self):
         params = ModeParams(seed=5, generations=25)
         a = mode_optimize(biobjective, self.BOX1, self.SENSES, params)
         b = mode_optimize(biobjective, self.BOX1, self.SENSES, params)
-        assert np.array_equal(a.objective_matrix(), b.objective_matrix())
+        assert np.array_equal(a.objectives, b.objectives)
 
     def test_archive_is_front_of_all_feasible_evaluations(self):
         seen = []
@@ -209,15 +213,12 @@ class TestModeOptimize:
         archive = mode_optimize(Batch(spy), self.BOX1, self.SENSES,
                                 ModeParams(seed=2, generations=20, NP=10, R=3),
                                 history=history)
-        feasible = [EvaluatedSolution(x, o, v) for x, o, v in seen if v == 0.0]
+        feasible = np.array([[*x, *o] for x, o, v in seen if v == 0.0])
         assert 0 < len(feasible) < len(seen)
-        front = non_dominated_filter(feasible, self.SENSES)
-
-        def rows(members):
-            return sorted(tuple(m.decision) + tuple(m.objectives)
-                          for m in members)
-
-        assert rows(archive) == rows(front)
+        front = feasible[non_dominated_mask(feasible[:, 1:])]
+        members = np.hstack([archive.decisions, archive.objectives])
+        assert np.array_equal(members, front)  # first-evaluation order
+        assert np.all(archive.decisions[:, 0] >= 0.0)
         assert history[-1][2] == len(archive)
 
     def test_offspring_schedule_shrinks(self):
