@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, problems
 from .errors import NumericError, UsageError
-from .formulation import build_rbdo_evaluator, sweep_robustness
+from .formulation import build_rbdo_evaluator, sweep_robustness, sweep_specs
 from .optimize import DeParams, ModeParams, de_minimize
 from .reliability import AsoslParams, asosl_mpp
 from .sampling import SCHEMES
@@ -242,7 +242,6 @@ def _problem_objects(cfg):
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     levels = _floats(cfg["delta"], "delta")
-    prefix = _output_prefix(cfg)
     t0 = time.perf_counter()
     det, unc = _problem_objects(cfg)
     mode = cfg["mode"]
@@ -250,6 +249,8 @@ def cmd_run(args) -> int:
           for key in ("F", "CR", "NP", "generations", "seed", "psi")}
     written = []
 
+    # every setting is checked before the output directory is made, and
+    # the directory before the optimizer runs
     if mode != "rbrdo":
         params = DeParams(**de)
         if mode == "deterministic":
@@ -259,6 +260,7 @@ def cmd_run(args) -> int:
             beta = cfg["beta_t"]
             evaluator, bounds, sense = build_rbdo_evaluator(
                 unc, beta, mpp_per_sample=not cfg["mpp_nominal"])
+        prefix = _output_prefix(cfg)
         history = [] if cfg["history"] else None
         best = de_minimize(evaluator, bounds, params, sense=sense,
                            history=history)
@@ -274,12 +276,14 @@ def cmd_run(args) -> int:
               f"rbdo optimum at beta={beta:g}: f={f:.6f}")
     else:
         mode_params = ModeParams(**de, r=cfg["r"], R=cfg["R"])
+        robust = {key: cfg[key] for key in (
+            "samples", "strategy", "eta", "scheme", "worst_case")}
+        sweep_specs(unc, levels, **robust)
+        prefix = _output_prefix(cfg)
         histories = {} if cfg["history"] else None
         archives, errors = sweep_robustness(
-            unc, levels, mode_params, samples=cfg["samples"],
-            strategy=cfg["strategy"], eta=cfg["eta"], scheme=cfg["scheme"],
-            worst_case=cfg["worst_case"],
-            mpp_per_sample=not cfg["mpp_nominal"], histories=histories)
+            unc, levels, mode_params, mpp_per_sample=not cfg["mpp_nominal"],
+            histories=histories, **robust)
         if histories:
             for level, hist in histories.items():
                 written.extend(_write_history(prefix, f"_delta{level:g}",

@@ -249,7 +249,7 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
 
     @_rows_memo
     def split(idx):
-        # per constraint: its U-space pair, the positions of its stacked
+        # per constraint: its U-space closures, the positions of its stacked
         # rows within idx (ascending) and the design rows they belong to
         if idx is None:
             return [(space, block, None)
@@ -263,11 +263,12 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
         return np.concatenate([G(u[at], sub)
                                for (G, _), at, sub in split(rows)])
 
-    def gradfun(u, rows=None):
-        return np.concatenate([grad(u[at], sub)
-                               for (_, grad), at, sub in split(rows)])
+    def Gdfun(u, rows=None):
+        parts = [Gd(u[at], sub) for (_, Gd), at, sub in split(rows)]
+        return (np.concatenate([G for G, _ in parts]),
+                np.concatenate([grad for _, grad in parts]))
 
-    u, g_star, _, conv, _ = _asosl_engine(Gfun, gradfun, beta_all,
+    u, g_star, _, conv, _ = _asosl_engine(Gfun, Gdfun, beta_all,
                                           mu.shape[1], c * r, params)
     if not conv.all():
         log.debug("MPP search unconverged on %d/%d rows of %s",
@@ -460,6 +461,24 @@ def _level_seed(seed: int, level: float) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def sweep_specs(problem: RbrdoProblem, delta_levels: Sequence[float],
+                samples: int = 50, strategy: str = "effective_mean",
+                eta: Optional[float] = None, scheme: str = "lhs",
+                worst_case: bool = False) -> dict[float, RobustnessSpec]:
+    """The robustness spec of each distinct noise level, in first-seen order.
+
+    Raises :class:`UsageError` on any setting a sweep would refuse, so a
+    caller can check a sweep before it starts one.
+    """
+    levels = list(dict.fromkeys(noise_levels(delta_levels).tolist()))
+    if not levels:
+        raise UsageError("at least one noise level is required")
+    return {level: RobustnessSpec(
+        strategy=strategy, delta=np.where(problem.noise_mask, level, 0.0),
+        samples=samples, eta=eta, scheme=scheme, worst_case=worst_case)
+        for level in levels}
+
+
 def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
                      params: ModeParams, samples: int = 50,
                      strategy: str = "effective_mean",
@@ -471,18 +490,15 @@ def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
     Levels run once each, in first-seen order. Seeds are derived
     deterministically from (params.seed, level), so equal levels reproduce
     identical archives and failures in one level do not stop the others.
+    Every level is checked (:func:`sweep_specs`) before the first runs.
     Returns (archives, errors) dicts, each in level order.
     """
-    levels = list(dict.fromkeys(noise_levels(delta_levels).tolist()))
-    if not levels:
-        raise UsageError("at least one noise level is required")
+    specs = sweep_specs(problem, delta_levels, samples=samples,
+                        strategy=strategy, eta=eta, scheme=scheme,
+                        worst_case=worst_case)
     archives: dict[float, ParetoArchive] = {}
     errors: dict[float, Exception] = {}
-    for level in levels:
-        spec = RobustnessSpec(
-            strategy=strategy,
-            delta=np.where(problem.noise_mask, level, 0.0),
-            samples=samples, eta=eta, scheme=scheme, worst_case=worst_case)
+    for level, spec in specs.items():
         evaluator, bounds, senses = build_mo_problem(
             problem, robustness=spec, mpp_per_sample=mpp_per_sample)
         run_params = replace(params, seed=_level_seed(params.seed, level))

@@ -21,9 +21,19 @@ the iteration cap): whenever half of the current width has stopped, the
 batch is compacted to its live rows, so a batch costs its row-iterations,
 not its size times its slowest row. The Armijo ladder inside each step
 drops its accepted rows by the same rule, so a step costs its pending
-trials, not its width times the longest ladder. Each step's fresh arrays
-become the batch state, with the stopped rows patched in, and d.d is
-computed once per step.
+trials, not its width times the longest ladder.
+
+A step allocates little and makes no numpy pass along a row of only n
+values. The ladder leaves u - tau d in its ``trial`` buffer for every row;
+the step projects that buffer onto the sphere in place, and u and
+``trial`` swap roles. One closure gives the margin and the gradient from
+one x = mu + sigma*u. The step's margins and gradients become the batch
+state, with the stopped rows patched back by index, and d.d is computed
+once per step; it also screens the gradients for non-finite components.
+Row norms (:func:`_row_norm`) add squares over column views in numpy's
+own order, bit for bit ``np.linalg.norm(x, axis=1)``. d.d and d.u stay
+``np.einsum`` over the row-major arrays: einsum's per-row order comes from
+numpy's SIMD build, so a column-major layout would change their bits.
 
 Performance functions follow the margin convention: positive = safe,
 g <= 0 = failure.
@@ -148,13 +158,17 @@ def _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
     ``Gfun(x, rows)`` is the engine's margin closure and ``rows`` the batch
     indices of the rows of ``u`` (None: the whole batch). The ladder drops
     its accepted rows by the engine's rule (:func:`_compact`), so a round
-    costs its pending rows rather than the width. ``trial`` is scratch
-    shaped like ``u``. The caller owns the three arrays so that a search
-    allocates them once: fresh batch-sized arrays on every step made the
-    allocator hand memory back to the system and fault it in again
-    (several times the page faults on reactor and benchmark batches). The
-    rounding slack accepts trials whose required decrease underflows
-    against |G| (flat directions).
+    costs its pending rows rather than the width. ``trial`` is shaped like
+    ``u``; on return it holds u - tau d on every row, the point the engine
+    projects. Uncompacted, the last round already left it there (a row's t
+    stops changing once it is accepted); after a compaction the ladder
+    reused its rows as scratch, so the ray points are recomputed. The
+    caller owns the three arrays so that a search allocates them once:
+    fresh batch-sized arrays on every step made the allocator hand memory
+    back to the system and fault it in again (several times the page
+    faults on reactor and benchmark batches). The rounding slack accepts
+    trials whose required decrease underflows against |G| (flat
+    directions).
     """
     np.copyto(tau, t)
     np.copyto(G_ray, Gu)
@@ -192,6 +206,9 @@ def _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
             G_ray[dst] = Gfun(_ray_point(u_at, d, at, t, x), sub)[pending]
             log.debug("Armijo condition unmet on %d rows after %d halvings",
                       stuck, _MAX_HALVINGS)
+    if at is not None or not active.any():
+        # compacted (or never evaluated): trial holds only the last rows
+        _ray_point(u, d, None, tau, trial)
     return stuck
 
 
@@ -203,19 +220,27 @@ def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
     minimum. A non-positive estimate signals a non-convex section; the
     bound then comes from the eta-shifted step t_aug, whose denominator is
     2 * delta_eta * A in exact arithmetic: where rounding cancels it, the
-    exact t_aug**2 / (2 * delta_eta) is used. Open question: the method
-    re-evaluates G at t_aug; reusing G_ray is what makes that exact.
+    exact t_aug**2 / (2 * delta_eta) is used. The shifted step is computed
+    on those rows only. Open question: the method re-evaluates G at t_aug;
+    reusing G_ray is what makes that exact.
     """
-    den = 2.0 * (G_ray - G_prev + tau * A)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tb = tau * tau * A / den
-        fallback = ~(np.isfinite(tb) & (tb > 0.0))
-        eta = (G_prev - G_ray - tau * A) / A + delta_eta
-        t_aug = tau + eta
-        tb_fb = t_aug * t_aug * A / (2.0 * (G_ray - G_prev + t_aug * A))
-        # exact denominator 2*delta_eta*A; it cancels if |G_ray - G_prev| >> A
-        tb_fb = np.where(tb_fb > 0.0, tb_fb, t_aug * t_aug / (2.0 * delta_eta))
-    return np.where(fallback, tb_fb, tb)
+        tb = tau * tau * A / (2.0 * (G_ray - G_prev + tau * A))
+        fb = np.flatnonzero(~(np.isfinite(tb) & (tb > 0.0)))
+        if fb.size:
+            G_prev, G_ray, tau, A = (np.take(v, fb)
+                                     for v in (G_prev, G_ray, tau, A))
+            eta = (G_prev - G_ray - tau * A) / A + delta_eta
+            t_aug = tau + eta
+            tb_fb = t_aug * t_aug * A / (2.0 * (G_ray - G_prev + t_aug * A))
+            # exact denominator 2*delta_eta*A; it cancels if
+            # |G_ray - G_prev| >> A
+            tb_fb = np.where(tb_fb > 0.0, tb_fb,
+                             t_aug * t_aug / (2.0 * delta_eta))
+            if np.ndim(tb) == 0:
+                return tb_fb[0]
+            tb[fb] = tb_fb
+    return tb
 
 
 def _fd_gradient(Gfun, u, rows=None):
@@ -233,13 +258,62 @@ def _fd_gradient(Gfun, u, rows=None):
     return grad
 
 
-def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
+def _pairwise_sum(term, lo, n):
+    """Sum of ``term(j)`` for j in [lo, lo + n), in numpy's pairwise order.
+
+    The order of numpy's float add along a contiguous axis: sequential
+    below 8 terms, 8 interleaved accumulators up to 128, halves (at a
+    multiple of 8) above.
+    """
+    if n < 8:
+        total = term(lo)
+        for j in range(lo + 1, lo + n):
+            total += term(j)
+        return total
+    if n <= 128:
+        acc = [term(lo + j) for j in range(8)]
+        tail = lo + n - n % 8
+        for j in range(lo + 8, tail):
+            acc[(j - lo) % 8] += term(j)
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        for j in range(tail, lo + n):
+            total += term(j)
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half,
+                                                         n - half)
+
+
+def _row_norm(x, out=None):
+    """The Euclidean norm of each row of x.
+
+    Bit for bit ``np.linalg.norm(x, axis=1)``, which squares and adds
+    along each row: here the squares are added over column views in the
+    same order, so each numpy call runs over the w rows instead of a row's
+    n values. With ``out`` (shaped like x, x itself allowed) the squares
+    are taken into it in one pass and summed in place; otherwise column by
+    column, and no (w, n) temporary is made.
+    """
+    if out is None:
+        def square(j):
+            return x[:, j] * x[:, j]
+    else:
+        sq = np.multiply(x, x, out=out)
+
+        def square(j):
+            return sq[:, j]
+    return np.sqrt(_pairwise_sum(square, 0, x.shape[1]))
+
+
+def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
                   record: bool = False, raise_on_dead: bool = False):
     """Lockstep MPP search over a batch of b independent problems.
 
-    ``Gfun(u, rows=None)`` maps (w, n) -> (w,) and ``gradfun(u, rows=None)``
-    maps (w, n) -> (w, n), where ``rows`` holds the batch indices of the w
-    rows of ``u`` (ascending) and None means all b rows in batch order.
+    ``Gfun(u, rows=None)`` maps (w, n) -> (w,) margins and
+    ``Gdfun(u, rows=None)`` maps (w, n) -> ((w,) margins, (w, n)
+    gradients), where ``rows`` holds the batch indices of the w rows of
+    ``u`` (ascending) and None means all b rows in batch order.
     ``beta`` is a scalar or a per-row vector of sphere radii. Rows evolve
     independently and stop when they converge, when their gradient vanishes
     (a constant margin, e.g. at a degenerate design; ``raise_on_dead``
@@ -259,8 +333,7 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     # every row starts where all coordinates are equal and positive
     u = np.broadcast_to(beta[:, None] / math.sqrt(n), (b, n)).copy()
     with np.errstate(all="ignore"):
-        Gu = Gfun(u)
-        d = gradfun(u)
+        Gu, d = Gdfun(u)
     A = np.einsum("ij,ij->i", d, d)  # d.d, carried from step to step
     t_bar = np.ones(b)
     cap_scale = np.ones(b)
@@ -269,8 +342,8 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
     active = np.ones(b, dtype=bool)
     converged = np.zeros(b, dtype=bool)
     iterations = np.zeros(b, dtype=int)
-    tau_buf, G_ray_buf, trial_buf = np.empty(b), np.empty(b), np.empty_like(u)
-    tau, G_ray, trial = tau_buf, G_ray_buf, trial_buf
+    tau_buf, G_ray_buf = np.empty(b), np.empty(b)
+    tau, G_ray, trial = tau_buf, G_ray_buf, np.empty_like(u)
     rows = None  # batch index of each live row, once compacted
     out = None   # batch-order (u, G, iterations, converged), once compacted
     trace = []
@@ -295,8 +368,9 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
              iterations) = state
             converged = np.zeros(pos.size, dtype=bool)
             active = np.ones(pos.size, dtype=bool)
-            tau, G_ray, trial = (buf[:pos.size]
-                                 for buf in (tau_buf, G_ray_buf, trial_buf))
+            # trial is never the u adopted as results: the other buffer
+            tau, G_ray, trial = (tau_buf[:pos.size], G_ray_buf[:pos.size],
+                                 trial[:pos.size])
 
         dead = active & (A < _GRAD_EPS)
         if dead.any():
@@ -314,31 +388,35 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
         _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
                        tau, G_ray, trial)
 
-        u_tau = _ray_point(u, d, None, tau, trial)
-        norm = np.linalg.norm(u_tau, axis=1)
+        # project u - tau d (left in trial by the ladder) onto the sphere
+        norm = _row_norm(trial)
         bad = active & ~np.isfinite(norm)
         if bad.any():
             active &= ~bad
             if not active.any():
                 break
         # a step landing on the origin projects to the pole it was heading to
-        origin = norm <= 1e-12 * beta
-        if origin.any():
-            head = -d / np.sqrt(np.maximum(A, _GRAD_EPS))[:, None]
-            u_tau = np.where(origin[:, None], head, u_tau)
-            norm = np.where(origin, 1.0, norm)
-        safe_norm = np.where(norm > 0.0, norm, 1.0)
-        u_new = beta[:, None] * u_tau / safe_norm[:, None]
+        origin = np.flatnonzero(norm <= 1e-12 * beta)
+        if origin.size:
+            trial[origin] = -d[origin] / np.sqrt(
+                np.maximum(A[origin], _GRAD_EPS))[:, None]
+            norm[origin] = 1.0
+        trial *= beta[:, None]
+        trial /= np.where(norm > 0.0, norm, 1.0)[:, None]
+        u_new = trial
         with np.errstate(all="ignore"):
-            G_new = Gfun(u_new, rows)
-            d_new = gradfun(u_new, rows)
-        finite = np.isfinite(G_new) & np.all(np.isfinite(d_new), axis=1)
+            G_new, d_new = Gdfun(u_new, rows)
+        A_new = np.einsum("ij,ij->i", d_new, d_new)
+        # d.d is finite exactly when every component is, unless it overflows
+        finite = np.isfinite(G_new)
+        over = np.flatnonzero(~np.isfinite(A_new))
+        if over.size:
+            for j in range(n):
+                finite[over] &= np.isfinite(d_new[over, j])
         bad = active & ~finite
         if bad.any():
             log.debug("non-finite performance value on %d rows", int(bad.sum()))
             active &= ~bad
-
-        err = np.linalg.norm(np.subtract(u_new, u, out=trial), axis=1)
 
         tb = _secant_bound(Gu, G_ray, tau, A, delta_eta)
 
@@ -351,15 +429,19 @@ def _asosl_engine(Gfun, gradfun, beta, n, b, params: AsoslParams,
             log.debug("oscillation guard halved the step cap on %d rows",
                       int(burst.sum()))
 
-        # the step's fresh arrays become the state; stopped rows keep theirs
-        stopped = ~active
-        np.copyto(u_new, u, where=stopped[:, None])
-        np.copyto(G_new, Gu, where=stopped)
-        np.copyto(d_new, d, where=stopped[:, None])
-        np.copyto(tb, t_bar, where=stopped)
-        u, Gu, d, t_bar = u_new, G_new, d_new, tb
+        # the step's arrays become the state; stopped rows keep theirs, and
+        # the old u is the next step's trial buffer
+        stopped = np.flatnonzero(~active)
+        if stopped.size:
+            for new, old in ((u_new, u), (G_new, Gu), (d_new, d),
+                             (A_new, A), (tb, t_bar)):
+                new[stopped] = old[stopped]
+        # the step length, over the old d, which is free now (a stopped
+        # row's is 0; only a searching row's is read)
+        err = _row_norm(np.subtract(u_new, u, out=d), out=d)
+        u, trial = u_new, u
+        Gu, d, A, t_bar = G_new, d_new, A_new, tb
         np.copyto(iterations, k + 1, where=active)
-        A = np.einsum("ij,ij->i", d, d)
 
         if record and b == 1 and active[0]:
             trace.append((k, u[0].copy(), float(Gu[0]), float(tau[0]),
@@ -407,11 +489,13 @@ def _rows_memo(gather):
 
 def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
                  d_det: np.ndarray):
-    """Wrap a margin function as G(u) = g(d, mu + sigma*u) plus its gradient.
+    """Wrap a margin function as G(u) = g(d, mu + sigma*u).
 
-    Both closures take ``(u, rows=None)``: ``rows`` indexes the batch rows
-    of ``u`` in the per-row (2-D) ones of ``mu``, ``sigma`` and ``d_det``;
-    1-D arrays are shared by every row.
+    Returns the engine's two closures: ``Gfun`` gives G, ``Gdfun`` gives G
+    and its U-space gradient sigma * grad_x from one x = mu + sigma*u.
+    Both take ``(u, rows=None)``: ``rows`` indexes the batch rows of ``u``
+    in the per-row (2-D) ones of ``mu``, ``sigma`` and ``d_det``; 1-D
+    arrays are shared by every row.
     """
     at = _rows_memo(lambda rows: tuple(
         a if rows is None or np.ndim(a) < 2 else np.take(a, rows, axis=0)
@@ -422,14 +506,18 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
         return np.asarray(pf.g(d, m + s * u), dtype=float)
 
     if pf.grad_x is not None:
-        def gradfun(u, rows=None):
+        def Gdfun(u, rows=None):
             m, s, d = at(rows)
-            return s * np.asarray(pf.grad_x(d, m + s * u), dtype=float)
+            x = m + s * u
+            G = np.asarray(pf.g(d, x), dtype=float)
+            grad = np.asarray(pf.grad_x(d, x), dtype=float)
+            del x  # gone before sigma * grad is made
+            return G, s * grad
     else:
-        def gradfun(u, rows=None):
-            return _fd_gradient(Gfun, u, rows)
+        def Gdfun(u, rows=None):
+            return Gfun(u, rows), _fd_gradient(Gfun, u, rows)
 
-    return Gfun, gradfun
+    return Gfun, Gdfun
 
 
 def asosl_mpp(pf: PerformanceFunction, mu, sigma, d_det,
@@ -449,9 +537,9 @@ def asosl_mpp(pf: PerformanceFunction, mu, sigma, d_det,
         raise UsageError("mu and sigma must be nonempty vectors of one length")
     if not np.all(sigma > 0.0):
         raise UsageError("standard deviations must be positive")
-    Gfun, gradfun = make_u_space(pf, mu, sigma, np.asarray(d_det, dtype=float))
     u, Gu, iters, conv, trace = _asosl_engine(
-        Gfun, gradfun, params.beta_t, mu.size, 1, params, record=True,
+        *make_u_space(pf, mu, sigma, np.asarray(d_det, dtype=float)),
+        params.beta_t, mu.size, 1, params, record=True,
         raise_on_dead=True)
     u_star = u[0]
     return MppResult(

@@ -101,6 +101,18 @@ class TestRunRbrdo:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x_meta.txt").exists()
 
+    @pytest.mark.parametrize("settings", [
+        "--mode rbrdo --delta ,", "--mode rbrdo --samples 0",
+        "--mode rbrdo --strategy type2 --eta -1", "--mode rbrdo --NP 2",
+        "--mode rbdo --beta-t 99", "--mode deterministic --F 0"])
+    def test_refused_settings_leave_no_output_directory(self, tmp_path,
+                                                        capsys, settings):
+        out = tmp_path / "sub" / "x"
+        assert main(["run", "--problem", "benchmark", *settings.split(),
+                     "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+
 
 class TestMpp:
     def test_benchmark_constraint(self, tmp_path):

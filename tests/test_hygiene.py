@@ -10,7 +10,10 @@ name of the package (a ``_name`` function, class or constant) is read
 somewhere in the package. A third bars test-only public faces: every name
 in ``rbrdo.__all__`` is read by name in some package module other than
 ``rbrdo/__init__.py``. A run also must not pull in heavy modules it does
-not need, and the MPP search sits below the rest of the package.
+not need, and the MPP search sits below the rest of the package. Its step
+makes no pass along a row of only n values: no ``np.linalg.norm`` and no
+reduction over ``axis=1`` (or -1), so the one row-norm implementation,
+``_row_norm``, stays the only one.
 """
 
 import ast
@@ -160,6 +163,40 @@ def test_reliability_imports_only_errors():
     source = (ROOT / "src" / "rbrdo" / "reliability.py").read_text(
         encoding="utf-8")
     assert package_imports(source) <= {"errors"}
+
+
+def row_passes(source: str) -> list[str]:
+    """Calls in ``source`` that reduce along rows: ``np.linalg.norm`` and
+    any call with ``axis=1`` or ``axis=-1``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if ast.unparse(node.func).endswith("linalg.norm"):
+            found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+        for kw in node.keywords:
+            try:
+                axis = ast.literal_eval(kw.value) if kw.arg == "axis" else 0
+            except ValueError:  # a name: not a fixed row axis
+                continue
+            if axis in (1, -1):
+                found.append(f"line {node.lineno}: axis={axis}")
+    return found
+
+
+def test_scan_flags_row_passes():
+    source = ("import numpy as np\nfrom numpy import linalg\n"
+              "a = np.linalg.norm(x, axis=1)\nb = linalg.norm(x)\n"
+              "c = np.isfinite(x).all(axis=-1)\nd = x.sum(axis=0)\n"
+              "e = np.take(x, i, axis=0)\nf = x.max(axis=k)\n")
+    assert row_passes(source) == ["line 3: np.linalg.norm", "line 3: axis=1",
+                                  "line 4: linalg.norm", "line 5: axis=-1"]
+
+
+def test_reliability_makes_no_row_passes():
+    source = (ROOT / "src" / "rbrdo" / "reliability.py").read_text(
+        encoding="utf-8")
+    assert row_passes(source) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT)

@@ -5,8 +5,9 @@ import pytest
 
 from rbrdo import (AsoslParams, GradientVanishedError, PerformanceFunction,
                    UsageError, asosl_mpp)
-from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _secant_bound,
-                               make_u_space)
+from rbrdo import reliability
+from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _row_norm,
+                               _secant_bound, make_u_space)
 from rbrdo.problems import benchmark
 
 from oracles import min_on_circle
@@ -28,14 +29,15 @@ def ladder_G(x, rows):
     return np.array([LADDER_FUNCS[r](xi) for r, xi in zip(rows, x)])
 
 
-def run_ladder():
+def run_ladder(trial=None):
     """One :func:`_armijo_ladder` call over the three rows."""
     u, d = LADDER_U, LADDER_D
     A = np.einsum("ij,ij->i", d, d)
     tau, G_ray = np.empty(3), np.empty(3)
+    trial = np.empty_like(u) if trial is None else trial
     stuck = _armijo_ladder(ladder_G, None, u, d, ladder_G(u, None), A,
                            LADDER_T.copy(), np.ones(3, dtype=bool), ALPHA_B,
-                           S_B, tau, G_ray, np.empty_like(u))
+                           S_B, tau, G_ray, trial)
     return stuck, tau, G_ray
 
 
@@ -70,6 +72,13 @@ class TestBacktracking:
         assert tau.tolist() == [ladder_oracle(r) for r in range(3)]
         assert np.array_equal(
             G_ray, ladder_G(LADDER_U - tau[:, None] * LADDER_D, None))
+
+    def test_trial_holds_the_accepted_ray_points(self):
+        # uncompacted: the engine projects what the last round left in trial
+        trial = np.full_like(LADDER_U, np.nan)
+        _, tau, _ = run_ladder(trial)
+        assert (trial.tobytes()
+                == (LADDER_U - tau[:, None] * LADDER_D).tobytes())
 
 
 def bound(g_prev, g_ray, d, tau, delta_eta):
@@ -210,13 +219,14 @@ class TestAsoslBenchmark:
         rng = np.random.default_rng(2)
         mu = self.D_STAR
         for pf in prob.constraints:
-            G, grad = make_u_space(pf, mu, self.SIGMA, mu)
+            G, Gd = make_u_space(pf, mu, self.SIGMA, mu)
             pf_fd = PerformanceFunction(pf.g, None)
-            _, grad_fd = make_u_space(pf_fd, mu, self.SIGMA, mu)
+            _, Gd_fd = make_u_space(pf_fd, mu, self.SIGMA, mu)
             for _ in range(100):
                 u = rng.normal(size=(1, 2))
-                ga = grad(u)
-                gf = grad_fd(u)
+                Ga, ga = Gd(u)
+                Gf, gf = Gd_fd(u)
+                assert Ga.tobytes() == Gf.tobytes() == G(u).tobytes()
                 assert np.allclose(gf, ga, rtol=1e-5, atol=1e-8)
 
 
@@ -257,6 +267,78 @@ class TestAsoslEdgeCases:
             AsoslParams(**{"beta_t": 1.0, key: value})
 
 
+class TestRowNorm:
+    # zeros of both signs, infinities, nan, subnormals, and values whose
+    # squares overflow or underflow
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310,
+                        1e200, -3e180, 1e-200, -2e-170])
+
+    @pytest.mark.parametrize("w", [1, 3, 1000])
+    def test_bytes_match_numpy_norm(self, w):
+        rng = np.random.default_rng(w)
+        for n in [*range(1, 41), 136, 300]:  # and numpy's halved blocks
+            x = rng.normal(size=(w, n)) * 10.0 ** rng.uniform(-8, 8, (w, n))
+            mixed = rng.random((w, n)) < 0.2
+            x[mixed] = rng.choice(self.SPECIAL, size=mixed.sum())
+            with np.errstate(all="ignore"):
+                expect = np.linalg.norm(x, axis=1).tobytes()
+                assert _row_norm(x).tobytes() == expect, n
+                # squared into scratch and summed in place, x itself too
+                assert _row_norm(x, out=np.empty_like(x)).tobytes() == expect
+                scratch = x.copy()
+                assert _row_norm(scratch, out=scratch).tobytes() == expect
+
+
+def _scaled_linear(grad_x):
+    """g = 1 + x0 + x1 with the given gradient, one row per design."""
+    return PerformanceFunction(lambda d, x: 1.0 + x[..., 0] + x[..., 1],
+                               grad_x)
+
+
+class TestNonFiniteGradient:
+    def test_overflowing_dot_product_keeps_searching(self):
+        # finite gradient components near 1e200: d.d overflows to inf,
+        # which the step length absorbs (the row's cap is 0), so the row
+        # steps in place and passes the tangency test on its first step
+        scale = np.array([[1.0], [1.0], [1e200], [3e199]])
+        pf = _scaled_linear(lambda d, x: np.ones_like(x) * d[..., :1])
+        beta = np.array([2.0, 3.0, 2.0, 3.0])
+        mu, sigma = np.zeros((4, 2)), np.ones((4, 2))
+        params = AsoslParams(beta_t=3.0)
+        u, G, iters, conv, _ = _asosl_engine(
+            *make_u_space(pf, mu, sigma, scale), beta, 2, 4, params)
+        assert conv.all() and (iters[:2] > 1).all()
+        assert iters[2:].tolist() == [1, 1]
+        assert np.allclose(G[2:], 1.0 + np.sqrt(2.0) * beta[2:], rtol=1e-15)
+        for i in range(4):
+            rows = slice(i, i + 1)
+            u1, g1, it1, conv1, _ = _asosl_engine(
+                *make_u_space(pf, mu[rows], sigma[rows], scale[rows]),
+                beta[i], 2, 1, params)
+            assert u[i].tobytes() == u1[0].tobytes(), i
+            assert G[i].tobytes() == g1[0].tobytes(), i
+            assert iters[i] == it1[0] and conv[i] == conv1[0], i
+
+    def test_nan_or_inf_component_stops_the_row(self):
+        # the first gradient component turns nan, inf or -inf where x0 < 0,
+        # which the second step reaches; the margin stays finite
+        def grad_x(d, x):
+            out = np.ones_like(x)
+            off = x[..., 0] < 0.0
+            out[off, 0] = d[off, 0]
+            return out
+        comp = np.array([[1.0], [np.nan], [np.inf], [-np.inf]])
+        mu, sigma = np.zeros((4, 2)), np.ones((4, 2))
+        u, G, iters, conv, _ = _asosl_engine(
+            *make_u_space(_scaled_linear(grad_x), mu, sigma, comp), 2.0, 2,
+            4, AsoslParams(beta_t=3.0))
+        assert conv.tolist() == [True, False, False, False]
+        assert iters[1:].tolist() == [1, 1, 1]
+        # the stopped rows keep the last finite state
+        assert np.isfinite(G).all() and np.isfinite(u).all()
+        assert (u[1:] > 0.0).all()
+
+
 class TestBatchParity:
     def test_batch_matches_scalar(self):
         # one lockstep engine batch over many designs, row by row against
@@ -267,8 +349,8 @@ class TestBatchParity:
         sigma = np.full((16, 2), 0.3)
         params = AsoslParams(beta_t=2.5)
         for pf in prob.constraints:
-            Gfun, gradfun = make_u_space(pf, d_batch, sigma, d_batch)
-            _, g_b, _, conv_b, _ = _asosl_engine(Gfun, gradfun, 2.5, 2, 16,
+            Gfun, Gdfun = make_u_space(pf, d_batch, sigma, d_batch)
+            _, g_b, _, conv_b, _ = _asosl_engine(Gfun, Gdfun, 2.5, 2, 16,
                                                  params)
             for i, d in enumerate(d_batch):
                 res = asosl_mpp(pf, d, sigma[i], d, params)
@@ -341,9 +423,9 @@ class TestCompaction:
         d, mu, sigma, beta = _mixed_batch(self.KINDS)
         b = beta.size
         params = AsoslParams(beta_t=3.0)
-        Gfun, gradfun = make_u_space(pf, mu, sigma, d)
+        Gfun, Gdfun = make_u_space(pf, mu, sigma, d)
         with caplog.at_level(logging.DEBUG, logger="rbrdo.reliability"):
-            u, G, iters, conv, _ = _asosl_engine(Gfun, gradfun, beta, 2, b,
+            u, G, iters, conv, _ = _asosl_engine(Gfun, Gdfun, beta, 2, b,
                                                  params)
         unmet = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("Armijo condition unmet")]
@@ -358,12 +440,38 @@ class TestCompaction:
         assert not conv[kinds == 4].any() and (iters[kinds == 4] < 20).all()
         for i in range(b):
             rows = slice(i, i + 1)
-            G1, grad1 = make_u_space(pf, mu[rows], sigma[rows], d[rows])
-            u1, g1, it1, conv1, _ = _asosl_engine(G1, grad1, beta[i], 2, 1,
+            G1, Gd1 = make_u_space(pf, mu[rows], sigma[rows], d[rows])
+            u1, g1, it1, conv1, _ = _asosl_engine(G1, Gd1, beta[i], 2, 1,
                                                   params)
             assert u[i].tobytes() == u1[0].tobytes(), i
             assert G[i].tobytes() == g1[0].tobytes(), i
             assert iters[i] == it1[0] and conv[i] == conv1[0], i
+
+
+def assert_rows_evaluate_alike(Gfun, Gdfun, u, rows):
+    """The closures give a row subset the bits of the full batch's rows,
+    and the margin-and-gradient closure the margin closure's margins."""
+    G_all, grad_all = Gdfun(u)
+    G_sub, grad_sub = Gdfun(u[rows], rows)
+    assert G_sub.tobytes() == G_all[rows].tobytes()
+    assert grad_sub.tobytes() == grad_all[rows].tobytes()
+    assert Gfun(u[rows], rows).tobytes() == G_sub.tobytes()
+    assert Gfun(u).tobytes() == G_all.tobytes()
+
+
+def _spy_ladders(monkeypatch):
+    """Record (u, d, tau, trial) as every :func:`_armijo_ladder` returns."""
+    seen = []
+    ladder = reliability._armijo_ladder
+
+    def spy(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b, tau, G_ray,
+            trial):
+        stuck = ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
+                       tau, G_ray, trial)
+        seen.append((u.copy(), d.copy(), tau.copy(), trial.copy()))
+        return stuck
+    monkeypatch.setattr(reliability, "_armijo_ladder", spy)
+    return seen
 
 
 def _spy(pf):
@@ -391,13 +499,14 @@ class TestCompactionWork:
         assert sum(calls) < kinds.size * params.max_iters / 5
         assert max(calls[-20:]) <= 2
 
-    def test_ladder_work_follows_its_pending_rows(self):
+    def test_ladder_work_follows_its_pending_rows(self, monkeypatch):
         # one engine step: the linear rows accept their first trial, the
         # five Rosenbrock rows halve their step many times
         kinds = np.zeros(1000)
         kinds[[3, 200, 501, 777, 998]] = 2
         d, mu, sigma, beta = _mixed_batch(kinds, seed=3)
         pf, calls = _spy(PerformanceFunction(*_mixed_margin()))
+        ladders = _spy_ladders(monkeypatch)
         _asosl_engine(*make_u_space(pf, mu, sigma, d), beta, 2, kinds.size,
                       AsoslParams(beta_t=3.0, max_iters=1))
         ladder = calls[1:-1]  # between the start's and the step's margins
@@ -405,6 +514,9 @@ class TestCompactionWork:
         assert max(ladder[1:]) <= 5
         # a full-width ladder evaluates every row in every round
         assert sum(ladder) < kinds.size * len(ladder) / 5
+        # the compacted ladder still leaves u - tau d on every row
+        (u, d_step, tau, trial), = ladders
+        assert trial.tobytes() == (u - tau[:, None] * d_step).tobytes()
 
     def test_row_subsets_evaluate_as_the_full_batch(self):
         rng = np.random.default_rng(5)
@@ -413,24 +525,21 @@ class TestCompactionWork:
         for analytic in (True, False):
             g, grad_x = _mixed_margin()
             pf = PerformanceFunction(g, grad_x if analytic else None)
-            Gfun, gradfun = make_u_space(pf, mu, sigma, d)
+            Gfun, Gdfun = make_u_space(pf, mu, sigma, d)
             u = rng.normal(size=(b, 2))
             for rows in (np.array([3]), np.flatnonzero(rng.random(b) < 0.5),
                          np.arange(b)):
                 with np.errstate(all="ignore"):
-                    assert (Gfun(u[rows], rows).tobytes()
-                            == Gfun(u)[rows].tobytes())
-                    assert (gradfun(u[rows], rows).tobytes()
-                            == gradfun(u)[rows].tobytes())
+                    assert_rows_evaluate_alike(Gfun, Gdfun, u, rows)
 
     def test_stacked_closures_take_row_subsets(self, monkeypatch):
         from rbrdo import formulation
         seen = []
         engine = formulation._asosl_engine
 
-        def spy(Gfun, gradfun, beta, n, b, params, *args, **kwargs):
-            seen.append((Gfun, gradfun, n, b))
-            return engine(Gfun, gradfun, beta, n, b, params, *args, **kwargs)
+        def spy(Gfun, Gdfun, beta, n, b, params, *args, **kwargs):
+            seen.append((Gfun, Gdfun, n, b))
+            return engine(Gfun, Gdfun, beta, n, b, params, *args, **kwargs)
 
         monkeypatch.setattr(formulation, "_asosl_engine", spy)
         rng = np.random.default_rng(9)
@@ -438,13 +547,11 @@ class TestCompactionWork:
         r = 30
         rows = rng.uniform(1.5, 8.0, size=(r, 2))
         formulation._stacked_mpp(prob, rows, np.full(r, 2.5))
-        (Gfun, gradfun, n, b), = seen
+        (Gfun, Gdfun, n, b), = seen
         assert b == 3 * r
         u = rng.normal(size=(b, n))
         # a constraint block with no rows, one with a single row, one mixed
         for idx in (np.arange(b), np.array([r]), np.array([0, r - 1, 2 * r]),
                     np.flatnonzero(rng.random(b) < 0.3),
                     np.arange(2 * r, 3 * r)):
-            assert Gfun(u[idx], idx).tobytes() == Gfun(u)[idx].tobytes()
-            assert (gradfun(u[idx], idx).tobytes()
-                    == gradfun(u)[idx].tobytes())
+            assert_rows_evaluate_alike(Gfun, Gdfun, u, idx)
