@@ -16,8 +16,7 @@ from .optimize import (DeParams, ModeParams, crowding_distance, de_minimize,
 from .reliability import (AsoslParams, MppResult, PerformanceFunction,
                           asosl_mpp)
 from .robustness import RobustnessSpec
-from .sampling import (NeighborhoodSpec, RngStream, latin_hypercube,
-                       neighborhood_samples)
+from .sampling import RngStream, latin_hypercube, neighborhood_samples
 from .stats import FitReport, fit_front, goodness_of_fit, polyfit2
 
 __version__ = "0.1.0"
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsoslParams", "Bounds", "DeParams", "EvaluatedSolution", "FitError",
     "FitReport", "GradientVanishedError", "ModeParams", "MppResult",
-    "NeighborhoodSpec", "NumericError", "ParetoArchive",
+    "NumericError", "ParetoArchive",
     "PerformanceFunction", "RbrdoError", "RbrdoProblem", "RngStream",
     "RobustnessSpec", "Sense", "UsageError", "asosl_mpp", "build_mo_problem",
     "build_rbdo_evaluator", "crowding_distance", "de_minimize", "fit_front",

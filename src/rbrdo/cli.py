@@ -8,8 +8,8 @@ Subcommands:
 * ``list-problems``  names accepted by --problem
 
 Each setting is declared once, in :data:`SETTINGS`. Its flag is ``--key``
-with underscores turned into dashes; ``mpp`` takes the problem, variant
-and MPP settings only. A ``--config`` file sets any of them as
+with underscores turned into dashes; ``mpp`` takes the problem and MPP
+settings only. A ``--config`` file sets any of them as
 ``key=value`` under the flag's type and choices, and flags override it.
 Boolean settings are plain flags; in a file they read 1/true/yes or
 0/false/no. ``None`` is accepted only where it is the default.
@@ -97,8 +97,6 @@ SETTINGS = {
         "mean")),
     "history": Setting(False, bool,
                        help="write per-generation progress files"),
-    "variant": Setting(mpp=True, choices=("standard", "alternate"),
-                       help="benchmark constraint sign family"),
     "out": Setting(help="output path prefix"),
 }
 
@@ -225,17 +223,11 @@ def _write_metadata(path: str, cfg: dict, info: dict):
 
 
 def _problem_objects(cfg):
-    options = {}
-    if cfg["variant"]:
-        if cfg["problem"] != "benchmark":
-            raise UsageError("--variant applies to the benchmark problem only")
-        options["variant"] = cfg["variant"]
-    det = problems.get_deterministic(cfg["problem"], **options)
-    unc = problems.get_rbrdo(cfg["problem"], **options)
+    det = problems.get_deterministic(cfg["problem"])
     unc = dataclasses.replace(
-        unc, psi=cfg["psi"],
-        asosl_defaults={key: cfg[key] for key in (
-            "delta_eta", "alpha_b", "s_b", "epsilon", "max_iters")})
+        problems.get_rbrdo(cfg["problem"]), psi=cfg["psi"],
+        mpp=AsoslParams(**{key: cfg[key] for key in (
+            "delta_eta", "alpha_b", "s_b", "epsilon", "max_iters")}))
     return det, unc
 
 
@@ -358,9 +350,8 @@ def cmd_mpp(args) -> int:
     unc.check_designs(d)
     if unc.domain_guard is not None and unc.domain_guard(d) > 0.0:
         raise UsageError("the problem's domain guard rejects this design")
-    params = AsoslParams(beta_t=cfg["beta_t"], **unc.asosl_defaults)
     pf = unc.constraints[index - 1]
-    result = asosl_mpp(pf, *unc.random_vars(d), d, params)
+    result = asosl_mpp(pf, *unc.random_vars(d), d, cfg["beta_t"], unc.mpp)
     print(f"constraint {pf.name} at beta={cfg['beta_t']:g}:")
     print(f"  u* = {np.array2string(result.u_star, precision=6)}")
     print(f"  x* = {np.array2string(result.x_star, precision=6)}")
@@ -394,6 +385,10 @@ def cmd_stats_fit(args) -> int:
         y = np.array([float(row[iy]) for row in rows])
     except (ValueError, IndexError) as exc:
         raise UsageError(f"{args.front}: malformed data row: {exc}") from None
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        raise UsageError(f"{args.front}: malformed data row: non-finite "
+                         f"value in data row {int(np.argmax(bad)) + 1}")
     if x.size < 4:
         raise UsageError("at least 4 data rows are required")
     print(fit_front(x, y))

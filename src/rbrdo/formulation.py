@@ -43,7 +43,7 @@ from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
                           _rows_memo, make_u_space)
 from .robustness import (RobustnessSpec, noise_levels, penalty_objectives,
                          type2_ratio, worst_sample)
-from .sampling import NeighborhoodSpec, RngStream, neighborhood_samples
+from .sampling import RngStream, neighborhood_samples
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +62,9 @@ class RbrdoProblem:
     to. ``objective_at_mpp`` evaluates the objective at the per-constraint
     most probable point values instead of the nominal means (constraint i
     must then govern random variable i). ``domain_guard(d)`` returns a
-    nonnegative violation for d outside the evaluable region.
+    nonnegative violation for d outside the evaluable region. ``psi``
+    weighs the constraint penalty on the objectives and ``mpp`` holds the
+    MPP search controls; the sphere radius is each candidate's beta_t.
     """
 
     name: str
@@ -76,7 +78,7 @@ class RbrdoProblem:
     objective_at_mpp: bool = False
     domain_guard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     psi: float = 1e6
-    asosl_defaults: dict = field(default_factory=dict)
+    mpp: AsoslParams = field(default_factory=AsoslParams)
 
     def __post_init__(self):
         lo, hi = self.beta_bounds
@@ -91,8 +93,6 @@ class RbrdoProblem:
         object.__setattr__(self, "noise_mask", mask)
         if self.objective_at_mpp and len(self.constraints) == 0:
             raise UsageError("objective_at_mpp needs probabilistic constraints")
-        # bad MPP settings are refused here, not inside the first search
-        AsoslParams(beta_t=lo, **self.asosl_defaults)
 
     @property
     def n_objectives(self) -> int:
@@ -146,22 +146,17 @@ class _Population:
 
 
 def _prepare(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
-             streams: Sequence[Optional[RngStream]],
-             spec: RobustnessSpec) -> _Population:
+             streams: Sequence[Optional[RngStream]], spec: RobustnessSpec,
+             noise: Optional[np.ndarray]) -> _Population:
     """Check the population's bounds, reject the designs the domain guard
-    rejects and draw the neighborhood samples of the rest."""
+    rejects and draw the neighborhood samples of the rest; ``noise`` is
+    the evaluator's masked noise vector, None when it is noise-free."""
     lo, hi = problem.beta_bounds
     tol = 1e-9
     if not np.all((lo - tol <= beta) & (beta <= hi + tol)):
         raise UsageError("candidate reliability index outside beta bounds")
     problem.check_designs(d)
     n = d.shape[1]
-    delta = spec.delta if spec.delta.size else np.zeros(n)
-    if delta.size != n:
-        raise UsageError("noise vector length must match the design dimension")
-    delta = np.where(problem.noise_mask, delta, 0.0)
-    noisy = spec.strategy != "none" and bool(np.any(delta > 0.0))
-
     guard = problem.domain_guard
     rejected = np.zeros(len(d))
     if guard is not None:
@@ -170,12 +165,11 @@ def _prepare(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
     live = np.flatnonzero(rejected == 0.0)
     samples, counts = d[live], np.ones(live.size, dtype=int)
     guard_violation = np.zeros(live.size)
-    if noisy and live.size:
-        ns = NeighborhoodSpec(center=samples, noise=delta, count=spec.samples,
-                              scheme=spec.scheme)
+    if noise is not None and live.size:
         # perturbed designs are still designs: realizations stay in the box
-        samples = problem.det_bounds.clip(
-            neighborhood_samples(ns, [streams[i] for i in live]))
+        samples = problem.det_bounds.clip(neighborhood_samples(
+            samples, noise, spec.samples, spec.scheme,
+            [streams[i] for i in live]))
         counts = np.full(live.size, spec.samples)
         if guard is not None:
             g_v = np.asarray(guard(samples), dtype=float)
@@ -189,8 +183,8 @@ def _prepare(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
                 live[keep], counts[keep], guard_violation[keep])
             samples = samples[valid]  # the empty candidates have no rows
         samples = samples.reshape(-1, n)
-    return _Population(d=d[live], beta=beta[live], noisy=noisy, live=live,
-                       samples=samples, counts=counts,
+    return _Population(d=d[live], beta=beta[live], noisy=noise is not None,
+                       live=live, samples=samples, counts=counts,
                        guard_violation=guard_violation,
                        rejected=rejected if rejected.any() else None)
 
@@ -241,7 +235,6 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     # broadcast's column-major order, where a row gather is ~15x slower)
     mu = np.ascontiguousarray(np.broadcast_to(mu, (r, mu.shape[-1])))
     sigma = np.ascontiguousarray(np.broadcast_to(sigma, mu.shape))
-    params = AsoslParams(beta_t=float(betas.max()), **problem.asosl_defaults)
 
     beta_all = np.tile(betas, c)
     blocks = [slice(i * r, (i + 1) * r) for i in range(c)]
@@ -269,7 +262,7 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
                 np.concatenate([grad for _, grad in parts]))
 
     u, g_star, _, conv, _ = _asosl_engine(Gfun, Gdfun, beta_all,
-                                          mu.shape[1], c * r, params)
+                                          mu.shape[1], c * r, problem.mpp)
     if not conv.all():
         log.debug("MPP search unconverged on %d/%d rows of %s",
                   int((~conv).sum()), c * r, problem.name)
@@ -299,17 +292,16 @@ def _population_mpp(problem: RbrdoProblem, pop: _Population,
     if not problem.constraints:
         return np.zeros(d.shape[0]), np.zeros(d.shape[0]), None, None
     if pop.noisy and mpp_per_sample:
-        # each candidate's sample block, then its nominal row
-        nominal = np.cumsum(pop.counts + 1) - 1
-        sample = np.ones(nominal[-1] + 1, dtype=bool)
-        sample[nominal] = False
-        rows = np.empty((sample.size, d.shape[1]))
-        rows[sample], rows[nominal] = pop.samples, d
-        pen, x = _stacked_mpp(problem, rows, np.repeat(beta, pop.counts + 1))
-        penalty = _per_candidate(_block_mean, pop.counts, pen[sample])
+        # every sample row, then every nominal row (engine rows are
+        # independent, so the layout leaves each row's result as it is)
+        s = len(pop.samples)
+        pen, x = _stacked_mpp(problem, np.concatenate([pop.samples, d]),
+                              np.concatenate([np.repeat(beta, pop.counts),
+                                              beta]))
+        penalty = _per_candidate(_block_mean, pop.counts, pen[:s])
         if x is None:
-            return penalty, pen[nominal], None, None
-        return penalty, pen[nominal], x[sample], x[nominal]
+            return penalty, pen[s:], None, None
+        return penalty, pen[s:], x[:s], x[s:]
     # one row per candidate: its nominal design
     penalty, x_nominal = _stacked_mpp(problem, d, beta)
     x_samples = x_nominal
@@ -365,61 +357,67 @@ def _finish(problem: RbrdoProblem, spec: RobustnessSpec, pop: _Population,
     return f_robust + signs * problem.psi * penalty[:, None], violation, hazard
 
 
-def _evaluate(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
-              streams: Sequence[Optional[RngStream]],
-              spec: Optional[RobustnessSpec], mpp_per_sample: bool):
-    """Objectives (N, m + 1), with beta_t last, and violations (N,) of the
-    candidates (d[i], beta[i]), each sampled with its own stream.
-
-    Candidates the domain guard or a division hazard rejects get zero
-    objectives (beta_t kept) and the guard value or a fixed large
-    violation.
-    """
-    spec = spec or RobustnessSpec(strategy="none")
-    if len(streams) != len(d):
-        raise UsageError("one rng stream is required per candidate")
-    pop = _prepare(problem, d, beta, streams, spec)
-    m = problem.n_objectives
-    objs = np.zeros((len(d), m + 1))
-    objs[:, m] = beta
-    viol = np.zeros(len(d)) if pop.rejected is None else pop.rejected
-    if pop.live.size:
-        f, v, hazard = _finish(problem, spec, pop,
-                               *_population_mpp(problem, pop, mpp_per_sample))
-        if hazard.any():
-            log.info("%d candidates rejected (division hazard)",
-                     int(hazard.sum()))
-            f[hazard] = 0.0
-            v[hazard] = _MPP_FAILURE_PENALTY
-        objs[pop.live, :m] = f
-        viol[pop.live] = v
-    return objs, viol
-
-
 class RbrdoEvaluator:
     """Optimizer-facing batch evaluator over the (d, beta_t) search space.
 
     ``evaluate_batch`` evaluates a whole population as arrays, with one
     stacked MPP pass. With ``fixed_beta`` the search space is d alone and
-    beta_t is dropped from the returned objectives.
+    beta_t is dropped from the returned objectives. The robustness spec
+    (default: no robustness) and its noise vector, masked to the problem's
+    noisy coordinates, are resolved once, when the evaluator is built.
     """
 
     def __init__(self, problem: RbrdoProblem,
                  robustness: Optional[RobustnessSpec],
                  mpp_per_sample: bool = True, fixed_beta: float = None):
+        spec = robustness or RobustnessSpec()
+        n = problem.det_bounds.dim
+        delta = spec.delta if spec.delta.size else np.zeros(n)
+        if delta.size != n:
+            raise UsageError(
+                "noise vector length must match the design dimension")
+        noise = np.where(problem.noise_mask, delta, 0.0)
         self.problem = problem
-        self.robustness = robustness
+        self.robustness = spec
+        # the masked noise vector; None when the evaluation is noise-free
+        self.noise = (noise if spec.strategy != "none" and np.any(noise > 0.0)
+                      else None)
         self.mpp_per_sample = mpp_per_sample
         self.fixed_beta = fixed_beta
 
     def evaluate_batch(self, xs, streams):
+        """Objectives (N, m + 1), beta_t last ((N, m) with ``fixed_beta``),
+        and violations (N,) of the rows of ``xs``, each sampled with its
+        own stream.
+
+        Candidates the domain guard or a division hazard rejects get zero
+        objectives (beta_t kept) and the guard value or a fixed large
+        violation.
+        """
         xs = np.asarray(xs, dtype=float)
         if self.fixed_beta is None:
             d, beta = xs[:, :-1], xs[:, -1]
         else:
             d, beta = xs, np.full(len(xs), self.fixed_beta)
-        objs, viol = _evaluate(self.problem, d, beta, streams,
-                               self.robustness, self.mpp_per_sample)
+        if len(streams) != len(d):
+            raise UsageError("one rng stream is required per candidate")
+        problem, spec = self.problem, self.robustness
+        pop = _prepare(problem, d, beta, streams, spec, self.noise)
+        m = problem.n_objectives
+        objs = np.zeros((len(d), m + 1))
+        objs[:, m] = beta
+        viol = np.zeros(len(d)) if pop.rejected is None else pop.rejected
+        if pop.live.size:
+            f, v, hazard = _finish(
+                problem, spec, pop,
+                *_population_mpp(problem, pop, self.mpp_per_sample))
+            if hazard.any():
+                log.info("%d candidates rejected (division hazard)",
+                         int(hazard.sum()))
+                f[hazard] = 0.0
+                v[hazard] = _MPP_FAILURE_PENALTY
+            objs[pop.live, :m] = f
+            viol[pop.live] = v
         return (objs if self.fixed_beta is None else objs[:, :-1]), viol
 
 
@@ -449,8 +447,7 @@ def build_rbdo_evaluator(problem: RbrdoProblem, beta_t: float,
         raise UsageError("beta_t outside the problem's beta bounds")
     if problem.n_objectives != 1:
         raise UsageError("the fixed-beta form needs a scalar objective")
-    evaluator = RbrdoEvaluator(problem, RobustnessSpec(strategy="none"),
-                               mpp_per_sample=mpp_per_sample,
+    evaluator = RbrdoEvaluator(problem, None, mpp_per_sample=mpp_per_sample,
                                fixed_beta=float(beta_t))
     return evaluator, problem.det_bounds, problem.senses[0]
 

@@ -18,12 +18,12 @@ def list_problems() -> list[str]:
     return sorted(_MODULES)
 
 
-def get_deterministic(name: str, **options) -> DeterministicProblem:
-    return _module(name).deterministic(**options)
+def get_deterministic(name: str) -> DeterministicProblem:
+    return _module(name).deterministic()
 
 
-def get_rbrdo(name: str, **options):
-    return _module(name).rbrdo(**options)
+def get_rbrdo(name: str):
+    return _module(name).rbrdo()
 
 
 def _module(name: str):

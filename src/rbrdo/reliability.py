@@ -83,9 +83,9 @@ class PerformanceFunction:
 
 @dataclass(frozen=True)
 class AsoslParams:
-    """Control parameters of the MPP search."""
+    """Control parameters of the MPP search; the sphere radius beta_t is
+    given per search."""
 
-    beta_t: float
     delta_eta: float = 1.0
     alpha_b: float = 1e-4
     s_b: float = 0.5
@@ -93,8 +93,6 @@ class AsoslParams:
     max_iters: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.beta_t < math.inf:
-            raise UsageError("beta_t must be positive and finite")
         if not 0.0 < self.delta_eta < math.inf:
             raise UsageError("delta_eta must be positive and finite")
         if not 0.0 < self.alpha_b < 1.0:
@@ -520,17 +518,20 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
     return Gfun, Gdfun
 
 
-def asosl_mpp(pf: PerformanceFunction, mu, sigma, d_det,
-              params: AsoslParams) -> MppResult:
+def asosl_mpp(pf: PerformanceFunction, mu, sigma, d_det, beta_t: float,
+              params: AsoslParams = AsoslParams()) -> MppResult:
     """Locate the most probable failure point of one probabilistic constraint.
 
     ``mu`` and ``sigma`` are the normal variables' vectors at the design
-    ``d_det``, as ``RbrdoProblem.random_vars(d_det)`` returns them. One
-    engine row with its trace recorded; a vanished gradient raises
+    ``d_det``, as ``RbrdoProblem.random_vars(d_det)`` returns them; the
+    search runs on the sphere of radius ``beta_t``. One engine row with its
+    trace recorded; a vanished gradient raises
     :class:`GradientVanishedError`. ``g_star > 0`` means the constraint
-    holds at ``params.beta_t``; a search unconverged within the iteration
-    budget returns its last iterate with ``converged=False``.
+    holds at ``beta_t``; a search unconverged within the iteration budget
+    returns its last iterate with ``converged=False``.
     """
+    if not 0.0 < beta_t < math.inf:
+        raise UsageError("beta_t must be positive and finite")
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if mu.ndim != 1 or mu.size < 1 or sigma.shape != mu.shape:
@@ -539,7 +540,7 @@ def asosl_mpp(pf: PerformanceFunction, mu, sigma, d_det,
         raise UsageError("standard deviations must be positive")
     u, Gu, iters, conv, trace = _asosl_engine(
         *make_u_space(pf, mu, sigma, np.asarray(d_det, dtype=float)),
-        params.beta_t, mu.size, 1, params, record=True,
+        beta_t, mu.size, 1, params, record=True,
         raise_on_dead=True)
     u_star = u[0]
     return MppResult(

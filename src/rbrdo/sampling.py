@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,37 +48,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, path={self.path})"
 
 
-@dataclass(frozen=True)
-class NeighborhoodSpec:
-    """Multiplicative noise neighborhood around a center point.
-
-    Sample coordinate s lies in [x_s - delta_s*x_s, x_s + delta_s*x_s];
-    coordinates with delta_s = 0 are never perturbed. A zero center makes
-    the interval degenerate to the point itself, which is accepted (and
-    flagged in logs) rather than widened. An (N, n) center holds N center
-    points that share the noise vector.
-    """
-
-    center: np.ndarray
-    noise: np.ndarray
-    count: int
-    scheme: str = "lhs"
-
-    def __post_init__(self):
-        x = np.asarray(self.center, dtype=float)
-        d = np.asarray(self.noise, dtype=float)
-        if x.ndim not in (1, 2) or d.ndim != 1 or x.shape[-1] != d.size:
-            raise UsageError("center and noise must be equal-length vectors")
-        if np.any(d < 0.0):
-            raise UsageError("noise levels must be nonnegative")
-        if self.count < 1:
-            raise UsageError("sample count must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise UsageError(f"unknown sampling scheme {self.scheme!r}")
-        object.__setattr__(self, "center", x)
-        object.__setattr__(self, "noise", d)
-
-
 def _unit_draws(streams, count: int, dim: int, scheme: str) -> np.ndarray:
     """(len(streams), count, dim) points in [0, 1), block i drawn from
     ``streams[i]`` exactly as a single block would draw them; the
@@ -107,19 +75,33 @@ def latin_hypercube(count: int, dim: int, rng: RngStream) -> np.ndarray:
     return _unit_draws([rng], count, dim, "lhs")[0]
 
 
-def neighborhood_samples(spec: NeighborhoodSpec, rng) -> np.ndarray:
-    """count x dim matrix of perturbed copies of the center point; for an
-    (N, dim) center and N streams, the (N, count, dim) stack of the
-    single-center results, row i drawn from ``rng[i]``."""
-    x, d, m = spec.center, spec.noise, spec.count
+def neighborhood_samples(centers: np.ndarray, noise: np.ndarray, count: int,
+                         scheme: str, streams) -> np.ndarray:
+    """(N, count, n) perturbed copies of the N center rows, block i drawn
+    from ``streams[i]``.
+
+    Multiplicative noise: coordinate s of a sample of center x lies in
+    [x_s - noise_s*x_s, x_s + noise_s*x_s]; coordinates with noise 0 are
+    never perturbed. A zero center makes the interval degenerate to the
+    point itself, which is accepted (and logged) rather than widened.
+    """
+    x = np.asarray(centers, dtype=float)
+    d = np.asarray(noise, dtype=float)
+    if x.ndim != 2 or d.ndim != 1 or x.shape[1] != d.size:
+        raise UsageError("centers must be rows as long as the noise vector")
+    if np.any(d < 0.0):
+        raise UsageError("noise levels must be nonnegative")
+    if count < 1:
+        raise UsageError("sample count must be >= 1")
+    if scheme not in SCHEMES:
+        raise UsageError(f"unknown sampling scheme {scheme!r}")
+    if len(streams) != len(x):
+        raise UsageError("one rng stream is required per center row")
     if np.any((d > 0.0) & (np.abs(x) < _DEGENERATE_CENTER)):
         log.debug("neighborhood degenerates to a point: |center| < %.0e "
                   "on a noisy coordinate", _DEGENERATE_CENTER)
-    streams = [rng] if x.ndim == 1 else rng
-    if len(streams) != len(np.atleast_2d(x)):
-        raise UsageError("one rng stream is required per center row")
-    u = _unit_draws(streams, m, d.size, spec.scheme)
-    u, x = (u[0], x) if x.ndim == 1 else (u, x[:, None, :])
+    u = _unit_draws(streams, count, d.size, scheme)
+    x = x[:, None, :]
     half = d * x  # signed half-width; sign-safe because the map is affine
     samples = x + half * (2.0 * u - 1.0)
     lo = np.minimum(x - half, x + half)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from rbrdo import (AsoslParams, Bounds, DeParams, ModeParams, ParetoArchive,
+from rbrdo import (Bounds, DeParams, ModeParams, ParetoArchive,
                    PerformanceFunction, RbrdoProblem, RngStream,
                    RobustnessSpec, Sense, asosl_mpp, build_mo_problem,
                    build_rbdo_evaluator, de_minimize, fit_front,
@@ -124,8 +124,7 @@ def test_criterion_02_benchmark_rbdo():
     assert np.all(np.abs(best.decision
                          - np.array([3.440563, 3.279963])) <= 0.05)
     mu, sigma = prob.random_vars(best.decision)
-    g = [asosl_mpp(pf, mu, sigma, best.decision,
-                   AsoslParams(beta_t=3.0)).g_star
+    g = [asosl_mpp(pf, mu, sigma, best.decision, 3.0).g_star
          for pf in prob.constraints]
     assert abs(g[0]) <= 1e-2 and abs(g[1]) <= 1e-2
     assert abs(g[2] - 0.5118) <= 0.02
@@ -143,7 +142,7 @@ def test_criterion_03_asosl_oracle_equivalence():
         d = rng.uniform(1.0, 10.0, size=2)
         beta = rng.uniform(1.0, 3.0)
         for pf in prob.constraints:
-            res = asosl_mpp(pf, d, sigma, d, AsoslParams(beta_t=beta))
+            res = asosl_mpp(pf, d, sigma, d, beta)
             ref, _ = min_on_circle(lambda x, pf=pf: pf.g(d, x), d, sigma,
                                    beta, n_points=1_000_000)
             err = abs(res.g_star - ref)
@@ -168,8 +167,7 @@ def test_criterion_04_linear_closed_form():
         pf = PerformanceFunction(
             g=lambda d, x, a=a, c=c: c + np.asarray(x) @ a,
             grad_x=lambda d, x, a=a: np.broadcast_to(a, np.shape(x)).copy())
-        res = asosl_mpp(pf, np.zeros(n), np.ones(n), np.zeros(1),
-                        AsoslParams(beta_t=beta))
+        res = asosl_mpp(pf, np.zeros(n), np.ones(n), np.zeros(1), beta)
         u_expect = -beta * a / np.linalg.norm(a)
         g_expect = c - beta * np.linalg.norm(a)
         assert res.converged
@@ -383,8 +381,7 @@ def test_criterion_13_property_suites():
     for seed in range(10):
         d = np.random.default_rng(seed).uniform(1.5, 8.0, size=2)
         for pf in prob.constraints:
-            res = asosl_mpp(pf, *prob.random_vars(d), d,
-                            AsoslParams(beta_t=2.0))
+            res = asosl_mpp(pf, *prob.random_vars(d), d, 2.0)
             for _, u, *_ in res.trace:
                 assert abs(np.linalg.norm(u) - 2.0) <= 1e-10 * 2.0
 

@@ -169,6 +169,15 @@ class TestStatsFit:
         assert proc.returncode == 2
         assert "zz" in proc.stderr
 
+    @pytest.mark.parametrize("row", ["0.0,nan,7.0,0.0", "0.0,3.0,inf,0.0"])
+    def test_non_finite_value_is_a_malformed_row(self, tmp_path, capsys, row):
+        path = tmp_path / "front.csv"
+        path.write_text("d1,beta,f1,delta\n" + "".join(
+            f"0.0,{b},{5.0 + b * b},0.0\n" for b in (1.0, 1.5, 2.0, 2.5))
+            + row + "\n")
+        assert main(["stats-fit", "--front", str(path)]) == 2
+        assert "malformed data row" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         proc = run_cli(["stats-fit", "--front", str(tmp_path / "nope.csv")],
                        tmp_path)
@@ -200,19 +209,6 @@ class TestInProcess:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_variant_only_for_benchmark(self, tmp_path, source):
-        argv = ["run", "--problem", "reactor", "--mode", "deterministic",
-                "--generations", "1", "--out", str(tmp_path / "x")]
-        if source == "flag":
-            argv += ["--variant", "alternate"]
-        else:
-            cfg = tmp_path / "c.txt"
-            cfg.write_text("variant=alternate\n")
-            argv += ["--config", str(cfg)]
-        assert main(argv) == 2
-        assert not (tmp_path / "x_meta.txt").exists()
-
     def test_threads_key_rejected(self, tmp_path):
         # metadata files of earlier versions carry threads=, which no longer
         # exists: they are refused rather than silently ignored
@@ -222,6 +218,18 @@ class TestInProcess:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_variant_key_rejected(self, tmp_path, capsys):
+        # metadata files of earlier versions carry variant=None; the
+        # benchmark's sign variant is gone, so they are refused by name
+        cfg = tmp_path / "old_meta.txt"
+        cfg.write_text("problem=benchmark\nmode=deterministic\n"
+                       "variant=None\n")
+        code = main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "variant" in capsys.readouterr().err
+        assert not (tmp_path / "x_meta.txt").exists()
+
 
 # the option strings of run and mpp; a new setting changes this list
 RUN_OPTIONS = [
@@ -229,11 +237,11 @@ RUN_OPTIONS = [
     "--delta", "--delta-eta", "--epsilon", "--eta", "--generations",
     "--help", "--history", "--max-iters", "--mode", "--mpp-nominal", "--out",
     "--problem", "--psi", "--r", "--s-b", "--samples", "--scheme", "--seed",
-    "--strategy", "--variant", "--worst-case", "-M", "-h"]
+    "--strategy", "--worst-case", "-M", "-h"]
 MPP_OPTIONS = [
     "--alpha-b", "--beta-t", "--config", "--constraint", "--d", "--delta-eta",
     "--epsilon", "--help", "--max-iters", "--problem", "--s-b", "--trace",
-    "--variant", "-h"]
+    "-h"]
 
 
 class TestSettings:
@@ -289,7 +297,7 @@ class TestSettings:
                 "--delta-eta", "0.9", "--alpha-b", "2e-4", "--s-b", "0.6",
                 "--epsilon", "1e-5", "--max-iters", "150", "--seed", "7",
                 "--mpp-nominal", "--worst-case", "--history",
-                "--variant", "standard", "--out", str(tmp_path / "a")]
+                "--out", str(tmp_path / "a")]
         assert main(argv) == 0
         meta = (tmp_path / "a_meta.txt").read_text()
         assert main(["run", "--config", str(tmp_path / "a_meta.txt"),

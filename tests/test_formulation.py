@@ -200,6 +200,13 @@ class TestBuildMoProblem:
         assert np.array_equal(objs, [[9.0, 2.0]])
         assert np.array_equal(viol, [0.0])
 
+    def test_noise_length_refused_when_built(self):
+        # the toy problem has one design coordinate, the spec two
+        spec = RobustnessSpec(strategy="effective_mean",
+                              delta=np.full(2, 0.1), samples=4)
+        with pytest.raises(UsageError, match="noise vector length"):
+            build_mo_problem(toy_problem(1.0), spec)
+
 
 class TestRbdoEvaluator:
     def test_fixed_beta(self):

@@ -149,7 +149,7 @@ class TestAsoslLinear:
             c = 3.0 * rng.normal()
             beta = rng.uniform(0.5, 5.0)
             res = asosl_mpp(linear_pf(a, c), np.zeros(n), np.ones(n),
-                            np.zeros(1), AsoslParams(beta_t=beta))
+                            np.zeros(1), beta)
             u_expect = -beta * a / np.linalg.norm(a)
             g_expect = c - beta * np.linalg.norm(a)
             assert res.converged
@@ -161,8 +161,7 @@ class TestAsoslLinear:
     def test_general_marginals_back_transform(self):
         a = np.array([1.0, -2.0])
         mu, sigma = np.array([3.0, -1.0]), np.array([0.5, 2.0])
-        res = asosl_mpp(linear_pf(a, 0.0), mu, sigma, np.zeros(1),
-                        AsoslParams(beta_t=2.0))
+        res = asosl_mpp(linear_pf(a, 0.0), mu, sigma, np.zeros(1), 2.0)
         assert np.allclose(res.x_star, mu + sigma * res.u_star)
         assert abs(np.linalg.norm(res.u_star) - 2.0) <= 1e-10 * 2.0
 
@@ -173,7 +172,7 @@ class TestAsoslBenchmark:
 
     def _run(self, pf, beta=3.0, d=None):
         d = self.D_STAR if d is None else d
-        return asosl_mpp(pf, d, self.SIGMA, d, AsoslParams(beta_t=beta))
+        return asosl_mpp(pf, d, self.SIGMA, d, beta)
 
     def test_published_margin_values(self):
         prob = benchmark.rbrdo()
@@ -235,20 +234,18 @@ class TestAsoslEdgeCases:
         pf = PerformanceFunction(g=lambda d, x: np.ones(np.shape(x)[:-1]),
                                  grad_x=lambda d, x: np.zeros(np.shape(x)))
         with pytest.raises(GradientVanishedError):
-            asosl_mpp(pf, np.zeros(2), np.ones(2), np.zeros(1),
-                      AsoslParams(beta_t=1.0))
+            asosl_mpp(pf, np.zeros(2), np.ones(2), np.zeros(1), 1.0)
 
     def test_nonconvergence_flag(self):
         a = np.array([1.0, 1.0])
         res = asosl_mpp(linear_pf(a, 0.0), np.zeros(2), np.ones(2),
-                        np.zeros(1), AsoslParams(beta_t=2.0, max_iters=2))
+                        np.zeros(1), 2.0, AsoslParams(max_iters=2))
         assert not res.converged
         assert res.iterations == 2
 
     def test_requires_random_variables(self):
         with pytest.raises(UsageError):
-            asosl_mpp(linear_pf(np.ones(1), 0.0), [], [], np.zeros(1),
-                      AsoslParams(beta_t=1.0))
+            asosl_mpp(linear_pf(np.ones(1), 0.0), [], [], np.zeros(1), 1.0)
 
     @pytest.mark.parametrize("mu,sigma", [
         ([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]]), ([0.0, 0.0], [1.0, 0.0]),
@@ -258,13 +255,22 @@ class TestAsoslEdgeCases:
     def test_random_variable_validation(self, mu, sigma):
         with pytest.raises(UsageError):
             asosl_mpp(linear_pf(np.ones(len(mu)), 0.0), mu, sigma,
-                      np.zeros(1), AsoslParams(beta_t=1.0))
+                      np.zeros(1), 1.0)
 
     @pytest.mark.parametrize("key", ["beta_t", "delta_eta", "epsilon"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_params_positive_and_finite(self, key, value):
+        # beta_t is each search's sphere radius, the rest its controls
         with pytest.raises(UsageError):
-            AsoslParams(**{"beta_t": 1.0, key: value})
+            if key == "beta_t":
+                asosl_mpp(linear_pf(np.ones(1), 0.0), [0.0], [1.0],
+                          np.zeros(1), value)
+            else:
+                AsoslParams(**{key: value})
+
+    def test_params_hold_no_radius(self):
+        with pytest.raises(TypeError):
+            AsoslParams(beta_t=1.0)
 
 
 class TestRowNorm:
@@ -304,7 +310,7 @@ class TestNonFiniteGradient:
         pf = _scaled_linear(lambda d, x: np.ones_like(x) * d[..., :1])
         beta = np.array([2.0, 3.0, 2.0, 3.0])
         mu, sigma = np.zeros((4, 2)), np.ones((4, 2))
-        params = AsoslParams(beta_t=3.0)
+        params = AsoslParams()
         u, G, iters, conv, _ = _asosl_engine(
             *make_u_space(pf, mu, sigma, scale), beta, 2, 4, params)
         assert conv.all() and (iters[:2] > 1).all()
@@ -331,7 +337,7 @@ class TestNonFiniteGradient:
         mu, sigma = np.zeros((4, 2)), np.ones((4, 2))
         u, G, iters, conv, _ = _asosl_engine(
             *make_u_space(_scaled_linear(grad_x), mu, sigma, comp), 2.0, 2,
-            4, AsoslParams(beta_t=3.0))
+            4, AsoslParams())
         assert conv.tolist() == [True, False, False, False]
         assert iters[1:].tolist() == [1, 1, 1]
         # the stopped rows keep the last finite state
@@ -347,13 +353,13 @@ class TestBatchParity:
         rng = np.random.default_rng(17)
         d_batch = rng.uniform(1.5, 8.0, size=(16, 2))
         sigma = np.full((16, 2), 0.3)
-        params = AsoslParams(beta_t=2.5)
+        params = AsoslParams()
         for pf in prob.constraints:
             Gfun, Gdfun = make_u_space(pf, d_batch, sigma, d_batch)
             _, g_b, _, conv_b, _ = _asosl_engine(Gfun, Gdfun, 2.5, 2, 16,
                                                  params)
             for i, d in enumerate(d_batch):
-                res = asosl_mpp(pf, d, sigma[i], d, params)
+                res = asosl_mpp(pf, d, sigma[i], d, 2.5, params)
                 assert conv_b[i] == res.converged
                 assert abs(g_b[i] - res.g_star) <= 1e-10
 
@@ -422,7 +428,7 @@ class TestCompaction:
         pf = PerformanceFunction(g, grad_x if analytic else None)
         d, mu, sigma, beta = _mixed_batch(self.KINDS)
         b = beta.size
-        params = AsoslParams(beta_t=3.0)
+        params = AsoslParams()
         Gfun, Gdfun = make_u_space(pf, mu, sigma, d)
         with caplog.at_level(logging.DEBUG, logger="rbrdo.reliability"):
             u, G, iters, conv, _ = _asosl_engine(Gfun, Gdfun, beta, 2, b,
@@ -490,7 +496,7 @@ class TestCompactionWork:
         kinds[777] = 2  # one straggler to the cap
         d, mu, sigma, beta = _mixed_batch(kinds, seed=3)
         pf, calls = _spy(PerformanceFunction(*_mixed_margin()))
-        params = AsoslParams(beta_t=3.0)
+        params = AsoslParams()
         _, _, iters, _, _ = _asosl_engine(*make_u_space(pf, mu, sigma, d),
                                           beta, 2, kinds.size, params)
         assert iters[777] == params.max_iters
@@ -508,7 +514,7 @@ class TestCompactionWork:
         pf, calls = _spy(PerformanceFunction(*_mixed_margin()))
         ladders = _spy_ladders(monkeypatch)
         _asosl_engine(*make_u_space(pf, mu, sigma, d), beta, 2, kinds.size,
-                      AsoslParams(beta_t=3.0, max_iters=1))
+                      AsoslParams(max_iters=1))
         ladder = calls[1:-1]  # between the start's and the step's margins
         assert len(ladder) >= 8 and ladder[0] == kinds.size
         assert max(ladder[1:]) <= 5

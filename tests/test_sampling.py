@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from rbrdo import (NeighborhoodSpec, RngStream, UsageError, latin_hypercube,
-                   neighborhood_samples)
+from rbrdo import RngStream, UsageError, latin_hypercube, neighborhood_samples
 
 
 class TestRngStream:
@@ -60,54 +59,50 @@ class TestLatinHypercube:
             latin_hypercube(2, 0, RngStream(0))
 
 
+def one_center(center, noise, count, rng, scheme="lhs"):
+    """The (count, n) samples of a single center row."""
+    return neighborhood_samples(np.array([center], dtype=float),
+                                np.array(noise, dtype=float), count, scheme,
+                                [rng])[0]
+
+
 class TestNeighborhoodSamples:
     def test_zero_noise_returns_center(self):
-        spec = NeighborhoodSpec(center=np.array([1.5, -2.0]),
-                                noise=np.zeros(2), count=8)
-        samples = neighborhood_samples(spec, RngStream(0))
+        samples = one_center([1.5, -2.0], np.zeros(2), 8, RngStream(0))
         assert np.all(samples == np.array([1.5, -2.0]))
 
     def test_interval_containment(self):
-        spec = NeighborhoodSpec(center=np.array([2.0]), noise=np.array([0.1]),
-                                count=200)
-        samples = neighborhood_samples(spec, RngStream(3))
+        samples = one_center([2.0], [0.1], 200, RngStream(3))
         assert np.all((samples >= 1.8) & (samples <= 2.2))
 
     def test_mixed_noise_coordinates(self):
-        spec = NeighborhoodSpec(center=np.array([1.0, 1.0]),
-                                noise=np.array([0.05, 0.0]), count=50)
-        samples = neighborhood_samples(spec, RngStream(7))
+        samples = one_center([1.0, 1.0], [0.05, 0.0], 50, RngStream(7))
         assert np.all(samples[:, 1] == 1.0)
         assert np.all((samples[:, 0] >= 0.95) & (samples[:, 0] <= 1.05))
 
     def test_negative_center_contained(self):
-        spec = NeighborhoodSpec(center=np.array([-3.0]), noise=np.array([0.2]),
-                                count=100)
-        samples = neighborhood_samples(spec, RngStream(11))
+        samples = one_center([-3.0], [0.2], 100, RngStream(11))
         assert np.all((samples >= -3.6) & (samples <= -2.4))
 
     def test_reproducible(self):
-        spec = NeighborhoodSpec(center=np.ones(3), noise=np.full(3, 0.1),
-                                count=20)
-        a = neighborhood_samples(spec, RngStream(9))
-        b = neighborhood_samples(spec, RngStream(9))
+        a = one_center(np.ones(3), np.full(3, 0.1), 20, RngStream(9))
+        b = one_center(np.ones(3), np.full(3, 0.1), 20, RngStream(9))
         assert np.array_equal(a, b)
 
     def test_uniform_scheme(self):
-        spec = NeighborhoodSpec(center=np.array([2.0]), noise=np.array([0.1]),
-                                count=64, scheme="uniform")
-        samples = neighborhood_samples(spec, RngStream(1))
+        samples = one_center([2.0], [0.1], 64, RngStream(1), "uniform")
         assert np.all((samples >= 1.8) & (samples <= 2.2))
 
     def test_validation(self):
-        with pytest.raises(UsageError):
-            NeighborhoodSpec(center=np.ones(2), noise=np.array([0.1, -0.1]),
-                             count=5)
-        with pytest.raises(UsageError):
-            NeighborhoodSpec(center=np.ones(2), noise=np.zeros(2), count=0)
-        with pytest.raises(UsageError):
-            NeighborhoodSpec(center=np.ones(2), noise=np.zeros(2), count=1,
-                             scheme="sobol")
+        for centers, noise, count, scheme in [
+                (np.ones((1, 2)), [0.1, -0.1], 5, "lhs"),   # negative noise
+                (np.ones((1, 2)), np.zeros(2), 0, "lhs"),   # no samples
+                (np.ones((1, 2)), np.zeros(2), 1, "sobol"),
+                (np.ones(2), np.zeros(2), 1, "lhs"),        # not rows
+                (np.ones((1, 3)), np.zeros(2), 1, "lhs")]:  # lengths differ
+            with pytest.raises(UsageError):
+                neighborhood_samples(centers, np.array(noise), count, scheme,
+                                     [RngStream(0)])
 
 
 class TestPopulationSamples:
@@ -118,13 +113,9 @@ class TestPopulationSamples:
         centers[4, 0] = 0.0  # degenerate on a noisy coordinate
         noise = np.array([0.1, 0.0, 0.05, 0.2])  # coordinate 1 never moves
         streams = [RngStream(3).substream(i) for i in range(9)]
-        spec = NeighborhoodSpec(center=centers, noise=noise, count=7,
-                                scheme=scheme)
-        got = neighborhood_samples(spec, streams)
+        got = neighborhood_samples(centers, noise, 7, scheme, streams)
         want = np.stack([
-            neighborhood_samples(
-                NeighborhoodSpec(center=c, noise=noise, count=7,
-                                 scheme=scheme), RngStream(3).substream(i))
+            one_center(c, noise, 7, RngStream(3).substream(i), scheme)
             for i, c in enumerate(centers)])
         assert got.shape == (9, 7, 4)
         assert got.tobytes() == want.tobytes()
@@ -132,7 +123,6 @@ class TestPopulationSamples:
         assert np.all(got[4, :, 0] == 0.0)
 
     def test_one_stream_per_row(self):
-        spec = NeighborhoodSpec(center=np.ones((3, 2)), noise=np.full(2, 0.1),
-                                count=4)
         with pytest.raises(UsageError):
-            neighborhood_samples(spec, [RngStream(0), RngStream(1)])
+            neighborhood_samples(np.ones((3, 2)), np.full(2, 0.1), 4, "lhs",
+                                 [RngStream(0), RngStream(1)])
