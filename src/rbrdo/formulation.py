@@ -43,7 +43,7 @@ from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
                           _rows_memo, make_u_space)
 from .robustness import (RobustnessSpec, noise_levels, penalty_objectives,
                          type2_ratio, worst_sample)
-from .sampling import RngStream, neighborhood_samples
+from .sampling import RngStream, _philox_keys, neighborhood_samples
 
 log = logging.getLogger(__name__)
 
@@ -454,8 +454,7 @@ def build_rbdo_evaluator(problem: RbrdoProblem, beta_t: float,
 
 def _level_seed(seed: int, level: float) -> int:
     key = int(np.float64(level).view(np.uint64))
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_philox_keys([RngStream(seed, (key,))])[0, 0])
 
 
 def sweep_specs(problem: RbrdoProblem, delta_levels: Sequence[float],

@@ -78,18 +78,32 @@ def _init_population(bounds: Bounds, NP: int, rng: RngStream) -> np.ndarray:
 
 
 def _rand1bin_trials(pop, targets, F, CR, rng: RngStream, bounds: Bounds):
-    """One rand/1/bin trial per target index, clipped into the box."""
+    """One rand/1/bin trial per target index, clipped into the box.
+
+    Each row draws, in turn, a permutation of the population, its
+    crossover uniforms and its forced-crossover coordinate; the donors are
+    the permutation's first three entries other than the target."""
     NP, n = pop.shape
-    trials = np.empty((len(targets), n))
-    for row, i in enumerate(targets):
-        perm = rng.gen.permutation(NP)
-        donors = perm[perm != i][:3]
-        a, b, c = donors
-        mutant = pop[a] + F * (pop[b] - pop[c])
-        cross = rng.gen.random(n) < CR
-        cross[rng.gen.integers(n)] = True
-        trials[row] = np.where(cross, mutant, pop[i])
-    return bounds.clip(trials)
+    targets = np.asarray(targets, dtype=np.int64)
+    rows = targets.size
+    perm = np.empty((rows, NP), dtype=np.int64)
+    perm[...] = np.arange(NP)  # permutation(NP) shuffles arange(NP)
+    u = np.empty((rows, n))
+    forced = np.empty(rows, dtype=np.int64)
+    gen = rng.gen
+    for row in range(rows):
+        gen.shuffle(perm[row])
+        gen.random(out=u[row])
+        forced[row] = gen.integers(n)
+    # the target sits once in its row; donors step over its position
+    at = np.argmax(perm == targets[:, None], axis=1)
+    first = np.arange(3)
+    a, b, c = np.take_along_axis(
+        perm, first + (first >= at[:, None]), axis=1).T
+    mutant = pop[a] + F * (pop[b] - pop[c])
+    cross = u < CR
+    cross[np.arange(rows), forced] = True
+    return bounds.clip(np.where(cross, mutant, pop[targets]))
 
 
 def _evaluate(evaluator, xs, rng: RngStream, generation: int):

@@ -49,8 +49,12 @@ def polyfit2(x, y) -> tuple[float, float, float]:
     # imports numpy.ma)
     if np.count_nonzero(np.diff(np.sort(x))) < 2:
         raise FitError("rank-deficient design: fewer than 3 distinct x values")
-    design = np.stack([np.ones_like(x), x, x * x], axis=1)
-    scale = np.linalg.norm(design, axis=0)
+    with np.errstate(over="ignore"):
+        design = np.stack([np.ones_like(x), x, x * x], axis=1)
+        scale = np.linalg.norm(design, axis=0)
+    if not np.all(np.isfinite(scale)):
+        raise FitError(f"x too large for a quadratic fit: x*x or its column "
+                       f"scale overflows (max |x| = {np.abs(x).max():.6g})")
     design /= scale
     try:
         a_scaled = np.linalg.solve(design.T @ design, design.T @ y)

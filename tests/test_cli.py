@@ -178,6 +178,18 @@ class TestStatsFit:
         assert main(["stats-fit", "--front", str(path)]) == 2
         assert "malformed data row" in capsys.readouterr().err
 
+    def test_overflowing_x_is_a_fit_error(self, tmp_path):
+        # x*x overflows: a numeric failure (exit 3) that names the cause,
+        # with no numpy warnings on the way
+        path = tmp_path / "front.csv"
+        path.write_text("d1,beta,f1,delta\n" + "".join(
+            f"0.0,{b!r},{5.0 + k},0.0\n"
+            for k, b in enumerate((1.0, 1.5, 2.0, 1e308))))
+        proc = run_cli(["stats-fit", "--front", str(path)], tmp_path)
+        assert proc.returncode == 3
+        assert "x*x or its column scale overflows" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_missing_file_is_io_error(self, tmp_path):
         proc = run_cli(["stats-fit", "--front", str(tmp_path / "nope.csv")],
                        tmp_path)

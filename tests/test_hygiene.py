@@ -13,7 +13,9 @@ in ``rbrdo.__all__`` is read by name in some package module other than
 not need, and the MPP search sits below the rest of the package. Its step
 makes no pass along a row of only n values: no ``np.linalg.norm`` and no
 reduction over ``axis=1`` (or -1), so the one row-norm implementation,
-``_row_norm``, stays the only one.
+``_row_norm``, stays the only one. Stream keys have one derivation,
+``sampling._philox_keys``: no package module builds a numpy
+``SeedSequence`` itself.
 """
 
 import ast
@@ -197,6 +199,15 @@ def test_reliability_makes_no_row_passes():
     source = (ROOT / "src" / "rbrdo" / "reliability.py").read_text(
         encoding="utf-8")
     assert row_passes(source) == []
+
+
+def test_package_builds_no_seed_sequence():
+    found = [f"{path.relative_to(ROOT).as_posix()} line {node.lineno}"
+             for path in PACKAGE
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if getattr(node, "attr", getattr(node, "id", None))
+             == "SeedSequence"]
+    assert found == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rbrdo import (Bounds, DeParams, ModeParams, Sense, UsageError,
+from rbrdo import (Bounds, DeParams, ModeParams, RngStream, Sense, UsageError,
                    crowding_distance, de_minimize, fast_non_dominated_sort,
                    mode_optimize)
 from rbrdo.core import non_dominated_mask
+from rbrdo.optimize import _rand1bin_trials
 
 
 class Batch:
@@ -235,3 +236,34 @@ class TestModeOptimize:
         with pytest.raises(UsageError):
             mode_optimize(sphere, BOX2, (Sense.MINIMIZE,), ModeParams())
 
+
+def reference_trials(pop, targets, F, CR, rng, bounds):
+    """rand/1/bin one row at a time, each drawing its own donors and mask."""
+    NP, n = pop.shape
+    trials = np.empty((len(targets), n))
+    for row, i in enumerate(targets):
+        perm = rng.gen.permutation(NP)
+        a, b, c = perm[perm != i][:3]
+        mutant = pop[a] + F * (pop[b] - pop[c])
+        cross = rng.gen.random(n) < CR
+        cross[rng.gen.integers(n)] = True
+        trials[row] = np.where(cross, mutant, pop[i])
+    return bounds.clip(trials)
+
+
+class TestRand1BinTrials:
+    @pytest.mark.parametrize("NP", [4, 50])
+    @pytest.mark.parametrize("mode", ["de", "mode"])
+    def test_equal_per_row_loop(self, NP, mode):
+        R = 10
+        box = Bounds(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 2.5]))
+        pop = np.random.default_rng(NP).uniform(-2.0, 6.0, size=(NP, 3))
+        targets = (range(NP) if mode == "de"
+                   else [i % NP for i in range(R * NP)])
+        for g in range(1, 4):
+            got = _rand1bin_trials(pop, targets, 0.5, 0.8,
+                                   RngStream(3).substream(2, g), box)
+            want = reference_trials(pop, targets, 0.5, 0.8,
+                                    RngStream(3).substream(2, g), box)
+            assert got.shape == (len(targets), 3)
+            assert got.tobytes() == want.tobytes()

@@ -2,6 +2,18 @@ import numpy as np
 import pytest
 
 from rbrdo import RngStream, UsageError, latin_hypercube, neighborhood_samples
+from rbrdo.formulation import _level_seed
+from rbrdo.sampling import _philox_keys, _unit_draws
+
+
+def numpy_key(seed, path=()):
+    return np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(
+        2, np.uint64)
+
+
+def numpy_gen(stream):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=stream.seed, spawn_key=stream.path)))
 
 
 class TestRngStream:
@@ -26,6 +38,92 @@ class TestRngStream:
         ref = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=42, spawn_key=(1, 3, 7))))
         assert np.array_equal(draws, ref.random(5))
+
+    @pytest.mark.parametrize("seed, path", [(-1, ()), (0, (-1,)),
+                                            (3, (1, 2, -5))])
+    def test_negative_seed_or_index_refused_when_built(self, seed, path):
+        with pytest.raises(UsageError, match="nonnegative"):
+            RngStream(seed, path)
+        with pytest.raises(UsageError):
+            RngStream(1).substream(2, -1)
+
+    @pytest.mark.parametrize("path", [(2**32,), (2**64, 1), (7, 2**64 + 5)])
+    def test_large_path_indices_draw_as_numpy(self, path):
+        s = RngStream(4, path)
+        assert np.array_equal(s.gen.random(9), numpy_gen(s).random(9))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+         _level_seed(1, 0.05)]  # a 64-bit seed, as a sweep level gets
+ENTRIES = [0, 2**32 - 1, 2**32, 2**64]
+PATHS = [(), (0,), (2**32 - 1,), (2**32,), (2**64,), (0, 2**64),
+         (2**32, 2**32 - 1, 0), (2**64, 0, 2**32, 2**32 - 1),
+         (1, 0, 49), (2, 500)]
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equal_numpy_seed_sequence(self, seed):
+        streams = [RngStream(seed, path) for path in PATHS]
+        want = np.stack([numpy_key(seed, path) for path in PATHS])
+        keys = _philox_keys(streams)
+        assert keys.dtype == np.uint64 and keys.shape == (len(PATHS), 2)
+        assert np.array_equal(keys, want)
+
+    def test_mixed_seeds_and_lengths_in_one_call(self):
+        rng = np.random.default_rng(5)
+        cases = []
+        for _ in range(60):
+            length = int(rng.integers(0, 5))
+            cases.append((SEEDS[rng.integers(len(SEEDS))],
+                          tuple(ENTRIES[k] for k in
+                                rng.integers(len(ENTRIES), size=length))))
+        cases += [(seed, (1, 0, i)) for seed in range(24) for i in range(3)]
+        keys = _philox_keys([RngStream(seed, path) for seed, path in cases])
+        want = np.stack([numpy_key(seed, path) for seed, path in cases])
+        assert np.array_equal(keys, want)
+
+    def test_first_word_is_the_one_word_state(self):
+        # output word i does not depend on how many words are asked for
+        for seed in SEEDS:
+            for path in PATHS:
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
+                assert (ss.generate_state(1, np.uint64)[0]
+                        == ss.generate_state(2, np.uint64)[0])
+        key = int(np.float64(0.05).view(np.uint64))
+        assert _level_seed(1, 0.05) == int(np.random.SeedSequence(
+            entropy=1, spawn_key=(key,)).generate_state(1, np.uint64)[0])
+
+
+def reference_draws(streams, count, dim, scheme):
+    """One generator per stream, drawing permutation/random per coordinate."""
+    blocks = []
+    for stream in streams:
+        gen = numpy_gen(stream)
+        if scheme == "uniform":
+            blocks.append(gen.random((count, dim)))
+            continue
+        perm = np.empty((dim, count), dtype=np.int64)
+        jitter = np.empty((dim, count))
+        for j in range(dim):
+            perm[j] = gen.permutation(count)
+            jitter[j] = gen.random(count)
+        blocks.append(((perm + jitter) / count).T)
+    return np.stack(blocks)
+
+
+class TestUnitDraws:
+    @pytest.mark.parametrize("scheme", ["lhs", "uniform"])
+    @pytest.mark.parametrize("count", [1, 4, 50, 129])
+    def test_blocks_equal_per_stream_generators(self, scheme, count):
+        streams = [RngStream(seed, (1, 3, i)) for i, seed in
+                   enumerate([0, 2**32, 7, 7, 2**64 - 1])] + [
+            RngStream(9), RngStream(9, (2**64,))]
+        for dim in range(1, 6):
+            got = _unit_draws(streams, count, dim, scheme)
+            want = reference_draws(streams, count, dim, scheme)
+            assert got.shape == (len(streams), count, dim)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLatinHypercube:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,15 @@ class TestPolyfit2:
         assert abs(a0 - 1.5) < 1e-10
         assert abs(a1 + 0.7) < 1e-10
         assert abs(a2 - 0.25) < 1e-10
+
+    @pytest.mark.parametrize("big", [1e308, 1e160])
+    def test_overflow_is_a_fit_error(self, big):
+        # 1e308: x*x overflows; 1e160: x*x is finite, its column norm is not
+        x = np.array([1.0, 1.5, 2.0, big])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="overflows"):
+                polyfit2(x, np.arange(4.0))
 
     def test_constant_data(self):
         x = np.linspace(0.0, 1.0, 10)
