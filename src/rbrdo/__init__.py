@@ -10,7 +10,7 @@ from .core import Bounds, EvaluatedSolution, ParetoArchive, Sense
 from .errors import (FitError, GradientVanishedError, NumericError,
                      RbrdoError, UsageError)
 from .formulation import (RbrdoProblem, build_mo_problem, build_rbdo_evaluator,
-                          sweep_robustness)
+                          sweep_robustness, sweep_specs)
 from .optimize import (DeParams, ModeParams, crowding_distance, de_minimize,
                        fast_non_dominated_sort, mode_optimize)
 from .reliability import (AsoslParams, MppResult, PerformanceFunction,
@@ -30,4 +30,5 @@ __all__ = [
     "build_rbdo_evaluator", "crowding_distance", "de_minimize", "fit_front",
     "fast_non_dominated_sort", "goodness_of_fit", "latin_hypercube",
     "mode_optimize", "neighborhood_samples", "polyfit2", "sweep_robustness",
+    "sweep_specs",
 ]

@@ -47,8 +47,6 @@ from .stats import fit_front, second_difference_scale
 # thinned to this many beta-stratified members before the fits
 FIT_SAMPLE = 50
 
-log = logging.getLogger(__name__)
-
 ENV_OUTPUT_DIR = "RBRDO_OUTPUT_DIR"
 
 
@@ -268,14 +266,13 @@ def cmd_run(args) -> int:
               f"rbdo optimum at beta={beta:g}: f={f:.6f}")
     else:
         mode_params = ModeParams(**de, r=cfg["r"], R=cfg["R"])
-        robust = {key: cfg[key] for key in (
-            "samples", "strategy", "eta", "scheme", "worst_case")}
-        sweep_specs(unc, levels, **robust)
+        specs = sweep_specs(unc, levels, **{key: cfg[key] for key in (
+            "samples", "strategy", "eta", "scheme", "worst_case")})
         prefix = _output_prefix(cfg)
         histories = {} if cfg["history"] else None
         archives, errors = sweep_robustness(
-            unc, levels, mode_params, mpp_per_sample=not cfg["mpp_nominal"],
-            histories=histories, **robust)
+            unc, specs, mode_params, mpp_per_sample=not cfg["mpp_nominal"],
+            histories=histories)
         if histories:
             for level, hist in histories.items():
                 written.extend(_write_history(prefix, f"_delta{level:g}",

@@ -475,23 +475,17 @@ def sweep_specs(problem: RbrdoProblem, delta_levels: Sequence[float],
         for level in levels}
 
 
-def sweep_robustness(problem: RbrdoProblem, delta_levels: Sequence[float],
-                     params: ModeParams, samples: int = 50,
-                     strategy: str = "effective_mean",
-                     eta: Optional[float] = None, scheme: str = "lhs",
-                     worst_case: bool = False,
-                     mpp_per_sample: bool = True, histories=None):
-    """One MODE run per distinct noise level; archives keyed by level.
+def sweep_robustness(problem: RbrdoProblem,
+                     specs: dict[float, RobustnessSpec], params: ModeParams,
+                     *, mpp_per_sample: bool = True, histories=None):
+    """One MODE run per noise level of ``specs``; archives keyed by level.
 
-    Levels run once each, in first-seen order. Seeds are derived
-    deterministically from (params.seed, level), so equal levels reproduce
-    identical archives and failures in one level do not stop the others.
-    Every level is checked (:func:`sweep_specs`) before the first runs.
-    Returns (archives, errors) dicts, each in level order.
+    ``specs`` maps each level to its robustness spec, as
+    :func:`sweep_specs` returns them (checked, in first-seen order). Seeds
+    are derived deterministically from (params.seed, level), so equal
+    levels reproduce identical archives and failures in one level do not
+    stop the others. Returns (archives, errors) dicts, each in level order.
     """
-    specs = sweep_specs(problem, delta_levels, samples=samples,
-                        strategy=strategy, eta=eta, scheme=scheme,
-                        worst_case=worst_case)
     archives: dict[float, ParetoArchive] = {}
     errors: dict[float, Exception] = {}
     for level, spec in specs.items():

@@ -13,7 +13,6 @@ compares sense-adjusted objectives worsened by ``psi * violation``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .core import (Bounds, EvaluatedSolution, ParetoArchive, Sense,
                    dominates_rows, sense_signs)
 from .errors import UsageError
 from .sampling import RngStream, latin_hypercube
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ the failure probability of each margin. The margins are
     m2 = (x1 + x2 - 5)^2 / 30 + (x1 - x2 - 12)^2 / 120 - 1
     m3 = 80 / (x1^2 + 8 x2 + 5) - 1
 
-(positive = safe), the family whose optima are the published
-``OPTIMUM_DET`` and ``OPTIMUM_RBDO_BETA3``.
+(positive = safe), the family whose deterministic optimum is the
+published ``OPTIMUM_DET``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from ..reliability import PerformanceFunction
 from .base import DeterministicProblem, deterministic_form
 
 SIGMA = 0.3
-OPTIMUM_DET = 5.176532          # at d = (3.113885, 2.062648)
-OPTIMUM_RBDO_BETA3 = 6.720532   # at d = (3.440563, 3.279963)
+OPTIMUM_DET = 5.176532  # at d = (3.113885, 2.062648)
 
 
 def _m1(x1, x2):
@@ -39,13 +38,6 @@ def _m2(x1, x2):
 
 def _m3(x1, x2):
     return 80.0 / (x1 * x1 + 8.0 * x2 + 5.0) - 1.0
-
-
-def margins(x) -> np.ndarray:
-    """All three margins stacked on the last axis; positive = safe."""
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.stack([_m1(x1, x2), _m2(x1, x2), _m3(x1, x2)], axis=-1)
 
 
 def _objective(d, x):

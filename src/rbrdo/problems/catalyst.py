@@ -14,8 +14,9 @@ Within a segment the system is linear time-invariant, y' = A(v) y. The
 production integrator is classical fixed-step RK4 with h = 1e-3; because
 one RK4 step of a linear system is multiplication by the degree-4 Taylor
 polynomial of exp(hA), a whole segment is that matrix raised to the step
-count, which this module computes by binary exponentiation. The closed-form
-eigenvalue propagator serves as the independent reference.
+count, which this module computes by binary exponentiation. RK4 is the
+only integrator; its independent reference, the closed-form eigenvalue
+propagator, lives with the test oracles (``tests/oracles.py``).
 
 Uncertain forms treat the segment controls as independent normals with
 coefficient of variation 0.1 whose means are decision variables; the ODE is
@@ -25,12 +26,9 @@ reliability index feeds directly into the objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import Bounds, Sense
-from ..errors import UsageError
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
 from .base import DeterministicProblem, deterministic_form
@@ -44,25 +42,6 @@ _BOUNDS_DET = Bounds(np.array([0.0, 0.0, 0.0, 0.0, 0.5]),
 _BOUNDS_RBRDO = Bounds(np.array([_MU_FLOOR, _MU_FLOOR, _MU_FLOOR, 0.0, 0.5]),
                        np.array([1.0, 1.0, 1.0, 0.5, 1.0]))
 _Y0 = np.array([1.0, 0.0])
-
-
-@dataclass(frozen=True)
-class CatalystControl:
-    """Piecewise-constant catalyst fractions with their switch times."""
-
-    values: np.ndarray
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape[-1] != 3:
-            raise UsageError("three control segments are required")
-        if not 0.0 <= self.t1 <= 0.5:
-            raise UsageError("t1 must lie in [0, 0.5]")
-        if not 0.5 <= self.t2 <= 1.0:
-            raise UsageError("t2 must lie in (0.5, 1]")
-        object.__setattr__(self, "values", v)
 
 
 def _system_matrix(v) -> np.ndarray:
@@ -102,68 +81,25 @@ def _rk4_segment_matrix(a, duration, h):
     return out
 
 
-def _expm_segment_matrix(a, duration):
-    """Closed-form exp(A * duration) via the (real, distinct) eigenvalues."""
-    tr = a[..., 0, 0] + a[..., 1, 1]
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    disc = np.sqrt(tr * tr - 4.0 * det)
-    lam1 = 0.5 * (tr + disc)
-    lam2 = 0.5 * (tr - disc)
-    eye = np.broadcast_to(np.eye(2), a.shape)
-    e1 = np.exp(lam1 * duration)[..., None, None]
-    e2 = np.exp(lam2 * duration)[..., None, None]
-    l1 = lam1[..., None, None]
-    l2 = lam2[..., None, None]
-    return (e1 * (a - l2 * eye) - e2 * (a - l1 * eye)) / (l1 - l2)
-
-
-def _final_state(v, t1, t2, method, h):
+def _final_state(v, t1, t2, h=DEFAULT_STEP):
     """y(1) for segment values v (..., 3) and switch times broadcast to
     v's leading axes; every row integrates with its own switch times."""
-    if method not in ("rk4", "closed_form"):
-        raise UsageError(f"unknown integration method {method!r}")
-    if v.shape[-1] != 3:
-        raise UsageError("three control segments are required")
     lead = v.shape[:-1]
     t1 = np.broadcast_to(np.asarray(t1, dtype=float), lead)
     t2 = np.broadcast_to(np.asarray(t2, dtype=float), lead)
     y = np.broadcast_to(_Y0, lead + (2,)).copy()
     for seg, duration in enumerate((t1, t2 - t1, 1.0 - t2)):
-        a = _system_matrix(v[..., seg])
-        if method == "rk4":
-            m = _rk4_segment_matrix(a, duration, h)
-        else:
-            m = _expm_segment_matrix(a, duration)
+        m = _rk4_segment_matrix(_system_matrix(v[..., seg]), duration, h)
         y = np.einsum("...ij,...j->...i", m, y)
     return y
 
 
-def catalyst_simulate(control: CatalystControl, values=None,
-                      method: str = "rk4", h: float = DEFAULT_STEP):
-    """Final molar fractions (y1, y2) at t = 1.
-
-    ``values`` overrides the control's segment values (e.g. with the most
-    probable perturbed controls) and may carry leading batch axes; switch
-    times are shared across the batch. ``method`` selects the fixed-step
-    RK4 production integrator or the closed-form reference propagator.
-    """
-    v = control.values if values is None else np.asarray(values, dtype=float)
-    return _final_state(v, control.t1, control.t2, method, h)
-
-
-def conversion(control: CatalystControl, values=None, method: str = "rk4",
-               h: float = DEFAULT_STEP):
-    """Objective f = 1 - y1(1) - y2(1)."""
-    y = catalyst_simulate(control, values=values, method=method, h=h)
-    return 1.0 - y[..., 0] - y[..., 1]
-
-
-def _decision_objective(d, x, method="rk4", h=DEFAULT_STEP):
+def _decision_objective(d, x):
     """Objective over decision rows d = (c0, c1, c2, t1, t2), controls x."""
     d = np.asarray(d, dtype=float)
     x = np.asarray(x, dtype=float)
     y = _final_state(x[..., :3], np.clip(d[..., 3], 0.0, 0.5),
-                     np.clip(d[..., 4], 0.5, 1.0), method, h)
+                     np.clip(d[..., 4], 0.5, 1.0))
     return 1.0 - y[..., 0] - y[..., 1]
 
 

@@ -4,7 +4,8 @@ Deterministic target: minimize the total transfer area A_T = A1 + A2 + A3.
 The full eight-variable NLP carries the stage temperatures of the hot
 streams explicitly; eliminating the heat-balance inequalities (they bind at
 the optimum) reduces it to five variables d = (A1, A2, A3, T1, T2) with
-three inequality constraints. The known minimum is A_T ~= 7049.25.
+three inequality constraints, the only form shipped (the full form is a
+test oracle). The known minimum is A_T ~= 7049.25.
 
 Uncertain forms randomize the constant coefficients of the reduced
 constraints as eight independent normals (coefficient of variation 0.05)
@@ -50,13 +51,6 @@ def _m3(d, x):
     return x[..., 6] * d[..., 4] + x[..., 7] * d[..., 2] - x[..., 5]
 
 
-def margins(d, x) -> np.ndarray:
-    """Reduced-problem margins, stacked on the last axis; positive = safe."""
-    d = np.asarray(d, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.stack([_m1(d, x), _m2(d, x), _m3(d, x)], axis=-1)
-
-
 def _objective(d, x):
     d = np.asarray(d, dtype=float)
     return d[..., 0] + d[..., 1] + d[..., 2]
@@ -65,38 +59,6 @@ def _objective(d, x):
 def deterministic() -> DeterministicProblem:
     """Reduced five-variable form evaluated at the nominal coefficients."""
     return deterministic_form(rbrdo(), OPTIMUM_DET)
-
-
-def full_deterministic() -> DeterministicProblem:
-    """The original eight-variable NLP; shipped for cross-checking.
-
-    Decision vector (A1, A2, A3, T1, T2, t12, t22, t32).
-    """
-    def violation(z):
-        z = np.asarray(z, dtype=float)
-        a1, a2, a3, t1, t2, t12, t22, t32 = (z[..., i] for i in range(8))
-        c = np.stack([
-            (t1 + t12) / 400.0 - 1.0,
-            (t2 + t22 - t1) / 400.0 - 1.0,
-            (t32 - t2) / 100.0 - 1.0,
-            a1 * (100.0 - t12) + (2500.0 / 3.0) * t1 - 250000.0 / 3.0,
-            a2 * (t1 - t22) - 1250.0 * t1 + 1250.0 * t2,
-            a3 * (t2 - t32) - 2500.0 * t2 + 1.25e6,
-        ], axis=-1)
-        return np.maximum(c, 0.0).sum(axis=-1)
-
-    bounds = Bounds(
-        np.array([1e2, 1e3, 1e3, 10.0, 10.0, 10.0, 10.0, 10.0]),
-        np.array([1e4, 1e4, 1e4, 1e3, 1e3, 1e3, 1e3, 1e3]),
-    )
-    return DeterministicProblem(
-        name="heat-exchanger-full",
-        bounds=bounds,
-        sense=Sense.MINIMIZE,
-        objective=lambda z: np.asarray(z, dtype=float)[..., :3].sum(axis=-1),
-        violation=violation,
-        optimum=OPTIMUM_DET,
-    )
 
 
 def _performance_functions():

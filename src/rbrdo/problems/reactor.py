@@ -26,12 +26,6 @@ from .base import DeterministicProblem, deterministic_form
 MU = np.array([0.09755988, 0.09658428, 0.0391908, 0.03527172])
 SIGMA = 0.15 * MU
 OPTIMUM_DET = 0.389  # at (cA1, cA2) = (0.771, 0.517), V = (3.037, 5.096)
-LOCAL_OPTIMA = (
-    # (cA1, cA2, f) per the known feasible solutions
-    (0.390, 0.390, 0.375),
-    (1.0, 0.393, 0.388),
-    (0.771, 0.517, 0.389),
-)
 
 _BOUNDS = Bounds(np.full(2, 1e-5), np.ones(2))
 _GUARD_SCALE = 1e6
@@ -76,29 +70,6 @@ def domain_guard(d) -> np.ndarray:
     """Large finite violation when the ordering d2 <= d1 is broken."""
     d = np.asarray(d, dtype=float)
     return _GUARD_SCALE * np.maximum(d[..., 1] - d[..., 0], 0.0)
-
-
-def residence_times(d, x=MU) -> tuple[np.ndarray, np.ndarray]:
-    d = np.asarray(d, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v1 = (1.0 - d[..., 0]) / (x[..., 0] * d[..., 0])
-    v2 = (d[..., 0] - d[..., 1]) / (x[..., 1] * d[..., 1])
-    return v1, v2
-
-
-def full_form_objective(d) -> np.ndarray:
-    """Outlet concentration recovered by solving the original equalities.
-
-    Independent route used to cross-check the reduced closed form: compute
-    V1, V2 from the A-species balances, then propagate the B-species
-    balances stage by stage.
-    """
-    d = np.asarray(d, dtype=float)
-    k1, k2, k3, k4 = MU
-    v1, v2 = residence_times(d)
-    cb1 = (1.0 - d[..., 0]) / (1.0 + k3 * v1)
-    cb2 = (cb1 + d[..., 0] - d[..., 1]) / (1.0 + k4 * v2)
-    return cb2
 
 
 def deterministic() -> DeterministicProblem:

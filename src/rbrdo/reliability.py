@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -68,16 +68,16 @@ _ULP = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class PerformanceFunction:
-    """Margin function g(d, x) with optional analytic x-gradient.
+    """Margin function g(d, x) with its analytic x-gradient.
 
     ``g`` must broadcast over a leading batch axis of ``x`` (and of ``d``
-    when d-batches are used): g(d, x[..., :]) -> shape x.shape[:-1]. When
-    ``grad_x`` is omitted the U-space gradient falls back to central finite
-    differences with step 1e-6 * max(1, |u_i|).
+    when d-batches are used): g(d, x[..., :]) -> shape x.shape[:-1], and
+    ``grad_x`` likewise -> shape x.shape, the partial derivatives of g in
+    x. The U-space gradient of the search is sigma * grad_x.
     """
 
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_x: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "g"
 
 
@@ -239,21 +239,6 @@ def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
                 return tb_fb[0]
             tb[fb] = tb_fb
     return tb
-
-
-def _fd_gradient(Gfun, u, rows=None):
-    """Central-difference gradient of G over the last axis of u."""
-    u = np.atleast_2d(u)
-    b, n = u.shape
-    grad = np.empty((b, n))
-    for i in range(n):
-        h = 1e-6 * np.maximum(1.0, np.abs(u[:, i]))
-        up = u.copy()
-        um = u.copy()
-        up[:, i] += h
-        um[:, i] -= h
-        grad[:, i] = (Gfun(up, rows) - Gfun(um, rows)) / (2.0 * h)
-    return grad
 
 
 def _pairwise_sum(term, lo, n):
@@ -503,17 +488,13 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
         m, s, d = at(rows)
         return np.asarray(pf.g(d, m + s * u), dtype=float)
 
-    if pf.grad_x is not None:
-        def Gdfun(u, rows=None):
-            m, s, d = at(rows)
-            x = m + s * u
-            G = np.asarray(pf.g(d, x), dtype=float)
-            grad = np.asarray(pf.grad_x(d, x), dtype=float)
-            del x  # gone before sigma * grad is made
-            return G, s * grad
-    else:
-        def Gdfun(u, rows=None):
-            return Gfun(u, rows), _fd_gradient(Gfun, u, rows)
+    def Gdfun(u, rows=None):
+        m, s, d = at(rows)
+        x = m + s * u
+        G = np.asarray(pf.g(d, x), dtype=float)
+        grad = np.asarray(pf.grad_x(d, x), dtype=float)
+        del x  # gone before sigma * grad is made
+        return G, s * grad
 
     return Gfun, Gdfun
 

@@ -55,8 +55,9 @@ class RngStream:
     def gen(self) -> np.random.Generator:
         """The stream's generator, built on first use: most evaluators
         never draw from the per-candidate streams they are handed."""
-        key = _philox_keys([self])[0]
-        return np.random.Generator(np.random.Philox(key=key))
+        bitgen = np.random.Philox(0)
+        bitgen.state = _start_state(_philox_keys([self])[0].tolist())
+        return np.random.Generator(bitgen)
 
     def substream(self, *indices: int) -> "RngStream":
         """Derive an independent stream for (generation, candidate, ...)."""
@@ -151,18 +152,25 @@ def _philox_keys(streams) -> np.ndarray:
     return keys
 
 
+def _start_state(key) -> dict:
+    """The state ``np.random.Philox(key=key)`` starts in: a zero counter
+    and an empty buffer. Built from a seeded ``Philox(0)`` and set to
+    this, a generator draws as that one does, without the OS entropy
+    an unseeded constructor reads."""
+    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0),
+                                                 "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0}
+
+
 def _unit_draws(streams, count: int, dim: int, scheme: str) -> np.ndarray:
     """(len(streams), count, dim) points in [0, 1), block i drawn from
     ``streams[i]`` exactly as its own generator would draw them, through
     one generator switched from stream to stream; the arithmetic then
     runs once over all blocks."""
-    keys = _philox_keys(streams)
-    bitgen = np.random.Philox(key=0)  # keyed per block below
+    bitgen = np.random.Philox(0)  # keyed per block below
     gen = np.random.Generator(bitgen)
-    fresh = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    starts = [{**fresh, "state": {"counter": (0, 0, 0, 0), "key": key}}
-              for key in keys.tolist()]
+    starts = [_start_state(key) for key in _philox_keys(streams).tolist()]
     if scheme == "uniform":
         u = np.empty((len(streams), count, dim))
         for block, start in zip(u, starts):

@@ -1,7 +1,7 @@
 """Independent reference computations shared by the test modules.
 
 Everything here deliberately avoids the library's own code paths: brute
-force enumeration, dense grids and closed forms only.
+force enumeration, dense grids, closed forms and finite differences only.
 """
 
 import numpy as np
@@ -35,6 +35,40 @@ def catalyst_reference_state(values, t1, t2):
         lam, vec = np.linalg.eig(a)
         y = (vec @ np.diag(np.exp(lam * dt)) @ np.linalg.inv(vec)) @ y
     return y
+
+
+def heat_exchanger_full_form(z):
+    """Total area and summed constraint violation of the original
+    eight-variable heat exchanger NLP, at rows z = (A1, A2, A3, T1, T2,
+    t12, t22, t32); the library ships only the reduced five-variable form.
+    """
+    z = np.asarray(z, dtype=float)
+    a1, a2, a3, t1, t2, t12, t22, t32 = (z[..., i] for i in range(8))
+    c = np.stack([
+        (t1 + t12) / 400.0 - 1.0,
+        (t2 + t22 - t1) / 400.0 - 1.0,
+        (t32 - t2) / 100.0 - 1.0,
+        a1 * (100.0 - t12) + (2500.0 / 3.0) * t1 - 250000.0 / 3.0,
+        a2 * (t1 - t22) - 1250.0 * t1 + 1250.0 * t2,
+        a3 * (t2 - t32) - 2500.0 * t2 + 1.25e6,
+    ], axis=-1)
+    return a1 + a2 + a3, np.maximum(c, 0.0).sum(axis=-1)
+
+
+def fd_grad_x(g):
+    """A ``grad_x`` for the margin g(d, x) by central differences in x,
+    with step 1e-6 * max(1, |x_i|); each row is differenced on its own."""
+    def grad_x(d, x):
+        x = np.asarray(x, dtype=float)
+        cols = []
+        for i in range(x.shape[-1]):
+            h = 1e-6 * np.maximum(1.0, np.abs(x[..., i]))
+            up, down = x.copy(), x.copy()
+            up[..., i] += h
+            down[..., i] -= h
+            cols.append((g(d, up) - g(d, down)) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+    return grad_x
 
 
 def uniform_mean_abs_deviation(center, half_width):
@@ -82,3 +116,25 @@ def reactor_zero_noise_front(beta):
     shrink = 1.0 - REACTOR_CV * np.asarray(beta, dtype=float)
     c = 1.0 / (1.0 + 16.0 * k2 * shrink)
     return (1.0 - c) / (1.0 + 16.0 * k4 * shrink)
+
+
+def reactor_residence_times(d, rates=REACTOR_RATES):
+    """Residence times (V1, V2) from the A-species balances of the two
+    reactors, at concentration rows d = (cA1, cA2)."""
+    d = np.asarray(d, dtype=float)
+    k1, k2 = rates[0], rates[1]
+    v1 = (1.0 - d[..., 0]) / (k1 * d[..., 0])
+    v2 = (d[..., 0] - d[..., 1]) / (k2 * d[..., 1])
+    return v1, v2
+
+
+def reactor_full_form_objective(d):
+    """Outlet concentration of the intermediate species, from the original
+    equalities: the residence times from the A balances, then the B
+    balances stage by stage (the library ships the eliminated closed form).
+    """
+    d = np.asarray(d, dtype=float)
+    k3, k4 = REACTOR_RATES[2], REACTOR_RATES[3]
+    v1, v2 = reactor_residence_times(d)
+    cb1 = (1.0 - d[..., 0]) / (1.0 + k3 * v1)
+    return (cb1 + d[..., 0] - d[..., 1]) / (1.0 + k4 * v2)

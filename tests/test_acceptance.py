@@ -14,14 +14,14 @@ from rbrdo import (Bounds, DeParams, ModeParams, ParetoArchive,
                    PerformanceFunction, RbrdoProblem, RngStream,
                    RobustnessSpec, Sense, asosl_mpp, build_mo_problem,
                    build_rbdo_evaluator, de_minimize, fit_front,
-                   mode_optimize, sweep_robustness)
+                   mode_optimize, sweep_robustness, sweep_specs)
 from rbrdo.core import dominates_rows
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
 from rbrdo.reliability import _secant_bound
 
 from oracles import (REACTOR_CORNER_GAIN, REACTOR_FRONT_EXACT_BETA,
-                     min_on_circle, quadratic_effective_mean,
-                     reactor_zero_noise_front)
+                     catalyst_reference_state, min_on_circle,
+                     quadratic_effective_mean, reactor_zero_noise_front)
 
 
 def ok(criterion, detail):
@@ -57,8 +57,8 @@ def benchmark_sweep():
     prob = benchmark.rbrdo()
     params = ModeParams(seed=2024, generations=500)
     t0 = time.perf_counter()
-    archives, errors = sweep_robustness(prob, [0.0, 0.05, 0.1], params,
-                                        samples=50)
+    archives, errors = sweep_robustness(
+        prob, sweep_specs(prob, [0.0, 0.05, 0.1], samples=50), params)
     assert not errors
     return archives, (time.perf_counter() - t0) / 3.0
 
@@ -67,8 +67,8 @@ def benchmark_sweep():
 def heat_sweep():
     prob = heat_exchanger.rbrdo()
     params = ModeParams(seed=77, generations=500)
-    archives, errors = sweep_robustness(prob, [0.0, 0.05, 0.1], params,
-                                        samples=50)
+    archives, errors = sweep_robustness(
+        prob, sweep_specs(prob, [0.0, 0.05, 0.1], samples=50), params)
     assert not errors
     return archives
 
@@ -77,8 +77,8 @@ def heat_sweep():
 def reactor_sweep():
     prob = reactor.rbrdo()
     params = ModeParams(seed=99, generations=500)
-    archives, errors = sweep_robustness(prob, [0.0, 0.05, 0.1], params,
-                                        samples=50)
+    archives, errors = sweep_robustness(
+        prob, sweep_specs(prob, [0.0, 0.05, 0.1], samples=50), params)
     assert not errors
     return archives
 
@@ -87,7 +87,8 @@ def reactor_sweep():
 def catalyst_sweep():
     prob = catalyst.rbrdo()
     params = ModeParams(seed=12, generations=500)
-    archives, errors = sweep_robustness(prob, [0.0, 0.2], params, samples=50)
+    archives, errors = sweep_robustness(
+        prob, sweep_specs(prob, [0.0, 0.2], samples=50), params)
     assert not errors
     return archives
 
@@ -320,17 +321,16 @@ def test_criterion_11_catalyst_integrator():
     worst = 0.0
     for _ in range(40):
         v = rng.uniform(0.0, 1.0, size=3)
-        ctl = catalyst.CatalystControl(v, rng.uniform(0.0, 0.5),
-                                       rng.uniform(0.5, 1.0))
-        y_rk4 = catalyst.catalyst_simulate(ctl, method="rk4", h=1e-3)
-        y_ref = catalyst.catalyst_simulate(ctl, method="closed_form")
+        t1, t2 = rng.uniform(0.0, 0.5), rng.uniform(0.5, 1.0)
+        y_rk4 = catalyst._final_state(v, t1, t2, h=1e-3)
+        y_ref = catalyst_reference_state(v, t1, t2)
         worst = max(worst, float(np.abs(y_rk4 - y_ref).max()))
     assert worst <= 1e-8
     # observed convergence order across h in {4e-3, 2e-3, 1e-3}
-    ctl = catalyst.CatalystControl(np.array([0.9, 0.3, 0.1]), 0.15, 0.7)
-    ref = catalyst.catalyst_simulate(ctl, method="closed_form")
-    errs = [np.abs(catalyst.catalyst_simulate(ctl, method="rk4", h=h)
-                   - ref).max() for h in (4e-3, 2e-3, 1e-3)]
+    v, t1, t2 = np.array([0.9, 0.3, 0.1]), 0.15, 0.7
+    ref = catalyst_reference_state(v, t1, t2)
+    errs = [np.abs(catalyst._final_state(v, t1, t2, h=h) - ref).max()
+            for h in (4e-3, 2e-3, 1e-3)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 3.9
     ok("criterion-11", f"max |rk4-closed|={worst:.2e}, observed order "

@@ -95,6 +95,24 @@ class TestRunRbrdo:
             assert ((tmp_path / f"a_{name}.csv").read_bytes()
                     == (tmp_path / f"b_{name}.csv").read_bytes()), name
 
+    def test_specs_are_built_once_per_run(self, tmp_path, monkeypatch):
+        # the run checks the specs before it makes the output directory,
+        # and the sweep takes the checked ones
+        from rbrdo import cli, formulation
+        calls = []
+        build = formulation.sweep_specs
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+        for module in (cli, formulation):
+            monkeypatch.setattr(module, "sweep_specs", spy)
+        assert main(["run", "--problem", "benchmark", "--mode", "rbrdo",
+                     "--delta", "0,0.05", "--generations", "2", "--NP", "8",
+                     "--R", "2", "--samples", "4", "--seed", "1",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert len(calls) == 1
+
     def test_empty_level_list_is_a_configuration_error(self, tmp_path, capsys):
         assert main(["run", "--problem", "benchmark", "--mode", "rbrdo",
                      "--delta", ",", "--out", str(tmp_path / "x")]) == 2

@@ -5,8 +5,11 @@ import pytest
 
 from rbrdo import (Bounds, ModeParams, PerformanceFunction, RbrdoProblem,
                    RngStream, RobustnessSpec, Sense, UsageError,
-                   build_mo_problem, build_rbdo_evaluator, sweep_robustness)
+                   build_mo_problem, build_rbdo_evaluator, sweep_robustness,
+                   sweep_specs)
 from rbrdo.problems import benchmark, catalyst, heat_exchanger, reactor
+
+from oracles import fd_grad_x
 
 
 def toy_problem(margin_offset, sense=Sense.MINIMIZE, psi=1e6):
@@ -155,12 +158,12 @@ class TestEvaluateRbrdo:
 
 class TestFiniteDifferenceGradient:
     def test_matches_analytic_gradient(self):
-        # without grad_x the stacked MPP pass differentiates the margins
-        # numerically; penalties and feasibility must agree with the
-        # analytic-gradient problem on noisy benchmark candidates
+        # with central-difference gradients of the margins, penalties and
+        # feasibility must agree with the analytic-gradient problem on
+        # noisy benchmark candidates
         analytic = benchmark.rbrdo()
         numeric = dataclasses.replace(analytic, constraints=tuple(
-            dataclasses.replace(pf, grad_x=None)
+            dataclasses.replace(pf, grad_x=fd_grad_x(pf.g))
             for pf in analytic.constraints))
         rng = np.random.default_rng(11)
         xs = np.array([[*rng.uniform(1.5, 6.0, size=2), rng.uniform(1.0, 3.0)]
@@ -226,8 +229,8 @@ class TestSweep:
     def test_equal_levels_identical_archives(self):
         prob = toy_problem(1.0)
         params = ModeParams(seed=3, NP=8, generations=5, R=2)
-        archives, errors = sweep_robustness(prob, [0.05, 0.05], params,
-                                            samples=8)
+        archives, errors = sweep_robustness(
+            prob, sweep_specs(prob, [0.05, 0.05], samples=8), params)
         assert not errors
         assert len(archives) == 1  # keyed by level value
 
@@ -236,8 +239,8 @@ class TestSweep:
         boom = dataclasses.replace(
             prob, random_vars=lambda d: (_ for _ in ()).throw(RuntimeError()))
         params = ModeParams(seed=3, NP=8, generations=3, R=2)
-        archives, errors = sweep_robustness(boom, [0.0, 0.1], params,
-                                            samples=4)
+        archives, errors = sweep_robustness(
+            boom, sweep_specs(boom, [0.0, 0.1], samples=4), params)
         assert set(errors) == {0.0, 0.1}
 
     @pytest.mark.parametrize("levels,scheme", [([0.0, -0.1], "lhs"),
@@ -252,16 +255,19 @@ class TestSweep:
         monkeypatch.setattr(formulation, "mode_optimize",
                             lambda *args, **kwargs: calls.append(args))
         params = ModeParams(seed=3, NP=8, generations=3, R=2)
+        prob = toy_problem(1.0)
         with pytest.raises(UsageError):
-            sweep_robustness(toy_problem(1.0), levels, params, samples=4,
-                             scheme=scheme)
+            sweep_robustness(prob, sweep_specs(prob, levels, samples=4,
+                                               scheme=scheme), params)
         assert calls == []
 
     def test_level_keying_and_determinism(self):
         prob = toy_problem(1.0)
         params = ModeParams(seed=3, NP=8, generations=4, R=2)
-        a, _ = sweep_robustness(prob, [0.0, 0.1], params, samples=8)
-        b, _ = sweep_robustness(prob, [0.0, 0.1], params, samples=8)
+        a, _ = sweep_robustness(prob, sweep_specs(prob, [0.0, 0.1], samples=8),
+                                params)
+        b, _ = sweep_robustness(prob, sweep_specs(prob, [0.0, 0.1], samples=8),
+                                params)
         for level in (0.0, 0.1):
             assert np.array_equal(a[level].objectives, b[level].objectives)
 

@@ -9,13 +9,15 @@ names. A second scan bars orphan helpers: every private module-level
 name of the package (a ``_name`` function, class or constant) is read
 somewhere in the package. A third bars test-only public faces: every name
 in ``rbrdo.__all__`` is read by name in some package module other than
-``rbrdo/__init__.py``. A run also must not pull in heavy modules it does
-not need, and the MPP search sits below the rest of the package. Its step
-makes no pass along a row of only n values: no ``np.linalg.norm`` and no
-reduction over ``axis=1`` (or -1), so the one row-norm implementation,
-``_row_norm``, stays the only one. Stream keys have one derivation,
-``sampling._philox_keys``: no package module builds a numpy
-``SeedSequence`` itself.
+``rbrdo/__init__.py``, and every public module-level name is read by the
+package too (a re-export by an ``__init__.py`` does not count), so a path
+that only the tests reach lives with them. A run also must not pull in
+heavy modules it does not need, and the MPP search sits below the rest of
+the package. Its step makes no pass along a row of only n values: no
+``np.linalg.norm`` and no reduction over ``axis=1`` (or -1), so the one
+row-norm implementation, ``_row_norm``, stays the only one. Stream keys
+have one derivation, ``sampling._philox_keys``: no package module builds
+a numpy ``SeedSequence`` itself.
 """
 
 import ast
@@ -62,10 +64,12 @@ def test_scan_flags_unused_names():
     assert unused_imports(source) == ["line 2: os", "line 4: x"]
 
 
-def orphan_privates(sources: dict[str, str]) -> list[str]:
-    """Private module-level names of ``sources`` (module name -> source)
-    that nothing reads: not the defining module by name, and no module by
-    ``from ... import`` or as an attribute."""
+def unread_names(sources: dict[str, str], public: bool) -> list[str]:
+    """Module-level names of ``sources`` (module name -> source), public or
+    private (``_name``), that nothing reads: not the defining module by
+    name, and no module as an attribute or by ``from ... import``. A
+    package ``__init__.py`` importing a name re-exports it; that is not a
+    read."""
     defined, local, shared = [], {}, set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -80,17 +84,24 @@ def orphan_privates(sources: dict[str, str]) -> list[str]:
             else:
                 names = []
             defined += [(module, node.lineno, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+                        if name and not name.startswith("__")
+                        and name.startswith("_") != public]
         local[module] = {node.id for node in ast.walk(tree)
                          if isinstance(node, ast.Name)
                          and isinstance(node.ctx, ast.Load)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 shared.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
+            elif (isinstance(node, ast.ImportFrom)
+                  and not module.endswith("__init__.py")):
                 shared |= {alias.name for alias in node.names}
     return [f"{module} line {line}: {name}" for module, line, name in defined
             if name not in local[module] and name not in shared]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+            for path in PACKAGE}
 
 
 def test_scan_flags_orphan_privates():
@@ -99,14 +110,29 @@ def test_scan_flags_orphan_privates():
               "def _used(x): return x\ndef _orphan(): return _used(_LIMIT)\n"
               "def _imported(): pass\ndef _attr(): pass\n"),
         "b": "from a import _imported\nimport a\n_imported(a._attr)\n"}
-    assert orphan_privates(sources) == [
+    assert unread_names(sources, public=False) == [
         "a line 2: _SEEN", "a line 3: _Box", "a line 5: _orphan"]
 
 
 def test_no_orphan_privates():
-    assert orphan_privates({path.relative_to(ROOT).as_posix():
-                            path.read_text(encoding="utf-8")
-                            for path in PACKAGE}) == []
+    assert unread_names(package_sources(), public=False) == []
+
+
+def test_scan_flags_unread_publics():
+    sources = {
+        "p/__init__.py": "from .a import exported\n__version__ = '1'\n",
+        "p/a.py": ("LIMIT = 3\nUNUSED: int = 4\ndef used(): return LIMIT\n"
+                   "def exported(): pass\ndef imported(): pass\n"
+                   "def attr(): pass\nclass Orphan: pass\n_x = used()\n"),
+        "p/b.py": "from .a import imported\nfrom . import a\na.attr()\n"}
+    assert unread_names(sources, public=True) == [
+        "p/a.py line 2: UNUSED", "p/a.py line 4: exported",
+        "p/a.py line 7: Orphan"]
+
+
+def test_every_public_name_is_read_by_the_package():
+    # a package path that only the tests reach belongs with the tests
+    assert unread_names(package_sources(), public=True) == []
 
 
 def unread_exports(exports, sources: dict[str, str]) -> list[str]:
@@ -133,9 +159,9 @@ def test_every_export_is_read_by_the_package():
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", "") == "__all__"
                            for t in node.targets))
-    assert unread_exports(exports, {
-        path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
-        for path in PACKAGE if path != init}) == []
+    sources = package_sources()
+    del sources[init.relative_to(ROOT).as_posix()]
+    assert unread_exports(exports, sources) == []
 
 
 def package_imports(source: str) -> set[str]:

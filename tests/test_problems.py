@@ -7,8 +7,15 @@ from rbrdo.problems import (benchmark, catalyst, get_deterministic, get_rbrdo,
                             heat_exchanger, list_problems, reactor)
 
 from oracles import (REACTOR_CORNER_GAIN, REACTOR_FRONT_EXACT_BETA,
-                     catalyst_reference_state, circle_points, min_on_circle,
+                     catalyst_reference_state, circle_points,
+                     heat_exchanger_full_form, min_on_circle,
+                     reactor_full_form_objective, reactor_residence_times,
                      reactor_zero_noise_front)
+
+
+def stacked_margins(problem, d, x):
+    """The problem's margins g_i(d, x), stacked on the last axis."""
+    return np.stack([pf.g(d, x) for pf in problem.constraints], axis=-1)
 
 
 class TestRegistry:
@@ -68,7 +75,7 @@ class TestBenchmark:
         assert abs(det.objective(self.D_DET) - 5.176532) < 1e-5
 
     def test_first_two_constraints_active(self):
-        m = benchmark.margins(self.D_DET)
+        m = stacked_margins(benchmark.rbrdo(), self.D_DET, self.D_DET)
         assert abs(m[0]) < 1e-3 and abs(m[1]) < 1e-3
         assert m[2] > 1.0  # third constraint inactive
 
@@ -78,9 +85,11 @@ class TestBenchmark:
 
     def test_margins_vectorized(self):
         pts = np.array([self.D_DET, [4.0, 4.0]])
-        m = benchmark.margins(pts)
+        prob = benchmark.rbrdo()
+        m = stacked_margins(prob, pts, pts)
         assert m.shape == (2, 3)
-        assert np.allclose(m[0], benchmark.margins(self.D_DET))
+        assert np.allclose(m[0], stacked_margins(prob, self.D_DET,
+                                                 self.D_DET))
 
 
 class TestHeatExchanger:
@@ -93,7 +102,7 @@ class TestHeatExchanger:
 
     def test_margins_active_at_optimum(self):
         d = self._reduced_optimum()
-        m = heat_exchanger.margins(d, heat_exchanger.MU)
+        m = stacked_margins(heat_exchanger.rbrdo(), d, heat_exchanger.MU)
         scale = np.array([1e5, 1e5, 1e6])  # typical term magnitudes
         assert np.all(np.abs(m) / scale < 1e-4)
 
@@ -107,9 +116,9 @@ class TestHeatExchanger:
         t22 = 400.0 + d[3] - d[4]
         t32 = 100.0 + d[4]
         z = np.concatenate([d, [t12, t22, t32]])
-        full = heat_exchanger.full_deterministic()
-        assert abs(full.objective(z) - 7049.25) < 0.01
-        assert full.violation(z) < 10.0  # published rounding, scale ~1e5
+        area, violation = heat_exchanger_full_form(z)
+        assert abs(area - 7049.25) < 0.01
+        assert violation < 10.0  # published rounding, scale ~1e5
 
     def test_random_vars_table(self):
         assert np.allclose(heat_exchanger.SIGMA / heat_exchanger.MU, 0.05)
@@ -140,7 +149,7 @@ class TestReactor:
         assert abs(f2 - 0.388) < 1e-3
 
     def test_residence_times_at_optimum(self):
-        v1, v2 = reactor.residence_times(np.array([0.771, 0.517]))
+        v1, v2 = reactor_residence_times(np.array([0.771, 0.517]))
         assert abs(v1 - 3.037) < 0.01
         assert abs(v2 - 5.096) < 0.01
 
@@ -155,7 +164,7 @@ class TestReactor:
             d2 = rng.uniform(0.05, d1)
             d = np.array([d1, d2])
             assert np.isclose(reactor.concentration(d, reactor.MU),
-                              reactor.full_form_objective(d),
+                              reactor_full_form_objective(d),
                               rtol=1e-12, atol=1e-14)
 
     def test_rate_constant_scale_invariance(self):
@@ -237,17 +246,24 @@ class TestReactorZeroNoiseFront:
         assert 5e-5 <= gain <= REACTOR_CORNER_GAIN
 
 
+def catalyst_conversion(v, t1, t2, h=catalyst.DEFAULT_STEP):
+    """1 - y1(1) - y2(1) of the shipped RK4 integrator, for controls v."""
+    y = catalyst._final_state(np.asarray(v, dtype=float), t1, t2, h)
+    return 1.0 - y[..., 0] - y[..., 1]
+
+
 class TestCatalystSimulator:
     def test_zero_control_freezes_state(self):
-        ctl = catalyst.CatalystControl(np.zeros(3), 0.2, 0.8)
-        y = catalyst.catalyst_simulate(ctl)
+        y = catalyst._final_state(np.zeros(3), 0.2, 0.8)
         assert np.allclose(y, [1.0, 0.0], atol=1e-14)
-        assert catalyst.conversion(ctl) == pytest.approx(0.0, abs=1e-14)
+        assert catalyst_conversion(np.zeros(3), 0.2, 0.8) == pytest.approx(
+            0.0, abs=1e-14)
 
     def test_published_optimum_value(self):
-        ctl = catalyst.CatalystControl(np.array([1.0, 0.2248, 0.0]),
-                                       0.1338, 0.7237)
-        assert abs(catalyst.conversion(ctl) - 0.048065) < 5e-5
+        # the objective the optimizer sees, at the controls' means
+        d = np.array([1.0, 0.2248, 0.0, 0.1338, 0.7237])
+        f = catalyst.rbrdo().objective(d, d[:3])
+        assert abs(f - 0.048065) < 5e-5
 
     def test_rk4_matches_closed_form(self):
         rng = np.random.default_rng(2)
@@ -256,46 +272,40 @@ class TestCatalystSimulator:
             v = rng.uniform(0.0, 1.0, size=3)
             t1 = rng.uniform(0.0, 0.5)
             t2 = rng.uniform(0.5, 1.0)
-            ctl = catalyst.CatalystControl(v, t1, t2)
-            y_rk4 = catalyst.catalyst_simulate(ctl, method="rk4")
-            y_cf = catalyst.catalyst_simulate(ctl, method="closed_form")
+            y_rk4 = catalyst._final_state(v, t1, t2)
+            y_cf = catalyst_reference_state(v, t1, t2)
             worst = max(worst, np.abs(y_rk4 - y_cf).max())
         assert worst <= 1e-8
 
-    def test_closed_form_matches_independent_eig(self):
+    def test_fine_step_matches_independent_eig(self):
+        # 100 times finer than h = 1e-3, the order-4 truncation error of
+        # RK4 falls 1e8-fold, from at most 1e-8: it meets the eig form
+        # within 1e-12
         rng = np.random.default_rng(3)
         for _ in range(10):
             v = rng.uniform(0.01, 1.0, size=3)
             t1, t2 = rng.uniform(0.1, 0.5), rng.uniform(0.55, 0.95)
-            ctl = catalyst.CatalystControl(v, t1, t2)
-            y = catalyst.catalyst_simulate(ctl, method="closed_form")
+            y = catalyst._final_state(v, t1, t2, h=1e-5)
             ref = catalyst_reference_state(v, t1, t2)
             assert np.allclose(y, ref, atol=1e-12)
 
     def test_grid_refinement_invariance(self):
-        ctl = catalyst.CatalystControl(np.array([0.9, 0.3, 0.05]), 0.15, 0.7)
-        base = catalyst.conversion(ctl, h=1e-3)
-        finer = catalyst.conversion(ctl, h=2.5e-4)
+        v = np.array([0.9, 0.3, 0.05])
+        base = catalyst_conversion(v, 0.15, 0.7, h=1e-3)
+        finer = catalyst_conversion(v, 0.15, 0.7, h=2.5e-4)
         assert abs(base - finer) <= 1e-8
 
     def test_batched_values(self):
-        ctl = catalyst.CatalystControl(np.array([0.5, 0.5, 0.5]), 0.2, 0.8)
+        # decision rows and control rows broadcast against each other
+        objective = catalyst.rbrdo().objective
+        d = np.array([0.5, 0.5, 0.5, 0.2, 0.8])
         vals = np.array([[0.5, 0.5, 0.5], [1.0, 0.2, 0.0]])
-        y = catalyst.catalyst_simulate(ctl, values=vals)
+        f = objective(d, vals)
+        assert f.shape == (2,)
+        assert np.allclose(f[1], objective(d, vals[1]))
+        y = catalyst._final_state(vals, 0.2, 0.8)
         assert y.shape == (2, 2)
-        single = catalyst.catalyst_simulate(
-            catalyst.CatalystControl(vals[1], 0.2, 0.8))
-        assert np.allclose(y[1], single)
-
-    def test_control_validation(self):
-        with pytest.raises(UsageError):
-            catalyst.CatalystControl(np.zeros(3), 0.6, 0.8)
-        with pytest.raises(UsageError):
-            catalyst.CatalystControl(np.zeros(3), 0.2, 0.4)
-        with pytest.raises(UsageError):
-            catalyst.catalyst_simulate(
-                catalyst.CatalystControl(np.zeros(3), 0.2, 0.8),
-                method="euler")
+        assert np.allclose(y[1], catalyst._final_state(vals[1], 0.2, 0.8))
 
 
 class TestCatalystReliability:

@@ -10,7 +10,7 @@ from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _row_norm,
                                _secant_bound, make_u_space)
 from rbrdo.problems import benchmark
 
-from oracles import min_on_circle
+from oracles import fd_grad_x, min_on_circle
 
 
 ALPHA_B, S_B = 1e-4, 0.5
@@ -219,7 +219,7 @@ class TestAsoslBenchmark:
         mu = self.D_STAR
         for pf in prob.constraints:
             G, Gd = make_u_space(pf, mu, self.SIGMA, mu)
-            pf_fd = PerformanceFunction(pf.g, None)
+            pf_fd = PerformanceFunction(pf.g, fd_grad_x(pf.g))
             _, Gd_fd = make_u_space(pf_fd, mu, self.SIGMA, mu)
             for _ in range(100):
                 u = rng.normal(size=(1, 2))
@@ -425,7 +425,7 @@ class TestCompaction:
     @pytest.mark.parametrize("analytic", [True, False])
     def test_rows_match_batches_of_one(self, analytic, caplog):
         g, grad_x = _mixed_margin()
-        pf = PerformanceFunction(g, grad_x if analytic else None)
+        pf = PerformanceFunction(g, grad_x if analytic else fd_grad_x(g))
         d, mu, sigma, beta = _mixed_batch(self.KINDS)
         b = beta.size
         params = AsoslParams()
@@ -530,7 +530,7 @@ class TestCompactionWork:
         d, mu, sigma, _ = _mixed_batch(rng.integers(0, 5, b).astype(float))
         for analytic in (True, False):
             g, grad_x = _mixed_margin()
-            pf = PerformanceFunction(g, grad_x if analytic else None)
+            pf = PerformanceFunction(g, grad_x if analytic else fd_grad_x(g))
             Gfun, Gdfun = make_u_space(pf, mu, sigma, d)
             u = rng.normal(size=(b, 2))
             for rows in (np.array([3]), np.flatnonzero(rng.random(b) < 0.5),

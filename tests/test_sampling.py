@@ -126,6 +126,25 @@ class TestUnitDraws:
             assert got.tobytes() == want.tobytes()
 
 
+def test_streams_read_no_os_entropy(monkeypatch):
+    # an unseeded numpy bit generator reads OS entropy it never uses;
+    # keyed streams start from a seeded one
+    import random
+    np.random.Generator  # importing numpy.random seeds its legacy state
+    calls = []
+    read = random._urandom
+
+    def spy(n):
+        calls.append(n)
+        return read(n)
+    monkeypatch.setattr(random, "_urandom", spy)
+    for scheme in ("lhs", "uniform"):
+        neighborhood_samples(np.ones((3, 2)), np.full(2, 0.1), 4, scheme,
+                             [RngStream(1, (0, i)) for i in range(3)])
+    RngStream(1).gen.random()
+    assert calls == []
+
+
 class TestLatinHypercube:
     def test_one_point_per_quartile(self):
         pts = np.sort(latin_hypercube(4, 1, RngStream(0))[:, 0])
