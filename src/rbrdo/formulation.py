@@ -20,12 +20,13 @@ A whole population evaluates as arrays. Each candidate draws its samples
 from its own stream (the only per-candidate loop); the bounds checks, the
 domain guard, the neighborhood map, the objective and the robustness
 aggregators then run once over all N candidates or all N*M sample rows,
-and the MPP searches run as one lockstep batch (every candidate, sample
-and constraint becomes one row of a single sphere search). Samples the
-domain guard drops leave candidates with fewer rows; those aggregate in
-groups of equal row count, so every candidate's result is bit-identical
-to its evaluation alone. :meth:`RbrdoEvaluator.evaluate_batch` is the one
-way to score candidates; a single candidate is a population of one.
+and each constraint's MPP searches run as one lockstep batch (every
+candidate and sample becomes one row of that constraint's sphere search).
+Samples the domain guard drops leave candidates with fewer rows; those
+aggregate in groups of equal row count, so every candidate's result is
+bit-identical to its evaluation alone.
+:meth:`RbrdoEvaluator.evaluate_batch` is the one way to score candidates;
+a single candidate is a population of one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .core import Bounds, ParetoArchive, Sense, sense_signs
 from .errors import UsageError
 from .optimize import ModeParams, mode_optimize
 from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
-                          _rows_memo, make_u_space)
+                          make_u_space)
 from .robustness import (RobustnessSpec, noise_levels, penalty_objectives,
                          type2_ratio, worst_sample)
 from .sampling import RngStream, _philox_keys, neighborhood_samples
@@ -125,7 +126,7 @@ def _objective_matrix(problem: RbrdoProblem, d: np.ndarray, x: np.ndarray):
 
 @dataclass
 class _Population:
-    """A population between sampling and the stacked MPP pass.
+    """A population between sampling and its MPP searches.
 
     ``live`` indexes the candidates that reached sampling; ``d`` and
     ``beta`` are theirs. ``samples`` holds their objective rows back to
@@ -222,66 +223,43 @@ def _block_mean(blocks):
 
 
 def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
-    """One lockstep MPP pass: every constraint at every design row.
+    """Every constraint's MPP search at every design row: one lockstep
+    engine pass per constraint over all the rows.
 
     ``rows`` is (R, n_d) and ``betas`` (R,). Returns per-row
-    (penalty (R,), x_mpp (R, n_s) or None).
+    (penalty (R,), x_mpp (R, c) or None). The name predates the
+    per-constraint passes; it stays because tracers patch it.
     """
     r = rows.shape[0]
-    c = len(problem.constraints)
     mu, sigma = problem.random_vars(rows)
     # C-contiguous copies: every margin and gradient call transforms with
     # them, and the engine gathers their rows (np.array would keep a
     # broadcast's column-major order, where a row gather is ~15x slower)
     mu = np.ascontiguousarray(np.broadcast_to(mu, (r, mu.shape[-1])))
     sigma = np.ascontiguousarray(np.broadcast_to(sigma, mu.shape))
-
-    beta_all = np.tile(betas, c)
-    blocks = [slice(i * r, (i + 1) * r) for i in range(c)]
-    spaces = [make_u_space(pf, mu, sigma, rows) for pf in problem.constraints]
-
-    @_rows_memo
-    def split(idx):
-        # per constraint: its U-space closures, the positions of its stacked
-        # rows within idx (ascending) and the design rows they belong to
-        if idx is None:
-            return [(space, block, None)
-                    for space, block in zip(spaces, blocks)]
-        cuts = [0, *np.searchsorted(idx, np.arange(1, c) * r), idx.size]
-        return [(space, slice(lo, hi), idx[lo:hi] - i * r)
-                for i, (space, lo, hi) in enumerate(zip(spaces, cuts, cuts[1:]))
-                if hi > lo]
-
-    def Gfun(u, rows=None):
-        return np.concatenate([G(u[at], sub)
-                               for (G, _), at, sub in split(rows)])
-
-    def Gdfun(u, rows=None):
-        parts = [Gd(u[at], sub) for (_, Gd), at, sub in split(rows)]
-        return (np.concatenate([G for G, _ in parts]),
-                np.concatenate([grad for _, grad in parts]))
-
-    u, g_star, _, conv, _ = _asosl_engine(Gfun, Gdfun, beta_all,
-                                          mu.shape[1], c * r, problem.mpp)
-    if not conv.all():
-        log.debug("MPP search unconverged on %d/%d rows of %s",
-                  int((~conv).sum()), c * r, problem.name)
+    c = len(problem.constraints)
+    g_star = np.empty((c, r))
+    x_mpp = np.empty((r, c)) if problem.objective_at_mpp else None
+    for i, pf in enumerate(problem.constraints):
+        u, g_star[i], _, conv, _ = _asosl_engine(
+            *make_u_space(pf, mu, sigma, rows), betas, mu.shape[1], r,
+            problem.mpp)
+        if not conv.all():
+            log.debug("MPP search unconverged on %d/%d rows of %s (%s)",
+                      int((~conv).sum()), r, problem.name, pf.name)
+        if x_mpp is not None:
+            # constraint i governs random variable i
+            x_mpp[:, i] = mu[:, i] + sigma[:, i] * u[:, i]
     bad = ~np.isfinite(g_star)
-    g_star = np.where(bad, 0.0, g_star)
-    per = g_star.reshape(c, r)
-    penalty = np.maximum(-per, 0.0).sum(axis=0)
-    penalty += bad.reshape(c, r).sum(axis=0) * _MPP_FAILURE_PENALTY
-    x_mpp = None
-    if problem.objective_at_mpp:
-        # constraint i governs random variable i
-        x_mpp = np.stack([mu[:, i] + sigma[:, i] * u[block, i]
-                          for i, block in enumerate(blocks)], axis=1)
+    g_star[bad] = 0.0
+    penalty = np.maximum(-g_star, 0.0).sum(axis=0)
+    penalty += bad.sum(axis=0) * _MPP_FAILURE_PENALTY
     return penalty, x_mpp
 
 
 def _population_mpp(problem: RbrdoProblem, pop: _Population,
                     mpp_per_sample: bool):
-    """Penalties and failure points of the live candidates, one MPP pass.
+    """Penalties and failure points of the live candidates.
 
     Returns (penalty, nominal_penalty, x_samples, x_nominal): per candidate
     the penalty its objectives carry and the one at its nominal design
@@ -361,10 +339,11 @@ class RbrdoEvaluator:
     """Optimizer-facing batch evaluator over the (d, beta_t) search space.
 
     ``evaluate_batch`` evaluates a whole population as arrays, with one
-    stacked MPP pass. With ``fixed_beta`` the search space is d alone and
-    beta_t is dropped from the returned objectives. The robustness spec
-    (default: no robustness) and its noise vector, masked to the problem's
-    noisy coordinates, are resolved once, when the evaluator is built.
+    MPP engine pass per constraint. With ``fixed_beta`` the search space
+    is d alone and beta_t is dropped from the returned objectives. The
+    robustness spec (default: no robustness) and its noise vector, masked
+    to the problem's noisy coordinates, are resolved once, when the
+    evaluator is built.
     """
 
     def __init__(self, problem: RbrdoProblem,

@@ -28,12 +28,19 @@ values. The ladder leaves u - tau d in its ``trial`` buffer for every row;
 the step projects that buffer onto the sphere in place, and u and
 ``trial`` swap roles. One closure gives the margin and the gradient from
 one x = mu + sigma*u. The step's margins and gradients become the batch
-state, with the stopped rows patched back by index, and d.d is computed
+state, with the stopped rows restored under a mask, and d.d is computed
 once per step; it also screens the gradients for non-finite components.
 Row norms (:func:`_row_norm`) add squares over column views in numpy's
 own order, bit for bit ``np.linalg.norm(x, axis=1)``. d.d and d.u stay
 ``np.einsum`` over the row-major arrays: einsum's per-row order comes from
 numpy's SIMD build, so a column-major layout would change their bits.
+
+A narrow batch pays the step's numpy calls on every iteration, so the
+step makes few and avoids numpy's Python-level wrappers: the search runs
+under one ``np.errstate``, masks are tested with ``np.count_nonzero`` and
+indexed with ``.nonzero()[0]``, rows are gathered with ``ndarray.take``,
+and the tangency tests run only on steps where some row's step fell below
+epsilon.
 
 Performance functions follow the margin convention: positive = safe,
 g <= 0 = failure.
@@ -56,6 +63,7 @@ _GRAD_EPS = 1e-30
 # Step lengths beyond this many sphere radii no longer change the projected
 # point; capping keeps the non-convex fallback from overflowing on flat G.
 _STEP_SATURATION = 1e6
+# relative tolerance (times beta_t) of the tangency and origin tests
 _RADIAL_TOL = 1e-12
 _MAX_HALVINGS = 60
 _OSCILLATION_LIMIT = 5
@@ -63,7 +71,8 @@ _OSCILLATION_LIMIT = 5
 # tangency are numerically stationary; freeze them instead of burning the
 # whole iteration budget.
 _STALL_LIMIT = 8
-_ULP = np.finfo(float).eps
+# the Armijo ladder's rounding slack, per unit of |G|
+_SLACK = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,8 @@ def _compact(keep, *arrays):
     """
     if np.count_nonzero(keep) > keep.size // 2:
         return None
-    pos = np.flatnonzero(keep)
-    return pos, [np.take(a, pos, axis=0) for a in arrays]
+    pos = keep.nonzero()[0]
+    return pos, [a.take(pos, axis=0) for a in arrays]
 
 
 def _ray_point(u, d, at, t, out):
@@ -140,7 +149,7 @@ def _ray_point(u, d, at, t, out):
     ``out``, so the ladder keeps no gathered copy of ``d``.
     """
     # mode='clip' writes straight into out ('raise' buffers); at is valid
-    d = d if at is None else np.take(d, at, axis=0, out=out, mode="clip")
+    d = d if at is None else d.take(at, axis=0, out=out, mode="clip")
     return np.subtract(u, np.multiply(d, t[:, None], out=out), out=out)
 
 
@@ -171,41 +180,41 @@ def _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
     np.copyto(tau, t)
     np.copyto(G_ray, Gu)
     pending = active.copy()
-    slack = 4.0 * _ULP * np.abs(Gu)
+    slack = _SLACK * np.abs(Gu)
     # once compacted: the rows' positions in u and their batch indices;
     # their trial points and u rows live in the front of ``trial``
     at, sub, u_at, x = None, rows, u, trial
-    with np.errstate(all="ignore"):
-        for _ in range(_MAX_HALVINGS):
-            if not pending.any():
-                break
-            kept = _compact(pending, Gu, A, t, slack)
-            if kept is not None:
-                pos, (Gu, A, t, slack) = kept
-                at = pos if at is None else at[pos]
-                sub = at if rows is None else rows[at]
-                m = at.size
-                pending = np.ones(m, dtype=bool)
-                x = trial[:m]
-                u_at = np.take(u, at, axis=0, out=trial[m:2 * m],
-                               mode="clip")
-            G_try = Gfun(_ray_point(u_at, d, at, t, x), sub)
-            ok = G_try <= Gu - alpha_b * t * A + slack
-            newly = ok & pending
-            dst = newly if at is None else at[newly]
+    stuck = 0
+    for j in range(_MAX_HALVINGS):
+        G_try = Gfun(_ray_point(u_at, d, at, t, x), sub)
+        ok = G_try <= Gu - alpha_b * t * A + slack
+        newly = ok & pending
+        dst = newly if at is None else at[newly]
+        if j:  # a first trial's step is in tau already
             tau[dst] = t[newly]
-            G_ray[dst] = G_try[newly]
-            pending &= ~ok
-            t = np.where(pending, t * s_b, t)
+        G_ray[dst] = G_try[newly]
+        pending ^= newly
+        if not np.count_nonzero(pending):
+            break
+        t = np.where(pending, t * s_b, t)
+        kept = _compact(pending, Gu, A, t, slack)
+        if kept is not None:
+            pos, (Gu, A, t, slack) = kept
+            at = pos if at is None else at[pos]
+            sub = at if rows is None else rows[at]
+            m = at.size
+            pending = np.ones(m, dtype=bool)
+            x = trial[:m]
+            u_at = u.take(at, axis=0, out=trial[m:2 * m], mode="clip")
+    else:
         stuck = np.count_nonzero(pending)
-        if stuck:
-            dst = pending if at is None else at[pending]
-            tau[dst] = t[pending]
-            G_ray[dst] = Gfun(_ray_point(u_at, d, at, t, x), sub)[pending]
-            log.debug("Armijo condition unmet on %d rows after %d halvings",
-                      stuck, _MAX_HALVINGS)
-    if at is not None or not active.any():
-        # compacted (or never evaluated): trial holds only the last rows
+        dst = pending if at is None else at[pending]
+        tau[dst] = t[pending]
+        G_ray[dst] = Gfun(_ray_point(u_at, d, at, t, x), sub)[pending]
+        log.debug("Armijo condition unmet on %d rows after %d halvings",
+                  stuck, _MAX_HALVINGS)
+    if at is not None:
+        # compacted: trial holds only the last rows
         _ray_point(u, d, None, tau, trial)
     return stuck
 
@@ -222,22 +231,17 @@ def _secant_bound(G_prev, G_ray, tau, A, delta_eta):
     on those rows only. Open question: the method re-evaluates G at t_aug;
     reusing G_ray is what makes that exact.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tb = tau * tau * A / (2.0 * (G_ray - G_prev + tau * A))
-        fb = np.flatnonzero(~(np.isfinite(tb) & (tb > 0.0)))
-        if fb.size:
-            G_prev, G_ray, tau, A = (np.take(v, fb)
-                                     for v in (G_prev, G_ray, tau, A))
-            eta = (G_prev - G_ray - tau * A) / A + delta_eta
-            t_aug = tau + eta
-            tb_fb = t_aug * t_aug * A / (2.0 * (G_ray - G_prev + t_aug * A))
-            # exact denominator 2*delta_eta*A; it cancels if
-            # |G_ray - G_prev| >> A
-            tb_fb = np.where(tb_fb > 0.0, tb_fb,
-                             t_aug * t_aug / (2.0 * delta_eta))
-            if np.ndim(tb) == 0:
-                return tb_fb[0]
-            tb[fb] = tb_fb
+    tb = tau * tau * A / (2.0 * (G_ray - G_prev + tau * A))
+    fb = (~(np.isfinite(tb) & (tb > 0.0))).nonzero()[0]
+    if fb.size:
+        G_prev, G_ray, tau, A = (v.take(fb) for v in (G_prev, G_ray, tau, A))
+        eta = (G_prev - G_ray - tau * A) / A + delta_eta
+        t_aug = tau + eta
+        tb_fb = t_aug * t_aug * A / (2.0 * (G_ray - G_prev + t_aug * A))
+        # exact denominator 2*delta_eta*A; it cancels if
+        # |G_ray - G_prev| >> A
+        tb[fb] = np.where(tb_fb > 0.0, tb_fb,
+                          t_aug * t_aug / (2.0 * delta_eta))
     return tb
 
 
@@ -289,6 +293,7 @@ def _row_norm(x, out=None):
     return np.sqrt(_pairwise_sum(square, 0, x.shape[1]))
 
 
+@np.errstate(all="ignore")
 def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
                   record: bool = False, raise_on_dead: bool = False):
     """Lockstep MPP search over a batch of b independent problems.
@@ -307,17 +312,24 @@ def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
     live rows only, so the work follows the rows still searching rather
     than the batch size times the slowest row; a batch of one never
     compacts.
+    The search runs with numpy's floating-point warnings off: a row's
+    non-finite values are screened explicitly, and a stopped row's are
+    discarded.
     Returns (u, G, iterations, converged, trace) in batch order.
     """
     eps, delta_eta = params.epsilon, params.delta_eta
     alpha_b, s_b = params.alpha_b, params.s_b
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (b,))
+    # per-row constants: the step cap's numerator, and the tolerance of the
+    # tangency and origin tests
+    beta_cap = _STEP_SATURATION * np.maximum(beta, 1.0)
+    tol = _RADIAL_TOL * beta
 
     # every row starts where all coordinates are equal and positive
     u = np.broadcast_to(beta[:, None] / math.sqrt(n), (b, n)).copy()
-    with np.errstate(all="ignore"):
-        Gu, d = Gdfun(u)
+    Gu, d = Gdfun(u)
     A = np.einsum("ij,ij->i", d, d)  # d.d, carried from step to step
+    root_A = np.sqrt(A)
     t_bar = np.ones(b)
     cap_scale = np.ones(b)
     rise_count = np.zeros(b, dtype=int)
@@ -332,10 +344,10 @@ def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
     trace = []
 
     for k in range(params.max_iters):
-        if not active.any():
+        if not np.count_nonzero(active):
             break
-        kept = _compact(active, u, Gu, d, A, beta, t_bar, cap_scale,
-                        rise_count, stall_count, iterations)
+        kept = _compact(active, u, Gu, d, A, root_A, beta, beta_cap, tol,
+                        t_bar, cap_scale, rise_count, stall_count, iterations)
         if kept is not None:
             # drop the stopped rows: results out, live state in, same order
             pos, state = kept
@@ -347,26 +359,26 @@ def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
                 for dst, src in zip(out, (u, Gu, iterations, converged)):
                     dst[rows[gone]] = src[gone]
                 rows = rows[pos]
-            (u, Gu, d, A, beta, t_bar, cap_scale, rise_count, stall_count,
-             iterations) = state
+            (u, Gu, d, A, root_A, beta, beta_cap, tol, t_bar, cap_scale,
+             rise_count, stall_count, iterations) = state
             converged = np.zeros(pos.size, dtype=bool)
             active = np.ones(pos.size, dtype=bool)
             # trial is never the u adopted as results: the other buffer
             tau, G_ray, trial = (tau_buf[:pos.size], G_ray_buf[:pos.size],
                                  trial[:pos.size])
 
+        # each mask of stopping rows is a subset of active: ^= clears it
         dead = active & (A < _GRAD_EPS)
-        if dead.any():
+        if np.count_nonzero(dead):
             if raise_on_dead:
                 raise GradientVanishedError(
                     "gradient vanished: MPP search is stationary")
             log.debug("gradient vanished on %d batch rows", dead.sum())
-            active &= ~dead
-            if not active.any():
+            active ^= dead
+            if not np.count_nonzero(active):
                 break
-        cap = (_STEP_SATURATION * np.maximum(beta, 1.0)
-               / np.sqrt(np.maximum(A, _GRAD_EPS)))
-        t = np.minimum(t_bar, cap * cap_scale)
+        # a live row's A is at least _GRAD_EPS: the dead rows just left
+        t = np.minimum(t_bar, beta_cap / root_A * cap_scale)
 
         _armijo_ladder(Gfun, rows, u, d, Gu, A, t, active, alpha_b, s_b,
                        tau, G_ray, trial)
@@ -374,39 +386,43 @@ def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
         # project u - tau d (left in trial by the ladder) onto the sphere
         norm = _row_norm(trial)
         bad = active & ~np.isfinite(norm)
-        if bad.any():
-            active &= ~bad
-            if not active.any():
+        if np.count_nonzero(bad):
+            active ^= bad
+            if not np.count_nonzero(active):
                 break
         # a step landing on the origin projects to the pole it was heading to
-        origin = np.flatnonzero(norm <= 1e-12 * beta)
+        origin = (norm <= tol).nonzero()[0]
         if origin.size:
             trial[origin] = -d[origin] / np.sqrt(
                 np.maximum(A[origin], _GRAD_EPS))[:, None]
             norm[origin] = 1.0
+        # every live norm is now positive and finite (a stopped row's
+        # projection is discarded below)
         trial *= beta[:, None]
-        trial /= np.where(norm > 0.0, norm, 1.0)[:, None]
+        trial /= norm[:, None]
         u_new = trial
-        with np.errstate(all="ignore"):
-            G_new, d_new = Gdfun(u_new, rows)
+        G_new, d_new = Gdfun(u_new, rows)
         A_new = np.einsum("ij,ij->i", d_new, d_new)
-        # d.d is finite exactly when every component is, unless it overflows
-        finite = np.isfinite(G_new)
-        over = np.flatnonzero(~np.isfinite(A_new))
-        if over.size:
-            for j in range(n):
-                finite[over] &= np.isfinite(d_new[over, j])
-        bad = active & ~finite
-        if bad.any():
-            log.debug("non-finite performance value on %d rows", int(bad.sum()))
-            active &= ~bad
+        # G + d.d is finite only where both are, and d.d is finite exactly
+        # when every component is, unless it overflows
+        if np.count_nonzero(np.isfinite(G_new + A_new)) < A_new.size:
+            finite = np.isfinite(G_new)
+            over = (~np.isfinite(A_new)).nonzero()[0]
+            if over.size:
+                for j in range(n):
+                    finite[over] &= np.isfinite(d_new[over, j])
+            bad = active & ~finite
+            if np.count_nonzero(bad):
+                log.debug("non-finite performance value on %d rows",
+                          int(bad.sum()))
+                active ^= bad
 
         tb = _secant_bound(Gu, G_ray, tau, A, delta_eta)
 
         rising = G_new > Gu
-        rise_count = np.where(rising, rise_count + 1, 0)
+        rise_count = (rise_count + 1) * rising
         burst = active & (rise_count >= _OSCILLATION_LIMIT)
-        if burst.any():
+        if np.count_nonzero(burst):
             cap_scale[burst] *= 0.5
             rise_count[burst] = 0
             log.debug("oscillation guard halved the step cap on %d rows",
@@ -414,11 +430,12 @@ def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
 
         # the step's arrays become the state; stopped rows keep theirs, and
         # the old u is the next step's trial buffer
-        stopped = np.flatnonzero(~active)
-        if stopped.size:
-            for new, old in ((u_new, u), (G_new, Gu), (d_new, d),
-                             (A_new, A), (tb, t_bar)):
-                new[stopped] = old[stopped]
+        stopped = ~active
+        if np.count_nonzero(stopped):
+            np.copyto(u_new, u, where=stopped[:, None])
+            np.copyto(d_new, d, where=stopped[:, None])
+            for new, old in ((G_new, Gu), (A_new, A), (tb, t_bar)):
+                np.copyto(new, old, where=stopped)
         # the step length, over the old d, which is free now (a stopped
         # row's is 0; only a searching row's is read)
         err = _row_norm(np.subtract(u_new, u, out=d), out=d)
@@ -430,44 +447,31 @@ def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
             trace.append((k, u[0].copy(), float(Gu[0]), float(tau[0]),
                           float(t_bar[0]), float(err[0])))
 
+        root_A = np.sqrt(A)
+        # most steps end with no row near a stop: skip the tangency tests
+        small = active & (err < eps)
+        if not np.count_nonzero(small):
+            stall_count.fill(0)
+            continue
         # accept convergence only at a tangency point (the gradient's radial
         # component must not point outward), so a projection mapping a
         # truncated step back onto its start cannot stop the search early
         radial = np.einsum("ij,ij->i", d, u)
-        small = err < eps
-        tangent_ok = radial <= _RADIAL_TOL * beta * np.sqrt(A)
-        done = active & small & tangent_ok
+        tangent_ok = radial <= tol * root_A
+        done = small & tangent_ok
         converged |= done
-        active &= ~done
-        stall_count = np.where(small & ~tangent_ok, stall_count + 1, 0)
+        active ^= done
+        stall_count = (stall_count + 1) * (small & ~tangent_ok)
         frozen = active & (stall_count >= _STALL_LIMIT)
-        if frozen.any():
+        if np.count_nonzero(frozen):
             log.debug("froze %d numerically stationary rows", int(frozen.sum()))
-            active &= ~frozen
+            active ^= frozen
 
     if rows is None:
         return u, Gu, iterations, converged, trace
     for dst, src in zip(out, (u, Gu, iterations, converged)):
         dst[rows] = src
     return (*out, trace)
-
-
-def _rows_memo(gather):
-    """``gather(rows)`` kept for the last ``rows`` object it was called with.
-
-    The engine and its Armijo ladder pass one index array per width, so
-    each width gathers once; ``rows=None`` (the whole batch) is gathered up
-    front. The old gather is dropped before the next one is made, so a
-    ladder's row gathers never sit beside the engine's.
-    """
-    last = [None, gather(None)]
-
-    def at(rows):
-        if rows is not last[0]:
-            last[:] = None, None  # the old gather goes before the new one
-            last[:] = rows, gather(rows)
-        return last[1]
-    return at
 
 
 def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
@@ -479,10 +483,25 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
     Both take ``(u, rows=None)``: ``rows`` indexes the batch rows of ``u``
     in the per-row (2-D) ones of ``mu``, ``sigma`` and ``d_det``; 1-D
     arrays are shared by every row.
+
+    The engine and its Armijo ladder pass one index array per width, so
+    the per-row arrays are gathered once per ``rows`` object, the whole
+    batch up front. The old gather is dropped before the next one is
+    made, so a ladder's row gathers never sit beside the engine's.
     """
-    at = _rows_memo(lambda rows: tuple(
-        a if rows is None or np.ndim(a) < 2 else np.take(a, rows, axis=0)
-        for a in (mu, sigma, d_det)))
+    def gather(rows):
+        return tuple(
+            a if rows is None or np.ndim(a) < 2 else a.take(rows, axis=0)
+            for a in (mu, sigma, d_det))
+
+    last_rows, last = None, gather(None)
+
+    def at(rows):
+        nonlocal last_rows, last
+        if rows is not last_rows:
+            last = None  # the old gather goes before the new one
+            last_rows, last = rows, gather(rows)
+        return last
 
     def Gfun(u, rows=None):
         m, s, d = at(rows)

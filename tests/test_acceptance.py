@@ -391,9 +391,9 @@ def test_criterion_13_property_suites():
         tau = rng.uniform(0.01, 5.0)
         g_prev = 10.0 * rng.normal()
         g_curr = g_prev + rng.normal() * rng.uniform(0.1, 50.0)
-        t_bar = _secant_bound(*map(np.float64, (g_prev, g_curr, tau,
-                                                dvec @ dvec)),
-                              rng.uniform(0.1, 2.0))
+        t_bar = _secant_bound(*(np.array([v]) for v in (g_prev, g_curr, tau,
+                                                        dvec @ dvec)),
+                              rng.uniform(0.1, 2.0))[0]
         assert t_bar > 0.0
 
     # effective-mean analytic oracles, scored by the population evaluator

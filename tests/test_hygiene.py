@@ -15,7 +15,10 @@ that only the tests reach lives with them. A run also must not pull in
 heavy modules it does not need, and the MPP search sits below the rest of
 the package. Its step makes no pass along a row of only n values: no
 ``np.linalg.norm`` and no reduction over ``axis=1`` (or -1), so the one
-row-norm implementation, ``_row_norm``, stays the only one. Stream keys
+row-norm implementation, ``_row_norm``, stays the only one. Nor does it
+call numpy's Python-level wrappers on each iteration: one ``np.errstate``
+covers the whole search, and no ``np.flatnonzero``, ``np.take`` or
+``.any()`` call remains. Stream keys
 have one derivation, ``sampling._philox_keys``: no package module builds
 a numpy ``SeedSequence`` itself.
 """
@@ -225,6 +228,42 @@ def test_reliability_makes_no_row_passes():
     source = (ROOT / "src" / "rbrdo" / "reliability.py").read_text(
         encoding="utf-8")
     assert row_passes(source) == []
+
+
+def numpy_wrappers(source: str) -> list[str]:
+    """Calls in ``source`` that pass through a Python-level numpy wrapper
+    on every use: ``np.errstate``, ``np.flatnonzero``, ``np.take`` and any
+    ``.any``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if (name in ("np.errstate", "np.flatnonzero", "np.take")
+                    or name.endswith(".any")):
+                found.append((node.lineno, f"line {node.lineno}: {name}"))
+    return [call for _, call in sorted(found)]
+
+
+def test_scan_flags_numpy_wrappers():
+    source = ("import numpy as np\n@np.errstate(all='ignore')\n"
+              "def f(m):\n    with np.errstate(divide='ignore'):\n"
+              "        i = np.flatnonzero(m)\n"
+              "    j = np.take(m, i) + m.take(i) + m.nonzero()[0]\n"
+              "    return m.any() + any(m) + np.count_nonzero(m)\n")
+    assert numpy_wrappers(source) == [
+        "line 2: np.errstate", "line 4: np.errstate",
+        "line 5: np.flatnonzero", "line 6: np.take", "line 7: m.any"]
+
+
+def test_mpp_step_pays_no_numpy_wrappers():
+    # the engine's fixed cost per iteration: one errstate around the whole
+    # search; masks are tested with np.count_nonzero and indexed with
+    # .nonzero()[0], and rows gathered with ndarray.take, which all go
+    # straight to C
+    source = (ROOT / "src" / "rbrdo" / "reliability.py").read_text(
+        encoding="utf-8")
+    assert [call.split(": ")[1] for call in numpy_wrappers(source)] == [
+        "np.errstate"]
 
 
 def test_package_builds_no_seed_sequence():

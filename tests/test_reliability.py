@@ -8,7 +8,7 @@ from rbrdo import (AsoslParams, GradientVanishedError, PerformanceFunction,
 from rbrdo import reliability
 from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _row_norm,
                                _secant_bound, make_u_space)
-from rbrdo.problems import benchmark
+from rbrdo.problems import benchmark, get_rbrdo
 
 from oracles import fd_grad_x, min_on_circle
 
@@ -83,8 +83,8 @@ class TestBacktracking:
 
 def bound(g_prev, g_ray, d, tau, delta_eta):
     """:func:`_secant_bound` on one search ray with direction ``d``."""
-    return _secant_bound(*map(np.float64, (g_prev, g_ray, tau, d @ d)),
-                         delta_eta)
+    return _secant_bound(*(np.array([v]) for v in (g_prev, g_ray, tau,
+                                                   d @ d)), delta_eta)[0]
 
 
 class TestStepBound:
@@ -129,7 +129,8 @@ class TestStepBound:
         g_prev, g_ray = sign * 10.0 ** rng.uniform(0.0, 20.0, size=(2, n))
         tau = 10.0 ** rng.uniform(-8.0, 2.0, size=n)
         dd = 10.0 ** rng.uniform(-10.0, 2.0, size=n)
-        t_bar = _secant_bound(g_prev, g_ray, tau, dd, 1.0)
+        with np.errstate(all="ignore"):  # as inside the engine
+            t_bar = _secant_bound(g_prev, g_ray, tau, dd, 1.0)
         assert np.all(t_bar > 0.0)
 
 
@@ -538,26 +539,43 @@ class TestCompactionWork:
                 with np.errstate(all="ignore"):
                     assert_rows_evaluate_alike(Gfun, Gdfun, u, rows)
 
-    def test_stacked_closures_take_row_subsets(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["benchmark", "catalyst"])
+    def test_one_engine_pass_per_constraint(self, name, monkeypatch):
         from rbrdo import formulation
-        seen = []
+        passes = []
         engine = formulation._asosl_engine
 
         def spy(Gfun, Gdfun, beta, n, b, params, *args, **kwargs):
-            seen.append((Gfun, Gdfun, n, b))
-            return engine(Gfun, Gdfun, beta, n, b, params, *args, **kwargs)
+            out = engine(Gfun, Gdfun, beta, n, b, params, *args, **kwargs)
+            passes.append((b, out[2]))
+            return out
 
         monkeypatch.setattr(formulation, "_asosl_engine", spy)
+        prob = get_rbrdo(name)
         rng = np.random.default_rng(9)
-        prob = benchmark.rbrdo()
         r = 30
-        rows = rng.uniform(1.5, 8.0, size=(r, 2))
-        formulation._stacked_mpp(prob, rows, np.full(r, 2.5))
-        (Gfun, Gdfun, n, b), = seen
-        assert b == 3 * r
-        u = rng.normal(size=(b, n))
-        # a constraint block with no rows, one with a single row, one mixed
-        for idx in (np.arange(b), np.array([r]), np.array([0, r - 1, 2 * r]),
-                    np.flatnonzero(rng.random(b) < 0.3),
-                    np.arange(2 * r, 3 * r)):
-            assert_rows_evaluate_alike(Gfun, Gdfun, u, idx)
+        bounds = prob.det_bounds
+        rows = rng.uniform(bounds.lower, bounds.upper,
+                           size=(r, bounds.dim))
+        if name == "benchmark":
+            rows[:10] = rng.uniform(1.5, 3.0, size=(10, 2))  # infeasible
+        betas = rng.uniform(*prob.beta_bounds, size=r)
+        penalty, x_mpp = formulation._stacked_mpp(prob, rows, betas)
+        assert [b for b, _ in passes] == [r] * len(prob.constraints)
+        if name == "benchmark":
+            # most rows stop before the slowest one: every pass compacts
+            for _, iters in passes:
+                assert np.count_nonzero(iters < iters.max()) > r // 2
+            assert x_mpp is None and np.count_nonzero(penalty) >= 10
+        else:
+            assert x_mpp.shape == (r, len(prob.constraints))
+        # each row and constraint searched alone, as a batch of one
+        g = np.empty((len(prob.constraints), r))
+        for j, pf in enumerate(prob.constraints):
+            for i in range(r):
+                res = asosl_mpp(pf, *prob.random_vars(rows[i]), rows[i],
+                                betas[i], prob.mpp)
+                g[j, i] = res.g_star
+                if x_mpp is not None:  # constraint j governs variable j
+                    assert x_mpp[i, j].tobytes() == res.x_star[j].tobytes()
+        assert penalty.tobytes() == np.maximum(-g, 0.0).sum(axis=0).tobytes()
