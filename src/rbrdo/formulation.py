@@ -231,25 +231,25 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     per-constraint passes; it stays because tracers patch it.
     """
     r = rows.shape[0]
-    mu, sigma = problem.random_vars(rows)
-    # C-contiguous copies: every margin and gradient call transforms with
-    # them, and the engine gathers their rows (np.array would keep a
-    # broadcast's column-major order, where a row gather is ~15x slower)
-    mu = np.ascontiguousarray(np.broadcast_to(mu, (r, mu.shape[-1])))
-    sigma = np.ascontiguousarray(np.broadcast_to(sigma, mu.shape))
+    # make_u_space works coordinate-major: a mean or deviation that every
+    # row shares (a stride-0 broadcast) stays one value per coordinate,
+    # and per-row ones and the design rows become coordinate-major copies
+    mu, sigma = (a[0] if a.strides[0] == 0 else np.asfortranarray(a)
+                 for a in problem.random_vars(rows))
+    designs = np.asfortranarray(rows)
+    n = mu.shape[-1]
     c = len(problem.constraints)
     g_star = np.empty((c, r))
     x_mpp = np.empty((r, c)) if problem.objective_at_mpp else None
     for i, pf in enumerate(problem.constraints):
         u, g_star[i], _, conv, _ = _asosl_engine(
-            *make_u_space(pf, mu, sigma, rows), betas, mu.shape[1], r,
-            problem.mpp)
+            *make_u_space(pf, mu, sigma, designs), betas, n, r, problem.mpp)
         if not conv.all():
             log.debug("MPP search unconverged on %d/%d rows of %s (%s)",
                       int((~conv).sum()), r, problem.name, pf.name)
         if x_mpp is not None:
             # constraint i governs random variable i
-            x_mpp[:, i] = mu[:, i] + sigma[:, i] * u[:, i]
+            x_mpp[:, i] = mu[..., i] + sigma[..., i] * u[:, i]
     bad = ~np.isfinite(g_star)
     g_star[bad] = 0.0
     penalty = np.maximum(-g_star, 0.0).sum(axis=0)

@@ -49,21 +49,29 @@ def deterministic() -> DeterministicProblem:
     return deterministic_form(rbrdo(), OPTIMUM_DET)
 
 
+def _gradient(x, g1, g2):
+    """The gradient (g1, g2), laid out like x."""
+    out = np.empty_like(x, dtype=float)
+    out[..., 0] = g1
+    out[..., 1] = g2
+    return out
+
+
 def _performance_functions():
     def grad1(d, x):
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([x1 * x2 / 10.0, x1 * x1 / 20.0], axis=-1)
+        return _gradient(x, x1 * x2 / 10.0, x1 * x1 / 20.0)
 
     def grad2(d, x):
         x1, x2 = x[..., 0], x[..., 1]
         p = (x1 + x2 - 5.0) / 15.0
         q = (x1 - x2 - 12.0) / 60.0
-        return np.stack([p + q, p - q], axis=-1)
+        return _gradient(x, p + q, p - q)
 
     def grad3(d, x):
         x1, x2 = x[..., 0], x[..., 1]
         den = (x1 * x1 + 8.0 * x2 + 5.0) ** 2
-        return np.stack([-160.0 * x1 / den, -640.0 / den], axis=-1)
+        return _gradient(x, -160.0 * x1 / den, -640.0 / den)
 
     return (
         PerformanceFunction(lambda d, x: _m1(x[..., 0], x[..., 1]),

@@ -122,11 +122,11 @@ def _performance_functions():
 
         def grad(d, x):
             x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape)
+            out = np.zeros_like(x)
             out[..., i] = 1.0
             return out
 
-        return PerformanceFunction(g, grad, name=f"g{i + 1}")
+        return PerformanceFunction(g, grad, name=f"g{i + 1}", reads=(i,))
 
     return tuple(make(i) for i in range(3))
 

@@ -64,8 +64,8 @@ def deterministic() -> DeterministicProblem:
 def _performance_functions():
     def g1_grad(d, x):
         d = np.asarray(d, dtype=float)
-        g = np.zeros(np.broadcast_shapes(d[..., :1].shape, x[..., :1].shape)
-                     [:-1] + (8,))
+        g = np.zeros_like(x, shape=np.broadcast_shapes(
+            d[..., :1].shape, x[..., :1].shape)[:-1] + (8,))
         g[..., 0] = -d[..., 3]
         g[..., 1] = d[..., 0]
         g[..., 2] = 1.0
@@ -73,24 +73,24 @@ def _performance_functions():
 
     def g2_grad(d, x):
         d = np.asarray(d, dtype=float)
-        g = np.zeros(np.broadcast_shapes(d[..., :1].shape, x[..., :1].shape)
-                     [:-1] + (8,))
+        g = np.zeros_like(x, shape=np.broadcast_shapes(
+            d[..., :1].shape, x[..., :1].shape)[:-1] + (8,))
         g[..., 3] = d[..., 1]
         g[..., 4] = d[..., 3] - d[..., 4]
         return g
 
     def g3_grad(d, x):
         d = np.asarray(d, dtype=float)
-        g = np.zeros(np.broadcast_shapes(d[..., :1].shape, x[..., :1].shape)
-                     [:-1] + (8,))
+        g = np.zeros_like(x, shape=np.broadcast_shapes(
+            d[..., :1].shape, x[..., :1].shape)[:-1] + (8,))
         g[..., 5] = -1.0
         g[..., 6] = d[..., 4]
         g[..., 7] = d[..., 2]
         return g
 
-    return (PerformanceFunction(_m1, g1_grad, name="g1"),
-            PerformanceFunction(_m2, g2_grad, name="g2"),
-            PerformanceFunction(_m3, g3_grad, name="g3"))
+    return (PerformanceFunction(_m1, g1_grad, name="g1", reads=(0, 1, 2)),
+            PerformanceFunction(_m2, g2_grad, name="g2", reads=(3, 4)),
+            PerformanceFunction(_m3, g3_grad, name="g3", reads=(5, 6, 7)))
 
 
 def _random_vars(d):

@@ -59,8 +59,8 @@ def _margin_grad(d, x):
     d1, d2 = d[..., 0], d[..., 1]
     v1 = (1.0 - d1) / (x[..., 0] * d1)
     v2 = (d1 - d2) / (x[..., 1] * d2)
-    g = np.zeros(np.broadcast_shapes(d[..., :1].shape, x[..., :1].shape)
-                 [:-1] + (4,))
+    g = np.zeros_like(x, shape=np.broadcast_shapes(
+        d[..., :1].shape, x[..., :1].shape)[:-1] + (4,))
     g[..., 0] = 0.5 * np.sqrt(v1) / x[..., 0]
     g[..., 1] = 0.5 * np.sqrt(v2) / x[..., 1]
     return g
@@ -90,7 +90,7 @@ def rbrdo() -> RbrdoProblem:
         senses=(Sense.MAXIMIZE,),
         objective=concentration,
         constraints=(PerformanceFunction(time_budget_margin, _margin_grad,
-                                         name="g1"),),
+                                         name="g1", reads=(0, 1)),),
         random_vars=_random_vars,
         domain_guard=domain_guard,
     )

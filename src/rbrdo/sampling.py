@@ -226,12 +226,18 @@ def neighborhood_samples(centers: np.ndarray, noise: np.ndarray, count: int,
     if np.any((d > 0.0) & (np.abs(x) < _DEGENERATE_CENTER)):
         log.debug("neighborhood degenerates to a point: |center| < %.0e "
                   "on a noisy coordinate", _DEGENERATE_CENTER)
-    u = _unit_draws(streams, count, d.size, scheme)
+    # LHS draws each coordinate in turn, so the trailing noise-free ones
+    # are not drawn; a uniform block fills its rows whole
+    noisy = (d > 0.0).nonzero()[0]
+    width = (d.size if scheme == "uniform"
+             else noisy[-1] + 1 if noisy.size else 0)
+    u = _unit_draws(streams, count, width, scheme)
     x = x[:, None, :]
-    half = d * x  # signed half-width; sign-safe because the map is affine
-    samples = x + half * (2.0 * u - 1.0)
-    lo = np.minimum(x - half, x + half)
-    hi = np.maximum(x - half, x + half)
-    samples = np.clip(samples, lo, hi)
+    samples = np.repeat(x, count, axis=1)
+    xw = x[..., :width]
+    half = d[:width] * xw  # signed half-width; sign-safe: the map is affine
+    lo = np.minimum(xw - half, xw + half)
+    hi = np.maximum(xw - half, xw + half)
+    samples[..., :width] = np.clip(xw + half * (2.0 * u - 1.0), lo, hi)
     samples[..., d == 0.0] = x[..., d == 0.0]
     return samples

@@ -13,10 +13,12 @@ in ``rbrdo.__all__`` is read by name in some package module other than
 package too (a re-export by an ``__init__.py`` does not count), so a path
 that only the tests reach lives with them. A run also must not pull in
 heavy modules it does not need, and the MPP search sits below the rest of
-the package. Its step makes no pass along a row of only n values: no
-``np.linalg.norm`` and no reduction over ``axis=1`` (or -1), so the one
-row-norm implementation, ``_row_norm``, stays the only one. Nor does it
-call numpy's Python-level wrappers on each iteration: one ``np.errstate``
+the package. Its step makes no pass along one search's n coordinates,
+axis 0 of its coordinate-major arrays: no ``np.linalg.norm``, no
+``np.einsum`` and no call over ``axis=0`` (or -2), so the one row-norm
+implementation, ``_row_norm``, and the one dot-product order,
+``_lane_dot``, stay the only ones. Nor does it call
+numpy's Python-level wrappers on each iteration: one ``np.errstate``
 covers the whole search, and no ``np.flatnonzero``, ``np.take`` or
 ``.any()`` call remains. Stream keys
 have one derivation, ``sampling._philox_keys``: no package module builds
@@ -197,8 +199,10 @@ def test_reliability_imports_only_errors():
 
 
 def row_passes(source: str) -> list[str]:
-    """Calls in ``source`` that reduce along rows: ``np.linalg.norm`` and
-    any call with ``axis=1`` or ``axis=-1``."""
+    """Calls in ``source`` that pass along one search's coordinates, axis 0
+    of a coordinate-major (n, w) array: ``np.linalg.norm`` and any call
+    with ``axis=0`` or ``axis=-2``. A call along the last axis runs over
+    all the searches at once."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -206,11 +210,13 @@ def row_passes(source: str) -> list[str]:
         if ast.unparse(node.func).endswith("linalg.norm"):
             found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
         for kw in node.keywords:
-            try:
-                axis = ast.literal_eval(kw.value) if kw.arg == "axis" else 0
-            except ValueError:  # a name: not a fixed row axis
+            if kw.arg != "axis":
                 continue
-            if axis in (1, -1):
+            try:
+                axis = ast.literal_eval(kw.value)
+            except ValueError:  # a name: not a fixed coordinate axis
+                continue
+            if axis in (0, -2):
                 found.append(f"line {node.lineno}: axis={axis}")
     return found
 
@@ -219,9 +225,11 @@ def test_scan_flags_row_passes():
     source = ("import numpy as np\nfrom numpy import linalg\n"
               "a = np.linalg.norm(x, axis=1)\nb = linalg.norm(x)\n"
               "c = np.isfinite(x).all(axis=-1)\nd = x.sum(axis=0)\n"
-              "e = np.take(x, i, axis=0)\nf = x.max(axis=k)\n")
-    assert row_passes(source) == ["line 3: np.linalg.norm", "line 3: axis=1",
-                                  "line 4: linalg.norm", "line 5: axis=-1"]
+              "e = np.take(x, i, axis=0)\nf = x.max(axis=k)\n"
+              "g = x.take(i, axis=-1) + x.cumsum(axis=-2)\n")
+    assert row_passes(source) == ["line 3: np.linalg.norm",
+                                  "line 4: linalg.norm", "line 6: axis=0",
+                                  "line 7: axis=0", "line 9: axis=-2"]
 
 
 def test_reliability_makes_no_row_passes():
@@ -232,14 +240,14 @@ def test_reliability_makes_no_row_passes():
 
 def numpy_wrappers(source: str) -> list[str]:
     """Calls in ``source`` that pass through a Python-level numpy wrapper
-    on every use: ``np.errstate``, ``np.flatnonzero``, ``np.take`` and any
-    ``.any``, in line order."""
+    on every use: ``np.errstate``, ``np.flatnonzero``, ``np.take``,
+    ``np.einsum`` and any ``.any``, in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = ast.unparse(node.func)
-            if (name in ("np.errstate", "np.flatnonzero", "np.take")
-                    or name.endswith(".any")):
+            if (name in ("np.errstate", "np.flatnonzero", "np.take",
+                         "np.einsum") or name.endswith(".any")):
                 found.append((node.lineno, f"line {node.lineno}: {name}"))
     return [call for _, call in sorted(found)]
 
@@ -249,17 +257,19 @@ def test_scan_flags_numpy_wrappers():
               "def f(m):\n    with np.errstate(divide='ignore'):\n"
               "        i = np.flatnonzero(m)\n"
               "    j = np.take(m, i) + m.take(i) + m.nonzero()[0]\n"
+              "    k = np.einsum('ij,ij->i', m, m)\n"
               "    return m.any() + any(m) + np.count_nonzero(m)\n")
     assert numpy_wrappers(source) == [
         "line 2: np.errstate", "line 4: np.errstate",
-        "line 5: np.flatnonzero", "line 6: np.take", "line 7: m.any"]
+        "line 5: np.flatnonzero", "line 6: np.take", "line 7: np.einsum",
+        "line 8: m.any"]
 
 
 def test_mpp_step_pays_no_numpy_wrappers():
     # the engine's fixed cost per iteration: one errstate around the whole
     # search; masks are tested with np.count_nonzero and indexed with
     # .nonzero()[0], and rows gathered with ndarray.take, which all go
-    # straight to C
+    # straight to C; dot products keep _lane_dot's one summation order
     source = (ROOT / "src" / "rbrdo" / "reliability.py").read_text(
         encoding="utf-8")
     assert [call.split(": ")[1] for call in numpy_wrappers(source)] == [

@@ -33,6 +33,34 @@ class TestRegistry:
             assert get_rbrdo(name).name == name
 
 
+class TestReads:
+    @pytest.mark.parametrize("name", list_problems())
+    def test_unread_columns_are_not_read(self, name):
+        # NaN in the columns a margin declares unread changes no bit of
+        # its value or gradient, and the gradient there is exactly +0.0
+        prob = get_rbrdo(name)
+        rng = np.random.default_rng(12)
+        bounds = prob.det_bounds
+        d = rng.uniform(bounds.lower, bounds.upper, size=(40, bounds.dim))
+        if name == "reactor":  # inside the domain d2 <= d1
+            d[:, 1] = d[:, 0] * rng.uniform(0.1, 1.0, 40)
+        mu, sigma = prob.random_vars(d)
+        x = mu + sigma * rng.normal(size=mu.shape)
+        declared = [pf for pf in prob.constraints if pf.reads is not None]
+        assert len(declared) == (0 if name == "benchmark"
+                                 else len(prob.constraints))
+        for pf in declared:
+            unread = np.setdiff1d(np.arange(x.shape[1]), pf.reads)
+            blind = x.copy()
+            blind[:, unread] = np.nan
+            for arg in (x, blind, np.asfortranarray(blind)):
+                assert pf.g(d, arg).tobytes() == pf.g(d, x).tobytes()
+                grad = pf.grad_x(d, arg)
+                assert grad.tobytes() == pf.grad_x(d, x).tobytes()
+                assert (grad[:, unread] == 0.0).all()
+                assert not np.signbit(grad[:, unread]).any()
+
+
 class TestBatchIndependence:
     """A row's result does not depend on the rows evaluated with it."""
 

@@ -1,4 +1,7 @@
+import dataclasses
 import logging
+import math
+import platform
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from rbrdo import (AsoslParams, GradientVanishedError, PerformanceFunction,
                    UsageError, asosl_mpp)
 from rbrdo import reliability
-from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _row_norm,
+from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _dot_lanes,
+                               _lane_dot, _pairwise_sum, _row_norm,
                                _secant_bound, make_u_space)
 from rbrdo.problems import benchmark, get_rbrdo
 
@@ -25,20 +29,63 @@ LADDER_T = np.array([1.0, 0.7, 1.0])
 
 
 def ladder_G(x, rows):
+    # x is coordinate-major: one column per batch row
     rows = range(len(LADDER_FUNCS)) if rows is None else rows
-    return np.array([LADDER_FUNCS[r](xi) for r, xi in zip(rows, x)])
+    return np.array([LADDER_FUNCS[r](xi) for r, xi in zip(rows, x.T)])
 
 
 def run_ladder(trial=None):
     """One :func:`_armijo_ladder` call over the three rows."""
-    u, d = LADDER_U, LADDER_D
-    A = np.einsum("ij,ij->i", d, d)
+    u, d = LADDER_U.T.copy(), LADDER_D.T.copy()
+    A = np.einsum("ij,ij->i", LADDER_D, LADDER_D)
     tau, G_ray = np.empty(3), np.empty(3)
     trial = np.empty_like(u) if trial is None else trial
     stuck = _armijo_ladder(ladder_G, None, u, d, ladder_G(u, None), A,
                            LADDER_T.copy(), np.ones(3, dtype=bool), ALPHA_B,
                            S_B, tau, G_ray, trial)
     return stuck, tau, G_ray
+
+
+def _einsum_order_measured():
+    """Whether this numpy's einsum is the build whose summation order
+    ``_lane_dot`` reproduces: x86-64 with the X86_V2 baseline (two float64
+    lanes, no fused multiply-add)."""
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and list(simd.get("baseline", ())) == ["X86_V2"])
+
+
+EINSUM_ORDER_MEASURED = _einsum_order_measured()
+einsum_order = pytest.mark.skipif(
+    not EINSUM_ORDER_MEASURED,
+    reason="einsum's summation order was measured on x86-64 numpy with "
+           "the X86_V2 baseline only")
+
+
+def reference_dot(a, b):
+    """a . b of two rows in ``_lane_dot``'s documented order, one Python
+    float at a time: two lanes from +0.0, the even and the odd
+    coordinates; blocks of 8 whose four pairs are added last pair first;
+    then the remaining pairs; then lane 0 + lane 1."""
+    lanes = [0.0, 0.0]
+    n = len(a)
+    blocks = n - n % 8
+    for base in range(0, blocks, 8):
+        for p in (6, 4, 2, 0):
+            for lane in (0, 1):
+                lanes[lane] += a[base + p + lane] * b[base + p + lane]
+    for p in range(blocks, n):
+        lanes[p % 2] += a[p] * b[p]
+    return lanes[0] + lanes[1]
+
+
+def reference_dots(a, b):
+    """:func:`reference_dot` of each row of the row-major a and b."""
+    return np.array([reference_dot(p.tolist(), q.tolist())
+                     for p, q in zip(a, b)], dtype=float)
 
 
 def ladder_oracle(row):
@@ -71,14 +118,14 @@ class TestBacktracking:
         assert stuck == 0
         assert tau.tolist() == [ladder_oracle(r) for r in range(3)]
         assert np.array_equal(
-            G_ray, ladder_G(LADDER_U - tau[:, None] * LADDER_D, None))
+            G_ray, ladder_G((LADDER_U - tau[:, None] * LADDER_D).T, None))
 
     def test_trial_holds_the_accepted_ray_points(self):
         # uncompacted: the engine projects what the last round left in trial
-        trial = np.full_like(LADDER_U, np.nan)
+        trial = np.full(LADDER_U.T.shape, np.nan)
         _, tau, _ = run_ladder(trial)
         assert (trial.tobytes()
-                == (LADDER_U - tau[:, None] * LADDER_D).tobytes())
+                == (LADDER_U - tau[:, None] * LADDER_D).T.tobytes())
 
 
 def bound(g_prev, g_ray, d, tau, delta_eta):
@@ -223,7 +270,7 @@ class TestAsoslBenchmark:
             pf_fd = PerformanceFunction(pf.g, fd_grad_x(pf.g))
             _, Gd_fd = make_u_space(pf_fd, mu, self.SIGMA, mu)
             for _ in range(100):
-                u = rng.normal(size=(1, 2))
+                u = rng.normal(size=(1, 2)).T  # coordinate-major
                 Ga, ga = Gd(u)
                 Gf, gf = Gd_fd(u)
                 assert Ga.tobytes() == Gf.tobytes() == G(u).tobytes()
@@ -289,11 +336,108 @@ class TestRowNorm:
             x[mixed] = rng.choice(self.SPECIAL, size=mixed.sum())
             with np.errstate(all="ignore"):
                 expect = np.linalg.norm(x, axis=1).tobytes()
+                x = np.ascontiguousarray(x.T)  # coordinate-major
                 assert _row_norm(x).tobytes() == expect, n
                 # squared into scratch and summed in place, x itself too
                 assert _row_norm(x, out=np.empty_like(x)).tobytes() == expect
                 scratch = x.copy()
                 assert _row_norm(scratch, out=scratch).tobytes() == expect
+
+
+class TestSharedRows:
+    """A row handed back at several coordinates: the unread coordinates'
+    shared state row."""
+
+    def test_repeated_terms_are_never_added_into(self):
+        # the pairwise sum adds into its first term and its accumulators;
+        # a term returned at several positions must not become one
+        rng = np.random.default_rng(3)
+        for n in [*range(1, 40), 136, 300]:
+            own = rng.normal(size=(n, 7))
+            shared = rng.normal(size=7)
+            pick = rng.random(n) < 0.5
+            pick[:2] = True  # the first term and an accumulator
+            full = np.where(pick[:, None], shared, own)
+            keep = shared.copy(), own.copy()
+            got = _pairwise_sum(lambda j: shared if pick[j] else own[j], 0, n)
+            expect = np.ascontiguousarray(full.T).sum(axis=1)
+            assert got.tobytes() == expect.tobytes(), n
+            assert shared.tobytes() == keep[0].tobytes(), n
+            assert own.tobytes() == keep[1].tobytes(), n
+
+    @pytest.mark.parametrize("n,reads", [(3, (1,)), (8, (0, 1, 2)),
+                                         (8, (3, 4)), (8, (5, 6, 7)),
+                                         (17, (7, 8, 9))])
+    def test_norm_and_dot_of_a_shared_row(self, n, reads):
+        # the unread coordinates share one row of u and have d = +0.0
+        rng = np.random.default_rng(n)
+        w = 500
+        u = rng.normal(size=(len(reads) + 1, w))
+        u[:, :50] = rng.choice([0.0, -0.0], size=(len(reads) + 1, 50))
+        d = rng.normal(size=(len(reads), w))
+        d[:, 25:75] = rng.choice([0.0, -0.0], size=(len(reads), 50))
+        slot = [reads.index(j) if j in reads else len(reads)
+                for j in range(n)]
+        u_full = u[slot].T.copy()
+        d_full = np.zeros((w, n))
+        d_full[:, list(reads)] = d.T
+        assert (_row_norm(u, slot).tobytes()
+                == np.linalg.norm(u_full, axis=1).tobytes())
+        lanes = _dot_lanes(reads, n)
+        du, dd = _lane_dot(d, u[:-1], lanes), _lane_dot(d, d, lanes)
+        assert du.tobytes() == reference_dots(d_full, u_full).tobytes()
+        assert dd.tobytes() == reference_dots(d_full, d_full).tobytes()
+        if EINSUM_ORDER_MEASURED:
+            assert (du.tobytes()
+                    == np.einsum("ij,ij->i", d_full, u_full).tobytes())
+            assert (dd.tobytes()
+                    == np.einsum("ij,ij->i", d_full, d_full).tobytes())
+
+
+class TestLaneDot:
+    @staticmethod
+    def operands(w):
+        """Row-major (a, b) pairs for n = 1..17: values across magnitudes
+        with ±0, ±inf, nan, subnormals and overflowing squares, and rows
+        of signed zeros (einsum's lanes start at +0.0)."""
+        rng = np.random.default_rng(w)
+        for n in range(1, 18):
+            a, b = (rng.normal(size=(w, n))
+                    * 10.0 ** rng.uniform(-8, 8, (w, n)) for _ in range(2))
+            for x in (a, b):
+                mixed = rng.random((w, n)) < 0.2
+                x[mixed] = rng.choice(TestRowNorm.SPECIAL, size=mixed.sum())
+            zeros = rng.choice([0.0, -0.0], size=(2, w, n))
+            for p, q in ((a, b), (a, a), (b, b), (a, zeros[0]), tuple(zeros)):
+                pc = np.ascontiguousarray(p.T)  # coordinate-major
+                with np.errstate(all="ignore"):
+                    got = _lane_dot(pc, pc if q is p
+                                    else np.ascontiguousarray(q.T),
+                                    _dot_lanes(range(n), n))
+                yield n, p, q, got
+
+    @staticmethod
+    def assert_same_bytes(got, expect, n):
+        # a NaN's sign and payload follow operand order, which numpy's own
+        # multiply does not keep (its scalar tail swaps the operands): NaN
+        # where the expected sum is NaN, and the exact bytes elsewhere
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan), n
+        assert got[~nan].tobytes() == expect[~nan].tobytes(), n
+
+    @pytest.mark.parametrize("w", [1, 3, 300])
+    def test_bytes_match_the_documented_order(self, w):
+        # holds on any platform: the order is _lane_dot's own
+        for n, p, q, got in self.operands(w):
+            self.assert_same_bytes(got, reference_dots(p, q), n)
+
+    @einsum_order
+    @pytest.mark.parametrize("w", [1, 3, 1000])
+    def test_bytes_match_einsum(self, w):
+        for n, p, q, got in self.operands(w):
+            with np.errstate(all="ignore"):
+                expect = np.einsum("ij,ij->i", p, q)
+            self.assert_same_bytes(got, expect, n)
 
 
 def _scaled_linear(grad_x):
@@ -457,12 +601,13 @@ class TestCompaction:
 
 def assert_rows_evaluate_alike(Gfun, Gdfun, u, rows):
     """The closures give a row subset the bits of the full batch's rows,
-    and the margin-and-gradient closure the margin closure's margins."""
+    and the margin-and-gradient closure the margin closure's margins (u
+    and the gradients are coordinate-major: a batch row is a column)."""
     G_all, grad_all = Gdfun(u)
-    G_sub, grad_sub = Gdfun(u[rows], rows)
+    G_sub, grad_sub = Gdfun(u[:, rows], rows)
     assert G_sub.tobytes() == G_all[rows].tobytes()
-    assert grad_sub.tobytes() == grad_all[rows].tobytes()
-    assert Gfun(u[rows], rows).tobytes() == G_sub.tobytes()
+    assert grad_sub.tobytes() == grad_all[:, rows].tobytes()
+    assert Gfun(u[:, rows], rows).tobytes() == G_sub.tobytes()
     assert Gfun(u).tobytes() == G_all.tobytes()
 
 
@@ -523,7 +668,7 @@ class TestCompactionWork:
         assert sum(ladder) < kinds.size * len(ladder) / 5
         # the compacted ladder still leaves u - tau d on every row
         (u, d_step, tau, trial), = ladders
-        assert trial.tobytes() == (u - tau[:, None] * d_step).tobytes()
+        assert trial.tobytes() == (u - tau * d_step).tobytes()
 
     def test_row_subsets_evaluate_as_the_full_batch(self):
         rng = np.random.default_rng(5)
@@ -533,7 +678,7 @@ class TestCompactionWork:
             g, grad_x = _mixed_margin()
             pf = PerformanceFunction(g, grad_x if analytic else fd_grad_x(g))
             Gfun, Gdfun = make_u_space(pf, mu, sigma, d)
-            u = rng.normal(size=(b, 2))
+            u = rng.normal(size=(b, 2)).T  # coordinate-major
             for rows in (np.array([3]), np.flatnonzero(rng.random(b) < 0.5),
                          np.arange(b)):
                 with np.errstate(all="ignore"):
@@ -579,3 +724,90 @@ class TestCompactionWork:
                 if x_mpp is not None:  # constraint j governs variable j
                     assert x_mpp[i, j].tobytes() == res.x_star[j].tobytes()
         assert penalty.tobytes() == np.maximum(-g, 0.0).sum(axis=0).tobytes()
+
+
+class TestReads:
+    """A margin's declared ``reads`` changes no bit of its searches."""
+
+    @pytest.mark.parametrize("name", ["heat-exchanger", "reactor",
+                                      "catalyst"])
+    def test_shipped_constraints_search_as_over_every_coordinate(self, name):
+        prob = get_rbrdo(name)
+        rng = np.random.default_rng(8)
+        b = 300
+        bounds = prob.det_bounds
+        d = rng.uniform(bounds.lower, bounds.upper, size=(b, bounds.dim))
+        beta = rng.uniform(*prob.beta_bounds, size=b)
+        if name == "reactor":  # inside the domain d2 <= d1
+            d[:, 1] = d[:, 0] * rng.uniform(0.1, 1.0, b)
+        mu, sigma = (np.array(np.broadcast_to(a, (b, a.shape[-1])))
+                     for a in prob.random_vars(d))
+        # rows whose margins are NaN from the start, one way per problem;
+        # they are most of the batch, so it compacts once they stop
+        bad = rng.choice(b, 160, replace=False)
+        if name == "heat-exchanger":
+            d[bad] = np.nan
+        elif name == "reactor":
+            d[bad, 1] = 1.5 * d[bad, 0]
+        else:
+            mu[bad] = np.nan
+        for pf in prob.constraints:
+            runs = [_asosl_engine(*make_u_space(p, mu, sigma, d), beta,
+                                  mu.shape[1], b, prob.mpp)[:4]
+                    for p in (pf, dataclasses.replace(pf, reads=None))]
+            for got, want in zip(*runs):
+                assert got.tobytes() == want.tobytes(), pf.name
+            u, G, iters, conv = runs[0]
+            assert u.shape == (b, mu.shape[1])
+            assert np.isnan(G[bad]).all() and not conv[bad].any()
+            assert np.isfinite(np.delete(G, bad)).all()
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_every_kind_of_stop_with_unread_coordinates(self, analytic):
+        # the mixed margin over four variables, of which it reads two
+        g, grad_x = _mixed_margin()
+
+        def grad4(d, x):
+            out = np.zeros_like(x)
+            out[..., :2] = grad_x(d, x[..., :2])
+            return out
+
+        pf = PerformanceFunction(g, grad4 if analytic else fd_grad_x(g),
+                                 reads=(0, 1))
+        d, mu, sigma, beta = _mixed_batch(TestCompaction.KINDS, seed=4)
+        rng = np.random.default_rng(4)
+        mu = np.column_stack([mu, rng.normal(size=(beta.size, 2))])
+        sigma = np.column_stack([sigma, rng.uniform(0.5, 1.5, (beta.size, 2))])
+        runs = [_asosl_engine(*make_u_space(p, mu, sigma, d), beta, 4,
+                              beta.size, AsoslParams())[:4]
+                for p in (pf, dataclasses.replace(pf, reads=None))]
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+        u, G, iters, conv = runs[0]
+        kinds = TestCompaction.KINDS
+        assert (iters[kinds == 2] == 200).all() and conv[kinds == 0].all()
+        # an unread coordinate only ever scales with its row's projection
+        assert (u[:, 2] == u[:, 3]).all()
+
+    def test_origin_fix_in_the_coordinate_major_layout(self):
+        # from u = (1, 1) on the sphere of radius sqrt(2), the first step
+        # of G = x0 + x1 lands on the origin; the fix projects it to the
+        # pole -d/|d| it was heading to
+        pf = linear_pf(np.ones(2), 0.0)
+        beta = math.sqrt(2.0)
+        res = asosl_mpp(pf, np.zeros(2), np.ones(2), np.zeros(1), beta)
+        assert res.converged
+        _, u1, _, tau1, _, _ = res.trace[0]
+        assert tau1 == 1.0
+        pole = -1.0 / math.sqrt(2.0) * beta
+        assert u1.tolist() == [pole, pole]
+
+    @pytest.mark.parametrize("reads", [(), (1, 0), (0, 0), (-1, 2), (0, 2)])
+    def test_reads_must_increase(self, reads):
+        with pytest.raises(UsageError):
+            PerformanceFunction(lambda d, x: x[..., 0], None, reads=reads)
+
+    def test_reads_must_lie_within_the_variables(self):
+        pf = PerformanceFunction(lambda d, x: x[..., 0], None, reads=(2,))
+        with pytest.raises(UsageError):
+            make_u_space(pf, np.zeros(2), np.ones(2), np.zeros(1))

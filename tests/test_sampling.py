@@ -3,6 +3,7 @@ import pytest
 
 from rbrdo import RngStream, UsageError, latin_hypercube, neighborhood_samples
 from rbrdo.formulation import _level_seed
+from rbrdo.problems import catalyst
 from rbrdo.sampling import _philox_keys, _unit_draws
 
 
@@ -126,6 +127,17 @@ class TestUnitDraws:
             assert got.tobytes() == want.tobytes()
 
 
+    def test_lhs_columns_do_not_depend_on_the_width(self):
+        # LHS draws one coordinate after another: a narrower draw is the
+        # leading columns of a wider one
+        streams = [RngStream(4, (2, i)) for i in range(6)]
+        for count in (1, 50):
+            narrow = _unit_draws(streams, count, 3, "lhs")
+            wide = _unit_draws(streams, count, 5, "lhs")
+            assert (narrow.tobytes()
+                    == np.ascontiguousarray(wide[..., :3]).tobytes())
+
+
 def test_streams_read_no_os_entropy(monkeypatch):
     # an unseeded numpy bit generator reads OS entropy it never uses;
     # keyed streams start from a seeded one
@@ -220,6 +232,28 @@ class TestNeighborhoodSamples:
             with pytest.raises(UsageError):
                 neighborhood_samples(centers, np.array(noise), count, scheme,
                                      [RngStream(0)])
+
+
+    @pytest.mark.parametrize("scheme", ["lhs", "uniform"])
+    def test_catalyst_samples_match_full_width_draws(self, scheme):
+        # catalyst's two trailing design coordinates are noise-free: LHS
+        # no longer draws them, and the samples are those the full-width
+        # draw gave
+        prob = catalyst.rbrdo()
+        rng = np.random.default_rng(6)
+        bounds = prob.det_bounds
+        centers = rng.uniform(bounds.lower, bounds.upper, size=(7, 5))
+        noise = np.where(prob.noise_mask, 0.05, 0.0)
+        streams = [RngStream(2, (0, i)) for i in range(7)]
+        got = neighborhood_samples(centers, noise, 50, scheme, streams)
+        u = _unit_draws(streams, 50, 5, scheme)
+        x = centers[:, None, :]
+        half = noise * x
+        want = np.clip(x + half * (2.0 * u - 1.0),
+                       np.minimum(x - half, x + half),
+                       np.maximum(x - half, x + half))
+        want[..., noise == 0.0] = x[..., noise == 0.0]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPopulationSamples:
