@@ -1,5 +1,6 @@
-"""Shared containers for the shipped problems, and the builder that derives
-each deterministic form from its uncertain definition."""
+"""Shared containers for the shipped problems, the builder that derives
+each deterministic form from its uncertain definition, and the helper that
+builds a margin's gradient over the window of variables it sees."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ class DeterministicProblem:
     sense: Sense
     objective: Callable[[np.ndarray], np.ndarray]
     violation: Callable[[np.ndarray], np.ndarray]
-    optimum: Optional[float] = None
 
     def evaluate_batch(self, xs, streams):
         """Rows of xs -> ((n, 1) objectives, (n,) violations); no noise."""
@@ -35,7 +35,7 @@ class DeterministicProblem:
         return objs[:, None], np.asarray(self.violation(xs), dtype=float)
 
 
-def deterministic_form(problem: RbrdoProblem, optimum: Optional[float] = None,
+def deterministic_form(problem: RbrdoProblem,
                        bounds: Optional[Bounds] = None) -> DeterministicProblem:
     """The uncertain problem with every random variable at its mean.
 
@@ -59,7 +59,7 @@ def deterministic_form(problem: RbrdoProblem, optimum: Optional[float] = None,
     def violation(d):
         d, guard, mu = at_mean(d)
         with np.errstate(all="ignore"):
-            total = sum((np.maximum(-pf.g(d, mu), 0.0)
+            total = sum((np.maximum(-pf.g(d, mu[..., pf.columns]), 0.0)
                          for pf in problem.constraints), guard)
         return np.where(guard > 0.0, guard, total)
 
@@ -69,5 +69,14 @@ def deterministic_form(problem: RbrdoProblem, optimum: Optional[float] = None,
         sense=problem.senses[0],
         objective=objective,
         violation=violation,
-        optimum=optimum,
     )
+
+
+def gradient(x, *columns):
+    """A margin's gradient, one column (an array or a scalar) per variable
+    of its window ``x``, shaped and laid out like x: the MPP engine's
+    coordinate-major view of it is then contiguous."""
+    out = np.empty_like(x, dtype=float)
+    for j, column in enumerate(columns):
+        out[..., j] = column
+    return out

@@ -10,8 +10,8 @@ the failure probability of each margin. The margins are
     m2 = (x1 + x2 - 5)^2 / 30 + (x1 - x2 - 12)^2 / 120 - 1
     m3 = 80 / (x1^2 + 8 x2 + 5) - 1
 
-(positive = safe), the family whose deterministic optimum is the
-published ``OPTIMUM_DET``.
+(positive = safe), the family whose published deterministic optimum is
+f = 5.176532 at d = (3.113885, 2.062648).
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import numpy as np
 from ..core import Bounds, Sense
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
-from .base import DeterministicProblem, deterministic_form
+from .base import DeterministicProblem, deterministic_form, gradient
 
 SIGMA = 0.3
-OPTIMUM_DET = 5.176532  # at d = (3.113885, 2.062648)
 
 
 def _m1(x1, x2):
@@ -46,32 +45,24 @@ def _objective(d, x):
 
 
 def deterministic() -> DeterministicProblem:
-    return deterministic_form(rbrdo(), OPTIMUM_DET)
-
-
-def _gradient(x, g1, g2):
-    """The gradient (g1, g2), laid out like x."""
-    out = np.empty_like(x, dtype=float)
-    out[..., 0] = g1
-    out[..., 1] = g2
-    return out
+    return deterministic_form(rbrdo())
 
 
 def _performance_functions():
     def grad1(d, x):
         x1, x2 = x[..., 0], x[..., 1]
-        return _gradient(x, x1 * x2 / 10.0, x1 * x1 / 20.0)
+        return gradient(x, x1 * x2 / 10.0, x1 * x1 / 20.0)
 
     def grad2(d, x):
         x1, x2 = x[..., 0], x[..., 1]
         p = (x1 + x2 - 5.0) / 15.0
         q = (x1 - x2 - 12.0) / 60.0
-        return _gradient(x, p + q, p - q)
+        return gradient(x, p + q, p - q)
 
     def grad3(d, x):
         x1, x2 = x[..., 0], x[..., 1]
         den = (x1 * x1 + 8.0 * x2 + 5.0) ** 2
-        return _gradient(x, -160.0 * x1 / den, -640.0 / den)
+        return gradient(x, -160.0 * x1 / den, -640.0 / den)
 
     return (
         PerformanceFunction(lambda d, x: _m1(x[..., 0], x[..., 1]),

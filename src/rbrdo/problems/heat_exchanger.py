@@ -5,7 +5,8 @@ The full eight-variable NLP carries the stage temperatures of the hot
 streams explicitly; eliminating the heat-balance inequalities (they bind at
 the optimum) reduces it to five variables d = (A1, A2, A3, T1, T2) with
 three inequality constraints, the only form shipped (the full form is a
-test oracle). The known minimum is A_T ~= 7049.25.
+test oracle). The known minimum is A_T ~= 7049.25, at
+(A1, A2, A3) = (579.31, 1359.97, 5109.97).
 
 Uncertain forms randomize the constant coefficients of the reduced
 constraints as eight independent normals (coefficient of variation 0.05)
@@ -24,12 +25,11 @@ import numpy as np
 from ..core import Bounds, Sense
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
-from .base import DeterministicProblem, deterministic_form
+from .base import DeterministicProblem, deterministic_form, gradient
 
 MU = np.array([2500.0 / 3.0, 300.0, 250000.0 / 3.0, 400.0, 1250.0,
                1.25e6, 2500.0, 100.0])
 SIGMA = 0.05 * MU
-OPTIMUM_DET = 7049.25  # at (A1, A2, A3) = (579.31, 1359.97, 5109.97)
 
 _BOUNDS_REDUCED = Bounds(
     np.array([1e2, 1e3, 1e3, 10.0, 10.0]),
@@ -38,17 +38,20 @@ _BOUNDS_REDUCED = Bounds(
 
 
 def _m1(d, x):
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
     d1, d4 = d[..., 0], d[..., 3]
-    return x[..., 1] * d1 + x[..., 2] - d1 * d4 - x[..., 0] * d4
+    return x2 * d1 + x3 - d1 * d4 - x1 * d4
 
 
 def _m2(d, x):
+    x4, x5 = x[..., 0], x[..., 1]
     d2, d4, d5 = d[..., 1], d[..., 3], d[..., 4]
-    return x[..., 3] * d2 + x[..., 4] * (d4 - d5) - d5 * d2
+    return x4 * d2 + x5 * (d4 - d5) - d5 * d2
 
 
 def _m3(d, x):
-    return x[..., 6] * d[..., 4] + x[..., 7] * d[..., 2] - x[..., 5]
+    x6, x7, x8 = x[..., 0], x[..., 1], x[..., 2]
+    return x7 * d[..., 4] + x8 * d[..., 2] - x6
 
 
 def _objective(d, x):
@@ -58,35 +61,20 @@ def _objective(d, x):
 
 def deterministic() -> DeterministicProblem:
     """Reduced five-variable form evaluated at the nominal coefficients."""
-    return deterministic_form(rbrdo(), OPTIMUM_DET)
+    return deterministic_form(rbrdo())
 
 
 def _performance_functions():
+    # each margin sees the window of X it reads: (X1, X2, X3), (X4, X5)
+    # and (X6, X7, X8)
     def g1_grad(d, x):
-        d = np.asarray(d, dtype=float)
-        g = np.zeros_like(x, shape=np.broadcast_shapes(
-            d[..., :1].shape, x[..., :1].shape)[:-1] + (8,))
-        g[..., 0] = -d[..., 3]
-        g[..., 1] = d[..., 0]
-        g[..., 2] = 1.0
-        return g
+        return gradient(x, -d[..., 3], d[..., 0], 1.0)
 
     def g2_grad(d, x):
-        d = np.asarray(d, dtype=float)
-        g = np.zeros_like(x, shape=np.broadcast_shapes(
-            d[..., :1].shape, x[..., :1].shape)[:-1] + (8,))
-        g[..., 3] = d[..., 1]
-        g[..., 4] = d[..., 3] - d[..., 4]
-        return g
+        return gradient(x, d[..., 1], d[..., 3] - d[..., 4])
 
     def g3_grad(d, x):
-        d = np.asarray(d, dtype=float)
-        g = np.zeros_like(x, shape=np.broadcast_shapes(
-            d[..., :1].shape, x[..., :1].shape)[:-1] + (8,))
-        g[..., 5] = -1.0
-        g[..., 6] = d[..., 4]
-        g[..., 7] = d[..., 2]
-        return g
+        return gradient(x, -1.0, d[..., 4], d[..., 2])
 
     return (PerformanceFunction(_m1, g1_grad, name="g1", reads=(0, 1, 2)),
             PerformanceFunction(_m2, g2_grad, name="g2", reads=(3, 4)),

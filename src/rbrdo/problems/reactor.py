@@ -5,8 +5,9 @@ reduced by eliminating the equalities: with d = (cA1, cA2) the outlet
 concentration of the intermediate species becomes a closed-form rational
 function of d and the four rate constants, and the residence-time budget
 sqrt(V1) + sqrt(V2) <= 4 becomes a single inequality in d. The landscape
-keeps the well-known structure of one global optimum (f ~= 0.389, both
-reactors active) and two locals (f ~= 0.375 and f ~= 0.388, single reactor).
+keeps the well-known structure of one global optimum (f ~= 0.389 at
+(cA1, cA2) = (0.771, 0.517), V = (3.037, 5.096), both reactors active)
+and two locals (f ~= 0.375 and f ~= 0.388, single reactor).
 
 Uncertain forms randomize the rate constants (coefficient of variation
 0.15). The reduced inequality needs d2 <= d1 for real square roots; designs
@@ -21,11 +22,10 @@ import numpy as np
 from ..core import Bounds, Sense
 from ..formulation import RbrdoProblem
 from ..reliability import PerformanceFunction
-from .base import DeterministicProblem, deterministic_form
+from .base import DeterministicProblem, deterministic_form, gradient
 
 MU = np.array([0.09755988, 0.09658428, 0.0391908, 0.03527172])
 SIGMA = 0.15 * MU
-OPTIMUM_DET = 0.389  # at (cA1, cA2) = (0.771, 0.517), V = (3.037, 5.096)
 
 _BOUNDS = Bounds(np.full(2, 1e-5), np.ones(2))
 _GUARD_SCALE = 1e6
@@ -59,11 +59,8 @@ def _margin_grad(d, x):
     d1, d2 = d[..., 0], d[..., 1]
     v1 = (1.0 - d1) / (x[..., 0] * d1)
     v2 = (d1 - d2) / (x[..., 1] * d2)
-    g = np.zeros_like(x, shape=np.broadcast_shapes(
-        d[..., :1].shape, x[..., :1].shape)[:-1] + (4,))
-    g[..., 0] = 0.5 * np.sqrt(v1) / x[..., 0]
-    g[..., 1] = 0.5 * np.sqrt(v2) / x[..., 1]
-    return g
+    return gradient(x, 0.5 * np.sqrt(v1) / x[..., 0],
+                    0.5 * np.sqrt(v2) / x[..., 1])
 
 
 def domain_guard(d) -> np.ndarray:
@@ -73,7 +70,7 @@ def domain_guard(d) -> np.ndarray:
 
 
 def deterministic() -> DeterministicProblem:
-    return deterministic_form(rbrdo(), OPTIMUM_DET)
+    return deterministic_form(rbrdo())
 
 
 def _random_vars(d):

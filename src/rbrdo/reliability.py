@@ -26,11 +26,12 @@ trials, not its width times the longest ladder.
 The search state is coordinate-major: u, d and the ladder's ``trial``
 buffer hold one row per coordinate and one column per search (a batch
 row), so every per-search broadcast (t, beta, a norm, a stop mask) and
-every coordinate access is one contiguous pass. The closures hand the
-performance function x = mu + sigma*u as the (w, n) transpose of such an
-array. A margin that declares the variables it reads
-(``PerformanceFunction.reads``) is searched over those coordinates alone.
-The others have gradient +0.0: from their common start beta/sqrt(n) no
+every coordinate access is one contiguous pass. A margin sees only the
+k variables it reads (``PerformanceFunction.reads``, all n when it
+declares none): the closures hand it x = mu + sigma*u over those
+coordinates as the (w, k) transpose of such an array, take back its (w, k)
+gradient, and the search runs over those coordinates alone. The margin
+does not depend on the others: from their common start beta/sqrt(n) no
 step moves them and only the projection rescales them (the origin fix
 makes them -0.0), so they stay equal bit for bit and share one state row.
 The ladder leaves u - tau d in ``trial`` for every row; the step projects
@@ -93,16 +94,16 @@ class PerformanceFunction:
     """Margin function g(d, x) with its analytic x-gradient.
 
     ``g`` must broadcast over a leading batch axis of ``x`` (and of ``d``
-    when d-batches are used): g(d, x[..., :]) -> shape x.shape[:-1], and
-    ``grad_x`` likewise -> shape x.shape, the partial derivatives of g in
-    x. The U-space gradient of the search is sigma * grad_x.
+    when d-batches are used): g(d, x) -> shape x.shape[:-1], and
+    ``grad_x`` -> shape x.shape, the partial derivatives of g in x. The
+    U-space gradient of the search is sigma * grad_x.
 
-    ``reads`` lists the columns of x that ``g`` and ``grad_x`` read, a run
-    of adjacent columns in increasing order (None: all of them);
-    ``grad_x`` must be exactly +0.0 in the others. The MPP search then
-    runs over those coordinates alone, and x holds NaN in the unread
-    columns. It is problem data: a gradient may vanish at a search's start
-    by chance, so it cannot be inferred.
+    ``reads`` lists the random variables the margin reads, a run of
+    adjacent columns in increasing order (None: all of them). ``g`` and
+    ``grad_x`` see only that window, ``columns`` of the variables: x holds
+    its columns alone, in their order, and the MPP search runs over those
+    coordinates. It is problem data: a gradient may vanish at a search's
+    start by chance, so it cannot be inferred.
     """
 
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -117,6 +118,12 @@ class PerformanceFunction:
                                self.reads[0] + len(self.reads)))):
             raise UsageError("reads must list a run of adjacent nonnegative "
                              "columns in increasing order")
+
+    @property
+    def columns(self) -> slice:
+        """The window of the variables that ``g`` and ``grad_x`` see."""
+        return (slice(None) if self.reads is None
+                else slice(self.reads[0], self.reads[-1] + 1))
 
 
 @dataclass(frozen=True)
@@ -487,8 +494,8 @@ def _asosl_engine(Gfun, Gdfun, beta, n, b, params: AsoslParams,
         _armijo_ladder(Gfun, rows, u[:k], d, Gu, A, t, active, alpha_b, s_b,
                        tau, G_ray, trial[:k])
         if k < n:
-            # an unread coordinate's step u - t*(+0.0) is u itself (a NaN t
-            # makes the row's read coordinates, and so its norm, NaN)
+            # an unread coordinate's step is u itself (a NaN t makes the
+            # row's read coordinates, and so its norm, NaN)
             trial[k] = u[k]
 
         # project u - tau d (left in trial by the ladder) onto the sphere
@@ -594,10 +601,14 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
     per search, and the gradient comes back as the (k, w) array of those
     coordinates. ``Gdfun.reads`` is that run of coordinates as a range,
     the one the engine searches. ``rows`` indexes the batch rows of u's
-    columns in the per-row (2-D, (b, n)) ones of ``mu``, ``sigma`` and
-    ``d_det``; 1-D arrays are shared by every row. ``pf`` is handed x and
-    d as (w, n) transposes of coordinate-major arrays, x with NaN in the
-    unread columns.
+    columns in the per-row arrays.
+
+    The arrays are laid out for the engine here alone: a per-row (2-D)
+    ``mu``, ``sigma`` or ``d_det`` becomes a coordinate-major copy of the
+    columns ``pf`` sees, and a 1-D one, or a stride-0 broadcast of one, is
+    shared by every row. ``pf`` is handed x and d as the (w, k) and
+    (w, n_d) transposes of coordinate-major arrays; ``Gdfun`` refuses a
+    gradient not shaped like x.
 
     The engine and its Armijo ladder pass one index array per width, so
     the per-row arrays are gathered once per ``rows`` object, the whole
@@ -605,19 +616,19 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
     made, so a ladder's row gathers never sit beside the engine's.
     """
     n = mu.shape[-1]
-    reads = range(n) if pf.reads is None else range(pf.reads[0],
-                                                    pf.reads[-1] + 1)
-    if reads[-1] >= n:
-        raise UsageError(f"{pf.name} reads column {reads[-1]} of {n}")
+    if pf.reads is not None and pf.reads[-1] >= n:
+        raise UsageError(f"{pf.name} reads column {pf.reads[-1]} of {n}")
+    cols = pf.columns
+    reads = range(n)[cols]
     k = len(reads)
-    # a run of columns: x's read rows are written in place
-    cols = slice(reads.start, reads.stop)
 
-    # coordinate-major: the read rows of mu and sigma, (k, 1) when shared
-    arrays = [a[cols][:, None] if a.ndim < 2
-              else np.ascontiguousarray(a.T[cols]) for a in (mu, sigma)]
-    arrays.append(d_det if d_det.ndim < 2 else np.ascontiguousarray(d_det.T))
+    mu, sigma, d_det = (a[0] if a.ndim == 2 and a.strides[0] == 0 else a
+                        for a in (mu, sigma, d_det))
     per_row = [a.ndim == 2 for a in (mu, sigma, d_det)]
+    # mu and sigma over the window, (k, 1) when shared
+    arrays = [np.ascontiguousarray(a.T[cols]) if p else a[cols, None]
+              for a, p in zip((mu, sigma), per_row)]
+    arrays.append(np.ascontiguousarray(d_det.T) if per_row[2] else d_det)
 
     def gather(rows):
         return tuple(a.take(rows, axis=-1) if rows is not None and p else a
@@ -634,11 +645,8 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
 
     def point(u, rows):
         m, s, d = at(rows)
-        w = u.shape[-1]
-        x = np.empty((n, w)) if k == n else np.full((n, w), np.nan)
-        xr = x[cols]
-        np.add(m, np.multiply(s, u[:k], out=xr), out=xr)
-        return x.T, d.T, s
+        x = np.multiply(s, u[:k])
+        return np.add(m, x, out=x).T, d.T, s
 
     def Gfun(u, rows=None):
         x, d, _ = point(u, rows)
@@ -648,8 +656,11 @@ def make_u_space(pf: PerformanceFunction, mu: np.ndarray, sigma: np.ndarray,
         x, d, s = point(u, rows)
         G = np.asarray(pf.g(d, x), dtype=float)
         grad = np.asarray(pf.grad_x(d, x), dtype=float)
+        if grad.shape != x.shape:
+            raise UsageError(f"{pf.name}: grad_x gave shape {grad.shape} "
+                             f"for x of shape {x.shape}")
         del x  # gone before sigma * grad is made
-        return G, np.multiply(s, grad.T[cols])
+        return G, np.multiply(s, grad.T)
 
     Gdfun.reads = reads
     return Gfun, Gdfun

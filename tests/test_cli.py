@@ -1,5 +1,6 @@
 import argparse
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,10 +11,12 @@ from rbrdo.cli import build_parser, main
 
 BENCH_DET = ["run", "--problem", "benchmark", "--mode", "deterministic",
              "--seed", "1"]
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, tmp_path, extra_env=None):
-    env = dict(os.environ, RBRDO_OUTPUT_DIR=str(tmp_path))
+    # the child imports the package from this checkout, installed or not
+    env = dict(os.environ, RBRDO_OUTPUT_DIR=str(tmp_path), PYTHONPATH=str(SRC))
     if extra_env:
         env.update(extra_env)
     proc = subprocess.run([sys.executable, "-m", "rbrdo.cli", *args],

@@ -726,6 +726,19 @@ class TestCompactionWork:
         assert penalty.tobytes() == np.maximum(-g, 0.0).sum(axis=0).tobytes()
 
 
+def full_width(pf):
+    """``pf`` as a margin over every variable (``reads=None``): it reads its
+    window of x, and its gradient is the window's scattered into zeros."""
+    cols = pf.columns
+
+    def grad_x(d, x):
+        out = np.zeros_like(x)
+        out[..., cols] = pf.grad_x(d, x[..., cols])
+        return out
+    return PerformanceFunction(lambda d, x: pf.g(d, x[..., cols]), grad_x,
+                               name=pf.name)
+
+
 class TestReads:
     """A margin's declared ``reads`` changes no bit of its searches."""
 
@@ -751,16 +764,32 @@ class TestReads:
             d[bad, 1] = 1.5 * d[bad, 0]
         else:
             mu[bad] = np.nan
+        n = mu.shape[1]
         for pf in prob.constraints:
             runs = [_asosl_engine(*make_u_space(p, mu, sigma, d), beta,
-                                  mu.shape[1], b, prob.mpp)[:4]
-                    for p in (pf, dataclasses.replace(pf, reads=None))]
+                                  n, b, prob.mpp)[:4]
+                    for p in (pf, full_width(pf))]
             for got, want in zip(*runs):
                 assert got.tobytes() == want.tobytes(), pf.name
             u, G, iters, conv = runs[0]
-            assert u.shape == (b, mu.shape[1])
+            assert u.shape == (b, n)
             assert np.isnan(G[bad]).all() and not conv[bad].any()
             assert np.isfinite(np.delete(G, bad)).all()
+            # the engine's x is the F-ordered (w, k) view of a
+            # coordinate-major array: the gradient keeps its shape and
+            # layout, so the engine's transpose of it is contiguous
+            x = np.asfortranarray((mu + sigma)[:, pf.columns])
+            with np.errstate(all="ignore"):  # the NaN rows
+                grad = pf.grad_x(d, x)
+            assert x.shape == (b, len(pf.reads))
+            assert grad.shape == x.shape and grad.T.flags.c_contiguous
+            # a gradient over all n variables, the width of no window here,
+            # is refused rather than broadcast
+            wide = dataclasses.replace(
+                pf, grad_x=lambda d, x: np.ones(x.shape[:-1] + (n,)))
+            _, Gdfun = make_u_space(wide, mu, sigma, d)
+            with pytest.raises(UsageError), np.errstate(all="ignore"):
+                Gdfun(np.ones((len(pf.reads), b)))
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_every_kind_of_stop_with_unread_coordinates(self, analytic):
