@@ -17,11 +17,12 @@ When every g_i* is positive and delta is zero the result is exactly
 (F(d), beta_t).
 
 A whole population evaluates as arrays. Each candidate draws its samples
-from its own stream (the only per-candidate loop); the bounds checks, the
-domain guard, the neighborhood map, the objective and the robustness
-aggregators then run once over all N candidates or all N*M sample rows,
-and each constraint's MPP searches run as one lockstep batch (every
-candidate and sample becomes one row of that constraint's sphere search).
+from its own stream, all keyed in one pass (the draws are the only
+per-candidate loop); the bounds checks, the domain guard, the
+neighborhood map, the objective and the robustness aggregators then run
+once over all N candidates or all N*M sample rows, and each constraint's
+MPP searches run as one lockstep batch (every candidate and sample becomes
+one row of that constraint's sphere search).
 Samples the domain guard drops leave candidates with fewer rows; those
 aggregate in groups of equal row count, so every candidate's result is
 bit-identical to its evaluation alone.
@@ -44,7 +45,7 @@ from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
                           make_u_space)
 from .robustness import (RobustnessSpec, noise_levels, penalty_objectives,
                          type2_ratio, worst_sample)
-from .sampling import RngStream, _philox_keys, neighborhood_samples
+from .sampling import RngStream, neighborhood_samples
 
 log = logging.getLogger(__name__)
 
@@ -147,11 +148,11 @@ class _Population:
 
 
 def _prepare(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
-             streams: Sequence[Optional[RngStream]], spec: RobustnessSpec,
+             rng: RngStream, spec: RobustnessSpec,
              noise: Optional[np.ndarray]) -> _Population:
     """Check the population's bounds, reject the designs the domain guard
-    rejects and draw the neighborhood samples of the rest; ``noise`` is
-    the evaluator's masked noise vector, None when it is noise-free."""
+    rejects and draw the neighborhood samples of the rest, row i from
+    ``rng.substream(i)``; ``noise``: the masked noise vector, or None."""
     lo, hi = problem.beta_bounds
     tol = 1e-9
     if not np.all((lo - tol <= beta) & (beta <= hi + tol)):
@@ -169,8 +170,7 @@ def _prepare(problem: RbrdoProblem, d: np.ndarray, beta: np.ndarray,
     if noise is not None and live.size:
         # perturbed designs are still designs: realizations stay in the box
         samples = problem.det_bounds.clip(neighborhood_samples(
-            samples, noise, spec.samples, spec.scheme,
-            [streams[i] for i in live]))
+            samples, noise, spec.samples, spec.scheme, rng.keys(live)))
         counts = np.full(live.size, spec.samples)
         if guard is not None:
             g_v = np.asarray(guard(samples), dtype=float)
@@ -359,10 +359,10 @@ class RbrdoEvaluator:
         self.mpp_per_sample = mpp_per_sample
         self.fixed_beta = fixed_beta
 
-    def evaluate_batch(self, xs, streams):
+    def evaluate_batch(self, xs, rng: RngStream):
         """Objectives (N, m + 1), beta_t last ((N, m) with ``fixed_beta``),
-        and violations (N,) of the rows of ``xs``, each sampled with its
-        own stream.
+        and violations (N,) of the rows of ``xs``, row i sampled from
+        ``rng.substream(i)``.
 
         Candidates the domain guard or a division hazard rejects get zero
         objectives (beta_t kept) and the guard value or a fixed large
@@ -373,10 +373,8 @@ class RbrdoEvaluator:
             d, beta = xs[:, :-1], xs[:, -1]
         else:
             d, beta = xs, np.full(len(xs), self.fixed_beta)
-        if len(streams) != len(d):
-            raise UsageError("one rng stream is required per candidate")
         problem, spec = self.problem, self.robustness
-        pop = _prepare(problem, d, beta, streams, spec, self.noise)
+        pop = _prepare(problem, d, beta, rng, spec, self.noise)
         m = problem.n_objectives
         objs = np.zeros((len(d), m + 1))
         objs[:, m] = beta
@@ -428,7 +426,7 @@ def build_rbdo_evaluator(problem: RbrdoProblem, beta_t: float,
 
 def _level_seed(seed: int, level: float) -> int:
     key = int(np.float64(level).view(np.uint64))
-    return int(_philox_keys([RngStream(seed, (key,))])[0, 0])
+    return int(RngStream(seed, (key,)).key[0])
 
 
 def sweep_specs(problem: RbrdoProblem, delta_levels: Sequence[float],

@@ -1,14 +1,15 @@
 """Differential evolution (rand/1/bin) and a MODE-like multi-objective DE.
 
 An evaluator is any object with a method
-``evaluate_batch(xs, streams) -> (objectives, violations)``: ``xs`` is the
-(n, dim) matrix of one generation's candidates and ``streams`` holds one
-:class:`~rbrdo.sampling.RngStream` per row, derived from (run seed,
-generation, candidate index), so a candidate's result does not depend on
-the rows evaluated with it; deterministic problems ignore the streams. It
-returns an (n, m) objective matrix and an (n,) vector of nonnegative
-constraint violations. Constraint handling is by penalization: selection
-compares sense-adjusted objectives worsened by ``psi * violation``.
+``evaluate_batch(xs, rng) -> (objectives, violations)``: ``xs`` is the
+(n, dim) matrix of one generation's candidates and ``rng`` the
+generation's :class:`~rbrdo.sampling.RngStream`. Row i draws from
+``rng.substream(i)``, so a candidate's result does not depend on the rows
+evaluated with it; evaluators that draw hash their rows' keys in one
+``rng.keys`` call, and deterministic ones ignore ``rng``. It returns an
+(n, m) objective matrix and an (n,) vector of nonnegative constraint
+violations. Constraint handling is by penalization: selection compares
+sense-adjusted objectives worsened by ``psi * violation``.
 """
 
 from __future__ import annotations
@@ -104,9 +105,8 @@ def _rand1bin_trials(pop, targets, F, CR, rng: RngStream, bounds: Bounds):
 
 
 def _evaluate(evaluator, xs, rng: RngStream, generation: int):
-    """Evaluate the rows of xs in one batch, each with its own substream."""
-    streams = [rng.substream(1, generation, i) for i in range(len(xs))]
-    objs, viol = evaluator.evaluate_batch(xs, streams)
+    """Evaluate the rows of xs in one batch, row i with stream (1, g, i)."""
+    objs, viol = evaluator.evaluate_batch(xs, rng.substream(1, generation))
     return np.asarray(objs, dtype=float), np.asarray(viol, dtype=float)
 
 

@@ -29,7 +29,7 @@ class DeterministicProblem:
     objective: Callable[[np.ndarray], np.ndarray]
     violation: Callable[[np.ndarray], np.ndarray]
 
-    def evaluate_batch(self, xs, streams):
+    def evaluate_batch(self, xs, rng):
         """Rows of xs -> ((n, 1) objectives, (n,) violations); no noise."""
         objs = np.asarray(self.objective(xs), dtype=float)
         return objs[:, None], np.asarray(self.violation(xs), dtype=float)

@@ -8,13 +8,13 @@ Philox (counter-based, period >= 2**128), keyed exactly as numpy's
 keys it, which maps distinct (generation, candidate, ...) index paths to
 independent streams without collisions.
 
-The keys of a whole population come from one array pass
-(:func:`_philox_keys`): numpy's seed-sequence hash runs as uint32 array
-operations over all streams whose entropy words are equally many, since
-its hash constants advance with the number of words alone. Because a
-Philox stream is just a (key, counter) pair, one generator then draws
-every block in turn: setting its key, a zero counter and an empty buffer
-switches it to the next stream's first draw.
+A Philox stream is just a (key, counter) pair, so below the optimizer a
+stream is its key. :meth:`RngStream.keys` hashes the keys of many
+substreams in one pass: numpy's seed-sequence hash runs as uint32 array
+operations (:func:`_hashed_keys`), its constants advancing with the number
+of entropy words alone. One generator then draws every block in turn:
+setting its key, a zero counter and an empty buffer switches it to the
+next stream's first draw.
 """
 
 from __future__ import annotations
@@ -51,12 +51,41 @@ class RngStream:
                              f"nonnegative: seed {self.seed}, "
                              f"path {self.path}")
 
+    def _entropy(self, pad: bool) -> list:
+        """The seed sequence's entropy words: the seed's, zero-padded to
+        the pool size when a path follows, then each path index's."""
+        words = _words(self.seed)
+        if pad or self.path:
+            words += [0] * (_POOL_SIZE - len(words))
+        for i in self.path:
+            words += _words(i)
+        return words
+
+    @property
+    def key(self) -> np.ndarray:
+        """The (2,) uint64 Philox key, numpy's ``SeedSequence(entropy=seed,
+        spawn_key=path).generate_state(2, np.uint64)``; word 0 alone is
+        ``generate_state(1, np.uint64)``, as output words do not depend on
+        how many are asked for."""
+        words = np.array(self._entropy(False), dtype=np.uint32)[:, None]
+        return _hashed_keys(words)[0]
+
+    def keys(self, rows) -> np.ndarray:
+        """(len(rows), 2) uint64 keys, row k that of ``substream(rows[k])``,
+        hashed in one pass; each index must lie in [0, 2**32)."""
+        rows = np.asarray(rows)
+        if rows.size and not 0 <= rows.min() <= rows.max() <= _MASK32:
+            raise UsageError("substream indices must lie in [0, 2**32)")
+        entropy = np.array(self._entropy(True) + [0], dtype=np.uint32)
+        entropy = np.repeat(entropy[:, None], rows.size, axis=1)
+        entropy[-1] = rows
+        return _hashed_keys(entropy)
+
     @functools.cached_property
     def gen(self) -> np.random.Generator:
-        """The stream's generator, built on first use: most evaluators
-        never draw from the per-candidate streams they are handed."""
+        """The stream's generator, built on first use."""
         bitgen = np.random.Philox(0)
-        bitgen.state = _start_state(_philox_keys([self])[0].tolist())
+        bitgen.state = _start_state(self.key.tolist())
         return np.random.Generator(bitgen)
 
     def substream(self, *indices: int) -> "RngStream":
@@ -73,17 +102,6 @@ def _words(n: int) -> list:
     while n > _MASK32:
         n >>= 32
         words.append(n & _MASK32)
-    return words
-
-
-def _entropy(stream: RngStream) -> list:
-    """The seed sequence's assembled entropy: the seed's words, padded with
-    zeros to the pool size when there is a path, then each index's words."""
-    words = _words(stream.seed)
-    if stream.path:
-        words += [0] * (_POOL_SIZE - len(words))
-        for i in stream.path:
-            words += _words(i)
     return words
 
 
@@ -133,25 +151,6 @@ def _hashed_keys(entropy: np.ndarray) -> np.ndarray:
     return (state[0::2] | state[1::2] << 32).T
 
 
-def _philox_keys(streams) -> np.ndarray:
-    """(N, 2) uint64 Philox keys, row i the key numpy's
-    ``SeedSequence(entropy=seed, spawn_key=path).generate_state(2,
-    np.uint64)`` gives ``streams[i]``; word 0 alone is
-    ``generate_state(1, np.uint64)``, as output words do not depend on how
-    many are asked for. Streams hash together when their entropy holds
-    equally many words."""
-    by_width: dict[int, tuple[list, list]] = {}
-    for k, stream in enumerate(streams):
-        words = _entropy(stream)
-        rows, entropy = by_width.setdefault(len(words), ([], []))
-        rows.append(k)
-        entropy.append(words)
-    keys = np.empty((len(streams), 2), dtype=np.uint64)
-    for rows, entropy in by_width.values():
-        keys[rows] = _hashed_keys(np.array(entropy, dtype=np.uint32).T)
-    return keys
-
-
 def _start_state(key) -> dict:
     """The state ``np.random.Philox(key=key)`` starts in: a zero counter
     and an empty buffer. Built from a seeded ``Philox(0)`` and set to
@@ -163,24 +162,24 @@ def _start_state(key) -> dict:
             "uinteger": 0}
 
 
-def _unit_draws(streams, count: int, dim: int, scheme: str) -> np.ndarray:
-    """(len(streams), count, dim) points in [0, 1), block i drawn from
-    ``streams[i]`` exactly as its own generator would draw them, through
-    one generator switched from stream to stream; the arithmetic then
-    runs once over all blocks."""
+def _unit_draws(keys, count: int, dim: int, scheme: str) -> np.ndarray:
+    """(N, count, dim) points in [0, 1), block i drawn from the stream
+    keyed ``keys[i]`` ((N, 2) uint64) exactly as its own generator would
+    draw them, through one generator switched from key to key; the
+    arithmetic then runs once over all blocks."""
     bitgen = np.random.Philox(0)  # keyed per block below
     gen = np.random.Generator(bitgen)
-    starts = [_start_state(key) for key in _philox_keys(streams).tolist()]
+    starts = [_start_state(key) for key in keys.tolist()]
     if scheme == "uniform":
-        u = np.empty((len(streams), count, dim))
+        u = np.empty((len(keys), count, dim))
         for block, start in zip(u, starts):
             bitgen.state = start
             gen.random(out=block)
         return u
     # permutation(count) shuffles arange(count); so does each preset row
-    perm = np.empty((len(streams), dim, count), dtype=np.int64)
+    perm = np.empty((len(keys), dim, count), dtype=np.int64)
     perm[...] = np.arange(count)
-    jitter = np.empty((len(streams), dim, count))
+    jitter = np.empty((len(keys), dim, count))
     for i, start in enumerate(starts):
         bitgen.state = start
         for j in range(dim):
@@ -198,13 +197,14 @@ def latin_hypercube(count: int, dim: int, rng: RngStream) -> np.ndarray:
     """
     if count < 1 or dim < 1:
         raise UsageError("latin_hypercube needs count >= 1 and dim >= 1")
-    return _unit_draws([rng], count, dim, "lhs")[0]
+    return _unit_draws(rng.key[None], count, dim, "lhs")[0]
 
 
 def neighborhood_samples(centers: np.ndarray, noise: np.ndarray, count: int,
-                         scheme: str, streams) -> np.ndarray:
+                         scheme: str, keys: np.ndarray) -> np.ndarray:
     """(N, count, n) perturbed copies of the N center rows, block i drawn
-    from ``streams[i]``.
+    from the stream with Philox key ``keys[i]`` (an (N, 2) uint64 array,
+    as :meth:`RngStream.keys` gives).
 
     Multiplicative noise: coordinate s of a sample of center x lies in
     [x_s - noise_s*x_s, x_s + noise_s*x_s]; coordinates with noise 0 are
@@ -221,8 +221,8 @@ def neighborhood_samples(centers: np.ndarray, noise: np.ndarray, count: int,
         raise UsageError("sample count must be >= 1")
     if scheme not in SCHEMES:
         raise UsageError(f"unknown sampling scheme {scheme!r}")
-    if len(streams) != len(x):
-        raise UsageError("one rng stream is required per center row")
+    if np.shape(keys) != (len(x), 2):
+        raise UsageError("one Philox key is required per center row")
     if np.any((d > 0.0) & (np.abs(x) < _DEGENERATE_CENTER)):
         log.debug("neighborhood degenerates to a point: |center| < %.0e "
                   "on a noisy coordinate", _DEGENERATE_CENTER)
@@ -231,7 +231,7 @@ def neighborhood_samples(centers: np.ndarray, noise: np.ndarray, count: int,
     noisy = (d > 0.0).nonzero()[0]
     width = (d.size if scheme == "uniform"
              else noisy[-1] + 1 if noisy.size else 0)
-    u = _unit_draws(streams, count, width, scheme)
+    u = _unit_draws(keys, count, width, scheme)
     x = x[:, None, :]
     samples = np.repeat(x, count, axis=1)
     xw = x[..., :width]

@@ -408,7 +408,7 @@ def test_criterion_13_property_suites():
         spec = RobustnessSpec(strategy=strategy, delta=np.array([delta]),
                               samples=samples)
         objs, _ = build_mo_problem(problem, spec)[0].evaluate_batch(
-            np.array([[x0, 1.0]]), [RngStream(seed)])
+            np.array([[x0, 1.0]]), RngStream(seed))
         return objs[0, 0]
 
     quad = robust(lambda x: x ** 2, 2.0, "effective_mean", 0.1, 10_000, 5)

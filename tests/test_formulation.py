@@ -32,10 +32,10 @@ def toy_problem(margin_offset, sense=Sense.MINIMIZE, psi=1e6):
 
 def score(problem, d, beta, robustness=None, mpp_per_sample=True):
     """Objectives (beta_t last) and violation of the candidate (d, beta)
-    through the population evaluator, sampled with stream 0."""
+    through the population evaluator, sampled with stream (0,)."""
     evaluator, _, _ = build_mo_problem(problem, robustness, mpp_per_sample)
     objs, viol = evaluator.evaluate_batch(np.append(d, beta)[None],
-                                          [RngStream(0)])
+                                          RngStream(0))
     return objs[0], viol[0]
 
 
@@ -172,7 +172,7 @@ class TestFiniteDifferenceGradient:
                               delta=np.full(2, 0.05), samples=8)
         (a_objs, a_viol), (b_objs, b_viol) = (
             build_mo_problem(prob, spec)[0].evaluate_batch(
-                xs, [RngStream(i) for i in range(24)])
+                xs, RngStream(0))
             for prob in (analytic, numeric))
         feasible = a_viol == 0.0
         assert 0 < feasible.sum() < len(feasible)
@@ -199,7 +199,7 @@ class TestBuildMoProblem:
         prob = toy_problem(1.0)
         evaluator, bounds, senses = build_mo_problem(prob)
         objs, viol = evaluator.evaluate_batch(np.array([[3.0, 2.0]]),
-                                              [RngStream(0)])
+                                              RngStream(0))
         assert np.array_equal(objs, [[9.0, 2.0]])
         assert np.array_equal(viol, [0.0])
 
@@ -216,7 +216,7 @@ class TestRbdoEvaluator:
         prob = toy_problem(1.0)
         evaluator, bounds, sense = build_rbdo_evaluator(prob, 2.0)
         objs, viol = evaluator.evaluate_batch(np.array([[3.0]]),
-                                              [RngStream(0)])
+                                              RngStream(0))
         assert np.array_equal(objs, [[9.0]])
         assert bounds.dim == 1 and sense is Sense.MINIMIZE
 
@@ -314,8 +314,7 @@ POPULATION_CASES = [
     for name in PROBLEMS for k, (strategy, worst) in enumerate(STRATEGIES)]
 
 
-def _stream(i):
-    return RngStream(0).substream(1, 0, i)
+GENERATION = RngStream(0).substream(1, 0)  # row i draws from (1, 0, i)
 
 
 def _bits(a):
@@ -324,19 +323,19 @@ def _bits(a):
 
 
 def assert_batch_independent(evaluator, xs):
-    """Each row's result in the batch equals its batch-of-one result bit
-    for bit, and shuffling rows with their streams permutes the results."""
+    """Row i's result is the same bits in the full batch, in the prefix
+    batch ``xs[:i + 1]`` and in a batch whose other rows are replaced."""
     n = len(xs)
-    objs, viol = evaluator.evaluate_batch(xs, [_stream(i) for i in range(n)])
+    objs, viol = evaluator.evaluate_batch(xs, GENERATION)
     assert objs.shape[0] == viol.shape[0] == n
+    others = np.roll(xs, 1, axis=0)  # every row moves
     for i in range(n):
-        o, v = evaluator.evaluate_batch(xs[i:i + 1], [_stream(i)])
-        assert _bits(o[0]) == _bits(objs[i]), i
-        assert _bits(v[0]) == _bits(viol[i]), i
-    perm = np.random.default_rng(1).permutation(n)
-    o, v = evaluator.evaluate_batch(xs[perm], [_stream(i) for i in perm])
-    assert _bits(o) == _bits(objs[perm])
-    assert _bits(v) == _bits(viol[perm])
+        replaced = others.copy()
+        replaced[i] = xs[i]
+        for batch in (xs[:i + 1], replaced):
+            o, v = evaluator.evaluate_batch(batch, GENERATION)
+            assert _bits(o[i]) == _bits(objs[i]), i
+            assert _bits(v[i]) == _bits(viol[i]), i
     return objs, viol
 
 

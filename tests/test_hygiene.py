@@ -21,7 +21,7 @@ implementation, ``_row_norm``, and the one dot-product order,
 numpy's Python-level wrappers on each iteration: one ``np.errstate``
 covers the whole search, and no ``np.flatnonzero``, ``np.take`` or
 ``.any()`` call remains. Stream keys
-have one derivation, ``sampling._philox_keys``: no package module builds
+have one derivation, ``sampling._hashed_keys``: no package module builds
 a numpy ``SeedSequence`` itself.
 """
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from rbrdo import (Bounds, DeParams, ModeParams, RngStream, Sense, UsageError,
+from rbrdo import (Bounds, DeParams, ModeParams, RngStream, RobustnessSpec,
+                   Sense, UsageError, build_mo_problem, build_rbdo_evaluator,
                    crowding_distance, de_minimize, fast_non_dominated_sort,
                    mode_optimize)
 from rbrdo.core import non_dominated_mask
 from rbrdo.optimize import _rand1bin_trials
+from rbrdo.problems import get_deterministic, get_rbrdo
 
 
 class Batch:
@@ -14,8 +16,8 @@ class Batch:
     def __init__(self, f):
         self.f = f
 
-    def evaluate_batch(self, xs, streams):
-        assert len(streams) == len(xs)
+    def evaluate_batch(self, xs, rng):
+        assert isinstance(rng, RngStream)
         return self.f(xs)
 
 
@@ -235,6 +237,68 @@ class TestModeOptimize:
     def test_needs_two_objectives(self):
         with pytest.raises(UsageError):
             mode_optimize(sphere, BOX2, (Sense.MINIMIZE,), ModeParams())
+
+
+class KeyRecorder(Batch):
+    """Batch evaluator that records the keys of its rows' streams."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.keys = []
+
+    def evaluate_batch(self, xs, rng):
+        self.keys.append(rng.keys(range(len(xs))))
+        return self.f(xs)
+
+
+class TestEvaluationStreams:
+    """Row i of generation g draws from stream (1, g, i) of the run seed,
+    and an evaluator that never draws derives no keys."""
+
+    @staticmethod
+    def assert_row_streams(blocks, seed):
+        for g, keys in enumerate(blocks):
+            want = np.stack([RngStream(seed, (1, g, i)).key
+                             for i in range(len(keys))])
+            assert keys.tobytes() == want.tobytes(), g
+
+    def test_de_rows(self):
+        evaluator = KeyRecorder(_sphere)
+        de_minimize(evaluator, BOX2, DeParams(seed=4, NP=6, generations=3))
+        assert [len(k) for k in evaluator.keys] == [6, 6, 6, 6]
+        self.assert_row_streams(evaluator.keys, 4)
+
+    def test_mode_rows(self):
+        evaluator = KeyRecorder(biobjective.f)
+        mode_optimize(evaluator, TestModeOptimize.BOX1,
+                      TestModeOptimize.SENSES,
+                      ModeParams(seed=2**40, NP=5, R=2, generations=3))
+        assert [len(k) for k in evaluator.keys] == [5, 10, 9, 8]
+        self.assert_row_streams(evaluator.keys, 2**40)
+
+    def test_noise_free_runs_derive_no_keys(self, monkeypatch):
+        calls = []
+        keys = RngStream.keys
+
+        def spy(self, rows):
+            calls.append(len(rows))
+            return keys(self, rows)
+        monkeypatch.setattr(RngStream, "keys", spy)
+        params = DeParams(seed=1, NP=8, generations=3)
+        det = get_deterministic("benchmark")
+        de_minimize(det, det.bounds, params)
+        evaluator, bounds, _ = build_rbdo_evaluator(get_rbrdo("benchmark"),
+                                                    3.0)
+        de_minimize(evaluator, bounds, params)
+        assert calls == []
+        # a noisy evaluator derives its rows' keys in one call per batch
+        spec = RobustnessSpec(strategy="effective_mean",
+                              delta=np.full(2, 0.05), samples=4)
+        evaluator, bounds, senses = build_mo_problem(get_rbrdo("benchmark"),
+                                                     spec)
+        mode_optimize(evaluator, bounds, senses,
+                      ModeParams(seed=1, NP=8, R=1, generations=2))
+        assert calls == [8, 8, 8]
 
 
 def reference_trials(pop, targets, F, CR, rng, bounds):

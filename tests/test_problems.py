@@ -77,23 +77,28 @@ class TestBatchIndependence:
             # switch times within np.allclose of each other, not equal
             xs[:, 3] = 0.1338 + rng.uniform(0.0, 1e-7, 50)
             xs[:, 4] = 0.7237 + rng.uniform(0.0, 1e-7, 50)
-        objs, viol = det.evaluate_batch(xs, [None] * len(xs))
-        rows = [det.evaluate_batch(x[None, :], [None]) for x in xs]
+        objs, viol = det.evaluate_batch(xs, None)
+        rows = [det.evaluate_batch(x[None, :], None) for x in xs]
         assert np.array_equal(objs, np.vstack([o for o, _ in rows]))
         assert np.array_equal(viol, np.concatenate([v for _, v in rows]))
 
     def test_rbrdo_batch_reversal(self):
+        # row i's result is the same bits in the full batch, its prefix
+        # batch and a batch whose other rows are reversed
         spec = RobustnessSpec(strategy="effective_mean",
                               delta=np.full(2, 0.05), samples=5)
         ev, bounds, _ = build_mo_problem(benchmark.rbrdo(), robustness=spec)
         rng = np.random.default_rng(5)
         xs = bounds.lower + rng.random((6, 3)) * (bounds.upper - bounds.lower)
-        objs, viol = ev.evaluate_batch(
-            xs, [RngStream(3, (1, 0, i)) for i in range(6)])
-        r_objs, r_viol = ev.evaluate_batch(
-            xs[::-1], [RngStream(3, (1, 0, i)) for i in reversed(range(6))])
-        assert np.array_equal(r_objs, objs[::-1])
-        assert np.array_equal(r_viol, viol[::-1])
+        generation = RngStream(3, (1, 0))
+        objs, viol = ev.evaluate_batch(xs, generation)
+        for i in range(6):
+            replaced = xs[::-1].copy()
+            replaced[i] = xs[i]
+            for batch in (xs[:i + 1], replaced):
+                o, v = ev.evaluate_batch(batch, generation)
+                assert o[i].tobytes() == objs[i].tobytes()
+                assert v[i].tobytes() == viol[i].tobytes()
 
 
 class TestBenchmark:
@@ -161,7 +166,7 @@ class TestHeatExchanger:
         prob = heat_exchanger.rbrdo()
         d = np.array([551.11, 1279.83, 8822.10, 153.48, 246.37])
         objs, viol = build_mo_problem(prob)[0].evaluate_batch(
-            np.append(d, 3.0)[None], [RngStream(0)])
+            np.append(d, 3.0)[None], RngStream(0))
         assert viol[0] == 0.0
         assert abs(objs[0, 0] - 10653.04) < 0.01
 
@@ -357,6 +362,6 @@ class TestCatalystReliability:
         evaluator = build_mo_problem(prob)[0]
         for d, f_expected in rows:
             objs, viol = evaluator.evaluate_batch(np.append(d, 1.6)[None],
-                                                  [RngStream(0)])
+                                                  RngStream(0))
             assert viol[0] == 0.0
             assert abs(objs[0, 0] - f_expected) < 5e-4

@@ -4,7 +4,7 @@ import pytest
 from rbrdo import RngStream, UsageError, latin_hypercube, neighborhood_samples
 from rbrdo.formulation import _level_seed
 from rbrdo.problems import catalyst
-from rbrdo.sampling import _philox_keys, _unit_draws
+from rbrdo.sampling import _unit_draws
 
 
 def numpy_key(seed, path=()):
@@ -15,6 +15,11 @@ def numpy_key(seed, path=()):
 def numpy_gen(stream):
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=stream.seed, spawn_key=stream.path)))
+
+
+def stream_keys(streams):
+    """(N, 2) keys of the streams, one ``RngStream.key`` at a time."""
+    return np.stack([stream.key for stream in streams])
 
 
 class TestRngStream:
@@ -60,6 +65,8 @@ ENTRIES = [0, 2**32 - 1, 2**32, 2**64]
 PATHS = [(), (0,), (2**32 - 1,), (2**32,), (2**64,), (0, 2**64),
          (2**32, 2**32 - 1, 0), (2**64, 0, 2**32, 2**32 - 1),
          (1, 0, 49), (2, 500)]
+# unordered and repeated, from both ends of the index range
+ROWS = [2**32 - 1, 0, 7, 0, 1, 2**32 - 1, 49, 3]
 
 
 class TestPhiloxKeys:
@@ -67,9 +74,17 @@ class TestPhiloxKeys:
     def test_equal_numpy_seed_sequence(self, seed):
         streams = [RngStream(seed, path) for path in PATHS]
         want = np.stack([numpy_key(seed, path) for path in PATHS])
-        keys = _philox_keys(streams)
+        keys = stream_keys(streams)
         assert keys.dtype == np.uint64 and keys.shape == (len(PATHS), 2)
         assert np.array_equal(keys, want)
+        # the keys of a prefix's substreams, hashed in one pass
+        for stream in streams:
+            keys = stream.keys(ROWS)
+            want = np.stack([numpy_key(seed, stream.path + (i,))
+                             for i in ROWS])
+            assert keys.dtype == np.uint64 and keys.shape == (len(ROWS), 2)
+            assert np.array_equal(keys, want), stream
+            assert np.array_equal(stream.keys(np.array(ROWS)), want)
 
     def test_mixed_seeds_and_lengths_in_one_call(self):
         rng = np.random.default_rng(5)
@@ -80,9 +95,20 @@ class TestPhiloxKeys:
                           tuple(ENTRIES[k] for k in
                                 rng.integers(len(ENTRIES), size=length))))
         cases += [(seed, (1, 0, i)) for seed in range(24) for i in range(3)]
-        keys = _philox_keys([RngStream(seed, path) for seed, path in cases])
+        keys = stream_keys([RngStream(seed, path) for seed, path in cases])
         want = np.stack([numpy_key(seed, path) for seed, path in cases])
         assert np.array_equal(keys, want)
+        # a key is its prefix's key of the last index, when that fits
+        for (seed, path), key in zip(cases, want):
+            if path and path[-1] < 2**32:
+                prefix = RngStream(seed, path[:-1])
+                assert np.array_equal(prefix.keys([path[-1]])[0], key)
+
+    @pytest.mark.parametrize("rows", [[2**32], [-1], [0, 2**64], [3, -2]])
+    def test_keys_refuse_indices_outside_uint32(self, rows):
+        # a cast to uint32 would wrap the index into another stream's key
+        with pytest.raises(UsageError, match=r"\[0, 2\*\*32\)"):
+            RngStream(1, (1, 0)).keys(rows)
 
     def test_first_word_is_the_one_word_state(self):
         # output word i does not depend on how many words are asked for
@@ -121,7 +147,7 @@ class TestUnitDraws:
                    enumerate([0, 2**32, 7, 7, 2**64 - 1])] + [
             RngStream(9), RngStream(9, (2**64,))]
         for dim in range(1, 6):
-            got = _unit_draws(streams, count, dim, scheme)
+            got = _unit_draws(stream_keys(streams), count, dim, scheme)
             want = reference_draws(streams, count, dim, scheme)
             assert got.shape == (len(streams), count, dim)
             assert got.tobytes() == want.tobytes()
@@ -130,10 +156,10 @@ class TestUnitDraws:
     def test_lhs_columns_do_not_depend_on_the_width(self):
         # LHS draws one coordinate after another: a narrower draw is the
         # leading columns of a wider one
-        streams = [RngStream(4, (2, i)) for i in range(6)]
+        keys = RngStream(4, (2,)).keys(range(6))
         for count in (1, 50):
-            narrow = _unit_draws(streams, count, 3, "lhs")
-            wide = _unit_draws(streams, count, 5, "lhs")
+            narrow = _unit_draws(keys, count, 3, "lhs")
+            wide = _unit_draws(keys, count, 5, "lhs")
             assert (narrow.tobytes()
                     == np.ascontiguousarray(wide[..., :3]).tobytes())
 
@@ -152,7 +178,7 @@ def test_streams_read_no_os_entropy(monkeypatch):
     monkeypatch.setattr(random, "_urandom", spy)
     for scheme in ("lhs", "uniform"):
         neighborhood_samples(np.ones((3, 2)), np.full(2, 0.1), 4, scheme,
-                             [RngStream(1, (0, i)) for i in range(3)])
+                             RngStream(1, (0,)).keys(range(3)))
     RngStream(1).gen.random()
     assert calls == []
 
@@ -192,7 +218,7 @@ def one_center(center, noise, count, rng, scheme="lhs"):
     """The (count, n) samples of a single center row."""
     return neighborhood_samples(np.array([center], dtype=float),
                                 np.array(noise, dtype=float), count, scheme,
-                                [rng])[0]
+                                rng.key[None])[0]
 
 
 class TestNeighborhoodSamples:
@@ -231,7 +257,7 @@ class TestNeighborhoodSamples:
                 (np.ones((1, 3)), np.zeros(2), 1, "lhs")]:  # lengths differ
             with pytest.raises(UsageError):
                 neighborhood_samples(centers, np.array(noise), count, scheme,
-                                     [RngStream(0)])
+                                     RngStream(0).key[None])
 
 
     @pytest.mark.parametrize("scheme", ["lhs", "uniform"])
@@ -244,9 +270,9 @@ class TestNeighborhoodSamples:
         bounds = prob.det_bounds
         centers = rng.uniform(bounds.lower, bounds.upper, size=(7, 5))
         noise = np.where(prob.noise_mask, 0.05, 0.0)
-        streams = [RngStream(2, (0, i)) for i in range(7)]
-        got = neighborhood_samples(centers, noise, 50, scheme, streams)
-        u = _unit_draws(streams, 50, 5, scheme)
+        keys = RngStream(2, (0,)).keys(range(7))
+        got = neighborhood_samples(centers, noise, 50, scheme, keys)
+        u = _unit_draws(keys, 50, 5, scheme)
         x = centers[:, None, :]
         half = noise * x
         want = np.clip(x + half * (2.0 * u - 1.0),
@@ -263,8 +289,8 @@ class TestPopulationSamples:
         centers = rng.uniform(-3.0, 3.0, size=(9, 4))
         centers[4, 0] = 0.0  # degenerate on a noisy coordinate
         noise = np.array([0.1, 0.0, 0.05, 0.2])  # coordinate 1 never moves
-        streams = [RngStream(3).substream(i) for i in range(9)]
-        got = neighborhood_samples(centers, noise, 7, scheme, streams)
+        got = neighborhood_samples(centers, noise, 7, scheme,
+                                   RngStream(3).keys(range(9)))
         want = np.stack([
             one_center(c, noise, 7, RngStream(3).substream(i), scheme)
             for i, c in enumerate(centers)])
@@ -274,6 +300,9 @@ class TestPopulationSamples:
         assert np.all(got[4, :, 0] == 0.0)
 
     def test_one_stream_per_row(self):
-        with pytest.raises(UsageError):
-            neighborhood_samples(np.ones((3, 2)), np.full(2, 0.1), 4, "lhs",
-                                 [RngStream(0), RngStream(1)])
+        # a stream is its (2,) Philox key: one key row per center row
+        for keys in (RngStream(0).keys(range(2)), RngStream(0).keys(range(4)),
+                     RngStream(0).key):
+            with pytest.raises(UsageError, match="one Philox key"):
+                neighborhood_samples(np.ones((3, 2)), np.full(2, 0.1), 4,
+                                     "lhs", keys)
