@@ -35,7 +35,7 @@ STRATEGIES = ("none", "effective_mean", "type2", "penalty")
 
 def noise_levels(values) -> np.ndarray:
     """``values`` as a float array; each must be finite and nonnegative."""
-    levels = np.asarray(values, dtype=float)
+    levels = np.asarray(values, dtype=float) + 0.0  # -0.0 becomes +0.0
     if not np.all(np.isfinite(levels) & (levels >= 0.0)):
         raise UsageError("noise levels must be finite and nonnegative")
     return levels

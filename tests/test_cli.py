@@ -98,6 +98,22 @@ class TestRunRbrdo:
             assert ((tmp_path / f"a_{name}.csv").read_bytes()
                     == (tmp_path / f"b_{name}.csv").read_bytes()), name
 
+    def test_negative_zero_level_is_level_zero(self, tmp_path):
+        # -0.0 is the level 0: same seed, same file name, same front
+        argv = ["run", "--problem", "benchmark", "--mode", "rbrdo",
+                "--generations", "3", "--NP", "8", "--R", "2", "--samples",
+                "4", "--seed", "1"]
+        for name, level in (("pos", "0"), ("neg", "-0")):
+            assert main(argv + ["--delta", level,
+                                "--out", str(tmp_path / name / "x")]) == 0
+        files, pos = (sorted(p.name for p in (tmp_path / side).glob("*.csv"))
+                      for side in ("neg", "pos"))
+        assert files == pos
+        assert "x_front_delta0.csv" in files
+        for name in files:
+            assert ((tmp_path / "neg" / name).read_bytes()
+                    == (tmp_path / "pos" / name).read_bytes()), name
+
     def test_specs_are_built_once_per_run(self, tmp_path, monkeypatch):
         # the run checks the specs before it makes the output directory,
         # and the sweep takes the checked ones
