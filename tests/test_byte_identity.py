@@ -1,7 +1,8 @@
 """Byte identity of seeded runs: fronts, histories and ``_stats.csv``.
 
 Short ``rbrdo run`` configurations at seed 1 cover every mode, strategy
-and problem, ``--scheme uniform``, ``--mpp-nominal`` and ``--worst-case``.
+and problem, ``--scheme uniform``, ``--mpp-nominal`` and ``--worst-case``;
+the heat exchanger runs every mode, strategy and ``--mpp-nominal``.
 Their output files hash to the SHA-256 digests below, which were recorded
 on the platform in ``PLATFORM``. Some outputs depend on the build beyond
 the summation orders the package fixes (catalyst's 2x2 matrix products go
@@ -30,6 +31,14 @@ PLATFORM = {"machine": "x86_64", "numpy": "2.4.6",
 
 RUNS = {
     "heat": "--problem heat-exchanger --delta 0,0.05 --generations 5",
+    "heat-penalty": ("--problem heat-exchanger --delta 0.1 "
+                     "--strategy penalty --generations 20"),
+    "heat-type2": ("--problem heat-exchanger --delta 0.05 "
+                   "--strategy type2 --eta 0.1 --generations 20"),
+    "heat-nominal": ("--problem heat-exchanger --delta 0.05 --mpp-nominal "
+                     "--generations 20"),
+    "heat-rbdo": ("--problem heat-exchanger --mode rbdo --beta-t 2 "
+                  "--generations 100"),
     "catalyst": "--problem catalyst --delta 0,0.05 --generations 5",
     "catalyst-uniform": ("--problem catalyst --delta 0.05 --scheme uniform "
                          "--generations 5"),
@@ -61,6 +70,36 @@ DIGESTS = {
             "cf0cbadfff8d471a935960c6014966fb2c6766abe33a372b1b8075c5a5cd4173",
         "heat_stats.csv":
             "c94362ac60e6bf026a068397f88656d1e0d9f3ed507a34e8386f99fbb318050e",
+    },
+    "heat-penalty": {
+        "heat-penalty_front_delta0.1.csv":
+            "3f03895c3c2f86fa6553391afa3a9f991e243d58cd02c6ca3a205609d495e9f2",
+        "heat-penalty_history_delta0.1.csv":
+            "792fddf5b4ed9963ef64f11b69cb5ff6da2ea6a24e039b45e4bf5a5f5994489b",
+        "heat-penalty_stats.csv":
+            "9cb09542f4761231b71da2b0e3dd4d4009d5914e78783b501981a414031d3d2d",
+    },
+    "heat-type2": {
+        "heat-type2_front_delta0.05.csv":
+            "69c2e946060232bce96dad6e1d2943773fadc78b400acc83346faf1a9be453ac",
+        "heat-type2_history_delta0.05.csv":
+            "54fcd9a28fc4fdccf401ba32ecde475d81ed632fcdb3172de7ed509af4fe0216",
+        "heat-type2_stats.csv":
+            "865c46ea004c150201bd322f6454521d38384fec3485a2830929aa3fbadddfae",
+    },
+    "heat-nominal": {
+        "heat-nominal_front_delta0.05.csv":
+            "6f926287eb3dd092a8aa0e6ab5cbaf036a8c3095f14a27a794d35b57d5470137",
+        "heat-nominal_history_delta0.05.csv":
+            "be8aacd85c8701166907f897d128dd2be4c219c7efc1ae7879864159a9f7b766",
+        "heat-nominal_stats.csv":
+            "96d7bcf274dcea20f38e81dd8ab956b9054364661d768092708044e0a655b391",
+    },
+    "heat-rbdo": {
+        "heat-rbdo_front.csv":
+            "7bb1545320f7b71dc3882c690397ecca72fe41f0e1fd46c784e1946641c68236",
+        "heat-rbdo_history.csv":
+            "ee080c2685d076bf254801293c4c59cd3b0da0b5a3731ecfb1d00b75b6fd530a",
     },
     "catalyst": {
         "catalyst_front_delta0.05.csv":
