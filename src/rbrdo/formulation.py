@@ -22,7 +22,11 @@ per-candidate loop); the bounds checks, the domain guard, the
 neighborhood map, the objective and the robustness aggregators then run
 once over all N candidates or all N*M sample rows, and each constraint's
 MPP searches run as one lockstep batch (every candidate and sample becomes
-one row of that constraint's sphere search).
+one row of that constraint's sphere search). A constraint declared
+``affine`` is screened first, unless the objective reads the failure
+points: the rows whose closed-form minimum on the sphere is safely
+positive take it as g* and leave the batch, with no bit of the result
+changed.
 Samples the domain guard drops leave candidates with fewer rows; those
 aggregate in groups of equal row count, so every candidate's result is
 bit-identical to its evaluation alone.
@@ -42,7 +46,7 @@ from .core import Bounds, ParetoArchive, Sense, sense_signs
 from .errors import UsageError
 from .optimize import ModeParams, mode_optimize
 from .reliability import (AsoslParams, PerformanceFunction, _asosl_engine,
-                          make_u_space)
+                          affine_floor, make_u_space)
 from .robustness import (RobustnessSpec, noise_levels, penalty_objectives,
                          type2_ratio, worst_sample)
 from .sampling import RngStream, neighborhood_samples
@@ -224,11 +228,17 @@ def _block_mean(blocks):
 
 def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     """Every constraint's MPP search at every design row: one lockstep
-    engine pass per constraint over all the rows.
+    engine pass per constraint over the rows it has to search.
 
     ``rows`` is (R, n_d) and ``betas`` (R,). Returns per-row
-    (penalty (R,), x_mpp (R, c) or None). The name predates the
-    per-constraint passes; it stays because tracers patch it.
+    (penalty (R,), x_mpp (R, c) or None). Unless the objective needs the
+    failure points, an ``affine`` constraint is screened first: the rows
+    its closed-form minimum on the sphere proves safe
+    (:func:`~rbrdo.reliability.affine_floor`) take that minimum as g* and
+    are not searched. A safe row's penalty term is +0.0 either way, and
+    engine rows do not depend on their batch, so the penalties keep their
+    bits. The name predates the per-constraint passes; it stays because
+    tracers patch it.
     """
     r = rows.shape[0]
     mu, sigma = problem.random_vars(rows)
@@ -237,11 +247,24 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
     g_star = np.empty((c, r))
     x_mpp = np.empty((r, c)) if problem.objective_at_mpp else None
     for i, pf in enumerate(problem.constraints):
-        u, g_star[i], _, conv, _ = _asosl_engine(
-            *make_u_space(pf, mu, sigma, rows), betas, n, r, problem.mpp)
+        search, at, m, s = slice(None), rows, mu, sigma
+        if pf.affine and x_mpp is None:
+            g_star[i], safe = affine_floor(pf, mu, sigma, rows, betas)
+            search = (~safe).nonzero()[0]
+            log.debug("%s (%s): %d of %d rows screened safe, %d searched",
+                      problem.name, pf.name, r - search.size, r, search.size)
+            if not search.size:
+                continue
+            # random_vars keeps a shared (stride-0) mu or sigma shared
+            at = rows[search]
+            m, s = problem.random_vars(at)
+        u, g_star[i, search], _, conv, _ = _asosl_engine(
+            *make_u_space(pf, m, s, at), betas[search], n, len(at),
+            problem.mpp)
         if not conv.all():
-            log.debug("MPP search unconverged on %d/%d rows of %s (%s)",
-                      int((~conv).sum()), r, problem.name, pf.name)
+            log.debug("MPP search unconverged on %d/%d searched rows of %s "
+                      "(%s)", int((~conv).sum()), conv.size, problem.name,
+                      pf.name)
         if x_mpp is not None:
             # constraint i governs random variable i
             x_mpp[:, i] = mu[..., i] + sigma[..., i] * u[:, i]

@@ -66,7 +66,7 @@ def deterministic() -> DeterministicProblem:
 
 def _performance_functions():
     # each margin sees the window of X it reads: (X1, X2, X3), (X4, X5)
-    # and (X6, X7, X8)
+    # and (X6, X7, X8), and is affine in it
     def g1_grad(d, x):
         return gradient(x, -d[..., 3], d[..., 0], 1.0)
 
@@ -76,9 +76,12 @@ def _performance_functions():
     def g3_grad(d, x):
         return gradient(x, -1.0, d[..., 4], d[..., 2])
 
-    return (PerformanceFunction(_m1, g1_grad, name="g1", reads=(0, 1, 2)),
-            PerformanceFunction(_m2, g2_grad, name="g2", reads=(3, 4)),
-            PerformanceFunction(_m3, g3_grad, name="g3", reads=(5, 6, 7)))
+    return (PerformanceFunction(_m1, g1_grad, name="g1", reads=(0, 1, 2),
+                                affine=True),
+            PerformanceFunction(_m2, g2_grad, name="g2", reads=(3, 4),
+                                affine=True),
+            PerformanceFunction(_m3, g3_grad, name="g3", reads=(5, 6, 7),
+                                affine=True))
 
 
 def _random_vars(d):

@@ -5,13 +5,14 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbrdo import (AsoslParams, GradientVanishedError, PerformanceFunction,
                    UsageError, asosl_mpp)
-from rbrdo import reliability
+from rbrdo import formulation, reliability
 from rbrdo.reliability import (_armijo_ladder, _asosl_engine, _dot_lanes,
                                _lane_dot, _pairwise_sum, _row_norm,
-                               _secant_bound, make_u_space)
+                               _secant_bound, affine_floor, make_u_space)
 from rbrdo.problems import benchmark, get_rbrdo
 
 from oracles import fd_grad_x, min_on_circle
@@ -840,3 +841,145 @@ class TestReads:
         pf = PerformanceFunction(lambda d, x: x[..., 0], None, reads=(2,))
         with pytest.raises(UsageError):
             make_u_space(pf, np.zeros(2), np.ones(2), np.zeros(1))
+
+
+PROBLEM_NAMES = ("benchmark", "catalyst", "heat-exchanger", "reactor")
+HEAT = get_rbrdo("heat-exchanger")
+AFFINE = [(name, pf) for name in PROBLEM_NAMES
+          for pf in get_rbrdo(name).constraints if pf.affine]
+
+
+def design_rows(prob, rng, r):
+    """r uniform design rows in the box (the reactor's in its domain)."""
+    bounds = prob.det_bounds
+    rows = rng.uniform(bounds.lower, bounds.upper, size=(r, bounds.dim))
+    if prob.name == "reactor":  # d2 <= d1
+        rows[:, 1] = rows[:, 0] * rng.uniform(0.1, 1.0, r)
+    return rows
+
+
+def engine_g(prob, pf, rows, betas):
+    """g* of every row from one engine pass over all of them."""
+    mu, sigma = prob.random_vars(rows)
+    return _asosl_engine(*make_u_space(pf, mu, sigma, rows), betas,
+                         mu.shape[-1], len(rows), prob.mpp)[1]
+
+
+def assert_screen_is_sound(prob, rows, betas):
+    """Every row the screen skips has g* > 0 when searched, and the
+    screened penalties are the bytes of the all-rows searches'."""
+    mu, sigma = prob.random_vars(rows)
+    g = np.array([engine_g(prob, pf, rows, betas) for pf in prob.constraints])
+    assert np.isfinite(g).all()
+    skipped = 0
+    for pf, g_pf in zip(prob.constraints, g):
+        _, safe = affine_floor(pf, mu, sigma, rows, betas)
+        assert (g_pf[safe] > 0.0).all(), pf.name
+        skipped += np.count_nonzero(safe)
+    penalty, x_mpp = formulation._stacked_mpp(prob, rows, betas)
+    assert x_mpp is None
+    assert penalty.tobytes() == np.maximum(-g, 0.0).sum(axis=0).tobytes()
+    return skipped
+
+
+class TestAffineScreen:
+    """An affine margin's closed-form minimum skips only searches that
+    would end safe, and changes no bit of the penalties."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*(st.floats(lo, hi) for lo, hi in zip(
+        HEAT.det_bounds.lower, HEAT.det_bounds.upper)),
+        st.floats(*HEAT.beta_bounds)), min_size=1, max_size=30))
+    def test_heat_designs(self, cases):
+        cases = np.array(cases)
+        assert_screen_is_sound(HEAT, cases[:, :-1], cases[:, -1])
+
+    def test_rows_at_the_tolerance(self):
+        # radii that put one constraint's floor a relative s/2 of
+        # |a| + beta ||b|| above (s > 0) or below zero, with s on both
+        # sides of the tolerance
+        rng = np.random.default_rng(3)
+        rows = design_rows(HEAT, rng, 4000)
+        mu, sigma = HEAT.random_vars(rows)
+        lo, hi = HEAT.beta_bounds
+        picked, radii = [], []
+        for pf in HEAT.constraints:
+            floor_1, _ = affine_floor(pf, mu, sigma, rows, np.ones(len(rows)))
+            a, _ = affine_floor(pf, mu, sigma, rows, np.zeros(len(rows)))
+            on_sphere = a / (a - floor_1)  # beta where the floor is zero
+            fit = ((lo < on_sphere) & (on_sphere < hi)).nonzero()[0][:60]
+            assert fit.size == 60, pf.name
+            s = (rng.choice([-1.0, 1.0], fit.size)
+                 * 10.0 ** rng.uniform(-9.0, -4.0, fit.size))
+            picked.append(fit)
+            radii.append(on_sphere[fit] * (1.0 - s))
+        rows, betas = rows[np.concatenate(picked)], np.concatenate(radii)
+        skipped = assert_screen_is_sound(HEAT, rows, betas)
+        # the test ran on both sides of the tolerance
+        assert 0 < skipped
+        searched_safe = sum(np.count_nonzero(
+            (engine_g(HEAT, pf, rows, betas) > 0.0)
+            & ~affine_floor(pf, *HEAT.random_vars(rows), rows, betas)[1])
+            for pf in HEAT.constraints)
+        assert searched_safe > 0
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_engine_searches_only_unproven_rows(self, name, monkeypatch):
+        prob = get_rbrdo(name)
+        if name == "catalyst":
+            # affine margins, but the objective reads every row's MPP
+            prob = dataclasses.replace(prob, constraints=tuple(
+                dataclasses.replace(pf, affine=True)
+                for pf in prob.constraints))
+        widths = []
+        engine = formulation._asosl_engine
+
+        def spy(Gfun, Gdfun, beta, n, b, params, *args, **kwargs):
+            widths.append(b)
+            return engine(Gfun, Gdfun, beta, n, b, params, *args, **kwargs)
+
+        monkeypatch.setattr(formulation, "_asosl_engine", spy)
+        rng = np.random.default_rng(9)
+        r = 60
+        rows = design_rows(prob, rng, r)
+        formulation._stacked_mpp(prob, rows, rng.uniform(
+            *prob.beta_bounds, size=r))
+        if name == "heat-exchanger":
+            assert len(widths) == 3 and all(0 < b < r for b in widths)
+        else:
+            assert widths == [r] * len(prob.constraints)
+
+    def test_only_the_heat_exchanger_declares_affine_margins(self):
+        assert [(name, pf.name) for name, pf in AFFINE] == [
+            ("heat-exchanger", "g1"), ("heat-exchanger", "g2"),
+            ("heat-exchanger", "g3")]
+
+    @pytest.mark.parametrize("name,pf", AFFINE,
+                             ids=[f"{n}-{pf.name}" for n, pf in AFFINE])
+    def test_declared_margins_are_affine(self, name, pf):
+        # the gradient does not depend on x, and g(d, mu + sigma u) is
+        # a + b.u to rounding
+        prob = get_rbrdo(name)
+        rng = np.random.default_rng(11)
+        rows = design_rows(prob, rng, 500)
+        mu, sigma = (a[:, pf.columns] for a in prob.random_vars(rows))
+        u = 3.0 * rng.normal(size=mu.shape)
+        x = mu + sigma * u
+        a, grad = pf.g(rows, mu), pf.grad_x(rows, mu)
+        assert pf.grad_x(rows, x).tobytes() == grad.tobytes()
+        b = sigma * grad
+        scale = np.abs(a) + np.linalg.norm(b, axis=1) * np.linalg.norm(u,
+                                                                      axis=1)
+        assert np.all(np.abs(pf.g(rows, x) - (a + (b * u).sum(axis=1)))
+                      <= 1e-12 * scale)
+
+    def test_non_finite_rows_are_searched(self):
+        rows = design_rows(HEAT, np.random.default_rng(2), 4)
+        rows[1, 0] = np.nan
+        rows[2, 4] = np.inf
+        mu, sigma = HEAT.random_vars(rows)
+        with np.errstate(invalid="ignore"):
+            safe = [affine_floor(pf, mu, sigma, rows, np.full(4, 0.1))[1]
+                    for pf in HEAT.constraints]
+        # g1 reads d1, g2 and g3 read d5
+        assert not safe[0][1] and not safe[1][2] and not safe[2][2]
