@@ -48,7 +48,8 @@ class RobustnessSpec:
     ``delta`` holds one relative half-width per decision coordinate
     (coordinates with 0 are never perturbed). ``eta`` is required exactly
     for the Type II strategy. ``worst_case`` switches the Type II
-    aggregator from the sample mean to the worst sample.
+    aggregator from the sample mean to the worst sample; no other strategy
+    has that choice, so it is refused with any other.
     """
 
     strategy: str = "none"
@@ -68,6 +69,9 @@ class RobustnessSpec:
             raise UsageError("sample count must be >= 1")
         if self.strategy == "type2" and self.eta is None:
             raise UsageError("the Type II strategy requires eta")
+        if self.worst_case and self.strategy != "type2":
+            raise UsageError("worst_case applies to the Type II strategy "
+                             "only")
         if self.eta is not None and not 0.0 < self.eta < np.inf:
             raise UsageError("eta must be positive and finite")
 

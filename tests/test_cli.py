@@ -141,7 +141,9 @@ class TestRunRbrdo:
     @pytest.mark.parametrize("settings", [
         "--mode rbrdo --delta ,", "--mode rbrdo --samples 0",
         "--mode rbrdo --strategy type2 --eta -1", "--mode rbrdo --NP 2",
-        "--mode rbdo --beta-t 99", "--mode deterministic --F 0"])
+        "--mode rbdo --beta-t 99", "--mode deterministic --F 0",
+        "--mode rbrdo --delta 0.05 --strategy penalty --worst-case",
+        "--mode rbrdo --delta 0.05 --worst-case"])
     def test_refused_settings_leave_no_output_directory(self, tmp_path,
                                                         capsys, settings):
         out = tmp_path / "sub" / "x"

@@ -155,6 +155,14 @@ class TestTypeII:
         _, viol_mean = robust(f, [1.0], mean, 3)
         assert viol_worst[0] > 0.0 == viol_mean[0]
 
+    @pytest.mark.parametrize("strategy", ["none", "effective_mean",
+                                          "penalty"])
+    def test_worst_case_is_refused_outside_type2(self, strategy):
+        # only the Type II aggregator has a worst-sample form
+        with pytest.raises(UsageError, match="Type II"):
+            RobustnessSpec(strategy=strategy, delta=np.array([0.1]),
+                           worst_case=True)
+
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             RobustnessSpec(strategy="type2", delta=np.array([0.1]))
