@@ -867,19 +867,22 @@ def engine_g(prob, pf, rows, betas):
 
 def assert_screen_is_sound(prob, rows, betas):
     """Every row the screen skips has g* > 0 when searched, and the
-    screened penalties are the bytes of the all-rows searches'."""
+    screened penalties are the bytes of the all-rows searches'. Returns
+    the numbers of (row, constraint) pairs skipped, and searched with
+    g* > 0."""
     mu, sigma = prob.random_vars(rows)
     g = np.array([engine_g(prob, pf, rows, betas) for pf in prob.constraints])
     assert np.isfinite(g).all()
-    skipped = 0
+    skipped = searched_safe = 0
     for pf, g_pf in zip(prob.constraints, g):
         _, safe = affine_floor(pf, mu, sigma, rows, betas)
         assert (g_pf[safe] > 0.0).all(), pf.name
         skipped += np.count_nonzero(safe)
+        searched_safe += np.count_nonzero(~safe & (g_pf > 0.0))
     penalty, x_mpp = formulation._stacked_mpp(prob, rows, betas)
     assert x_mpp is None
     assert penalty.tobytes() == np.maximum(-g, 0.0).sum(axis=0).tobytes()
-    return skipped
+    return skipped, searched_safe
 
 
 class TestAffineScreen:
@@ -913,15 +916,10 @@ class TestAffineScreen:
                  * 10.0 ** rng.uniform(-9.0, -4.0, fit.size))
             picked.append(fit)
             radii.append(on_sphere[fit] * (1.0 - s))
-        rows, betas = rows[np.concatenate(picked)], np.concatenate(radii)
-        skipped = assert_screen_is_sound(HEAT, rows, betas)
+        skipped, searched_safe = assert_screen_is_sound(
+            HEAT, rows[np.concatenate(picked)], np.concatenate(radii))
         # the test ran on both sides of the tolerance
-        assert 0 < skipped
-        searched_safe = sum(np.count_nonzero(
-            (engine_g(HEAT, pf, rows, betas) > 0.0)
-            & ~affine_floor(pf, *HEAT.random_vars(rows), rows, betas)[1])
-            for pf in HEAT.constraints)
-        assert searched_safe > 0
+        assert skipped > 0 and searched_safe > 0
 
     @pytest.mark.parametrize("name", PROBLEM_NAMES)
     def test_engine_searches_only_unproven_rows(self, name, monkeypatch):
