@@ -40,6 +40,7 @@ from .errors import NumericError, UsageError
 from .formulation import build_rbdo_evaluator, sweep_robustness, sweep_specs
 from .optimize import DeParams, ModeParams, de_minimize
 from .reliability import AsoslParams, asosl_mpp
+from .robustness import STRATEGIES
 from .sampling import SCHEMES
 from .stats import fit_front, second_difference_scale
 
@@ -65,8 +66,7 @@ SETTINGS = {
     "problem": Setting(mpp=True, help="problem name (see list-problems)"),
     "mode": Setting("rbrdo", choices=("deterministic", "rbdo", "rbrdo")),
     "delta": Setting("0", help="comma-separated noise levels (rbrdo)"),
-    "strategy": Setting("effective_mean", choices=(
-        "effective_mean", "type2", "penalty", "none")),
+    "strategy": Setting("effective_mean", choices=STRATEGIES),
     "samples": Setting(50, int, alias=("-M",),
                        help="neighborhood samples per evaluation"),
     "eta": Setting(None, float, help="type2 robustness threshold"),
@@ -89,7 +89,7 @@ SETTINGS = {
     "seed": Setting(0, int),
     "mpp_nominal": Setting(False, bool, help=(
         "check constraints once per candidate at the nominal design "
-        "instead of per sample")),
+        "instead of per sample (rbrdo)")),
     "worst_case": Setting(False, bool, help=(
         "type2 compares against the worst sample instead of the sample "
         "mean")),
@@ -97,6 +97,9 @@ SETTINGS = {
                        help="write per-generation progress files"),
     "out": Setting(help="output path prefix"),
 }
+
+# the RobustnessSpec fields besides delta and samples, all rbrdo-only
+_NOISE_SETTINGS = ("strategy", "eta", "scheme", "worst_case", "mpp_nominal")
 
 _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
@@ -165,8 +168,6 @@ def _resolve_config(args) -> dict:
         raise UsageError("--problem is required")
     if cfg["generations"] is None:
         cfg["generations"] = 500 if cfg["mode"] == "rbrdo" else 100
-    if cfg["strategy"] == "type2" and cfg["eta"] is None:
-        raise UsageError("--eta is required for the type2 strategy")
     return cfg
 
 
@@ -242,14 +243,20 @@ def cmd_run(args) -> int:
     # every setting is checked before the output directory is made, and
     # the directory before the optimizer runs
     if mode != "rbrdo":
+        # the DE modes read no noise setting, so they refuse a set one
+        ignored = ["delta"] if any(levels) else []
+        ignored += [key for key in _NOISE_SETTINGS
+                    if cfg[key] != SETTINGS[key].default]
+        if ignored:
+            raise UsageError(f"--mode {mode} reads no noise settings "
+                             f"(set: {', '.join(ignored)})")
         params = DeParams(**de)
         if mode == "deterministic":
             evaluator, bounds, sense = det, det.bounds, det.sense
             beta = 0.0
         else:
             beta = cfg["beta_t"]
-            evaluator, bounds, sense = build_rbdo_evaluator(
-                unc, beta, mpp_per_sample=not cfg["mpp_nominal"])
+            evaluator, bounds, sense = build_rbdo_evaluator(unc, beta)
         prefix = _output_prefix(cfg)
         history = [] if cfg["history"] else None
         best = de_minimize(evaluator, bounds, params, sense=sense,
@@ -266,13 +273,12 @@ def cmd_run(args) -> int:
               f"rbdo optimum at beta={beta:g}: f={f:.6f}")
     else:
         mode_params = ModeParams(**de, r=cfg["r"], R=cfg["R"])
-        specs = sweep_specs(unc, levels, **{key: cfg[key] for key in (
-            "samples", "strategy", "eta", "scheme", "worst_case")})
+        specs = sweep_specs(unc, levels, samples=cfg["samples"], **{
+            key: cfg[key] for key in _NOISE_SETTINGS})
         prefix = _output_prefix(cfg)
         histories = {} if cfg["history"] else None
-        archives, errors = sweep_robustness(
-            unc, specs, mode_params, mpp_per_sample=not cfg["mpp_nominal"],
-            histories=histories)
+        archives, errors = sweep_robustness(unc, specs, mode_params,
+                                            histories=histories)
         if histories:
             for level, hist in histories.items():
                 written.extend(_write_history(prefix, f"_delta{level:g}",

@@ -6,8 +6,8 @@ index beta_t appended as its last coordinate. One evaluation:
 1. draws M samples in the noise neighborhood of d (the beta coordinate is
    never perturbed),
 2. runs the MPP search for every probabilistic constraint (per sample by
-   default, once at the nominal d with ``mpp_per_sample=False``), giving
-   margins g_i*,
+   default, once at the nominal d with ``RobustnessSpec.mpp_nominal``),
+   giving margins g_i*,
 3. aggregates the robust objective per the configured strategy and worsens
    it by psi * sum(max(-g_i*, 0)) with respect to each objective's sense
    (subtracted for maximized objectives),
@@ -276,7 +276,7 @@ def _stacked_mpp(problem: RbrdoProblem, rows: np.ndarray, betas: np.ndarray):
 
 
 def _population_mpp(problem: RbrdoProblem, pop: _Population,
-                    mpp_per_sample: bool):
+                    spec: RobustnessSpec):
     """Penalties and failure points of the live candidates.
 
     Returns (penalty, nominal_penalty, x_samples, x_nominal): per candidate
@@ -287,21 +287,19 @@ def _population_mpp(problem: RbrdoProblem, pop: _Population,
     d, beta = pop.d, pop.beta
     if not problem.constraints:
         return np.zeros(d.shape[0]), np.zeros(d.shape[0]), None, None
-    if pop.noisy and mpp_per_sample:
+    if pop.noisy and not spec.mpp_nominal:
         # every sample row, then every nominal row (engine rows are
         # independent, so the layout leaves each row's result as it is)
         s = len(pop.samples)
         pen, x = _stacked_mpp(problem, np.concatenate([pop.samples, d]),
                               np.concatenate([np.repeat(beta, pop.counts),
                                               beta]))
-        penalty = _per_candidate(_block_mean, pop.counts, pen[:s])
-        if x is None:
-            return penalty, pen[s:], None, None
-        return penalty, pen[s:], x[:s], x[s:]
+        xs = (None, None) if x is None else (x[:s], x[s:])
+        return _per_candidate(_block_mean, pop.counts, pen[:s]), pen[s:], *xs
     # one row per candidate: its nominal design
     penalty, x_nominal = _stacked_mpp(problem, d, beta)
     x_samples = x_nominal
-    if x_nominal is not None and not mpp_per_sample:
+    if x_nominal is not None and pop.noisy:
         # reuse the nominal failure point scaling on every sample
         mu_n, sig_n = problem.random_vars(d)
         u_nom = np.repeat((x_nominal - mu_n) / sig_n, pop.counts, axis=0)
@@ -329,7 +327,7 @@ def _finish(problem: RbrdoProblem, spec: RobustnessSpec, pop: _Population,
     violation = pop.guard_violation + nominal_penalty
     hazard = np.zeros(d.shape[0], dtype=bool)
     signs = sense_signs(problem.senses)
-    if spec.strategy in ("none", "effective_mean") or not pop.noisy:
+    if spec.strategy == "effective_mean" or not pop.noisy:
         f_robust = _per_candidate(_block_mean, pop.counts, f_samples)
     else:
         x_nom = (x_nominal if problem.objective_at_mpp
@@ -359,14 +357,14 @@ class RbrdoEvaluator:
     ``evaluate_batch`` evaluates a whole population as arrays, with one
     MPP engine pass per constraint. With ``fixed_beta`` the search space
     is d alone and beta_t is dropped from the returned objectives. The
-    robustness spec (default: no robustness) and its noise vector, masked
-    to the problem's noisy coordinates, are resolved once, when the
-    evaluator is built.
+    robustness spec (None: the default, noise-free) and its noise vector,
+    masked to the problem's noisy coordinates, are resolved once, when the
+    evaluator is built; a vector with no positive entry is noise-free.
     """
 
     def __init__(self, problem: RbrdoProblem,
                  robustness: Optional[RobustnessSpec],
-                 mpp_per_sample: bool = True, fixed_beta: float = None):
+                 fixed_beta: float = None):
         spec = robustness or RobustnessSpec()
         n = problem.det_bounds.dim
         delta = spec.delta if spec.delta.size else np.zeros(n)
@@ -377,9 +375,7 @@ class RbrdoEvaluator:
         self.problem = problem
         self.robustness = spec
         # the masked noise vector; None when the evaluation is noise-free
-        self.noise = (noise if spec.strategy != "none" and np.any(noise > 0.0)
-                      else None)
-        self.mpp_per_sample = mpp_per_sample
+        self.noise = noise if np.any(noise > 0.0) else None
         self.fixed_beta = fixed_beta
 
     def evaluate_batch(self, xs, rng: RngStream):
@@ -405,7 +401,7 @@ class RbrdoEvaluator:
         if pop.live.size:
             f, v, hazard = _finish(
                 problem, spec, pop,
-                *_population_mpp(problem, pop, self.mpp_per_sample))
+                *_population_mpp(problem, pop, spec))
             if hazard.any():
                 log.info("%d candidates rejected (division hazard)",
                          int(hazard.sum()))
@@ -417,20 +413,17 @@ class RbrdoEvaluator:
 
 
 def build_mo_problem(problem: RbrdoProblem,
-                     robustness: Optional[RobustnessSpec] = None,
-                     mpp_per_sample: bool = True):
+                     robustness: Optional[RobustnessSpec] = None):
     """Adapter exposing the (d, beta_t) search space to the optimizer.
 
     Returns (evaluator, bounds, senses) with decision dimension n_d + 1 and
     beta_t appended as a maximized final objective.
     """
-    evaluator = RbrdoEvaluator(problem, robustness,
-                               mpp_per_sample=mpp_per_sample)
+    evaluator = RbrdoEvaluator(problem, robustness)
     return evaluator, problem.full_bounds(), problem.full_senses()
 
 
-def build_rbdo_evaluator(problem: RbrdoProblem, beta_t: float,
-                         mpp_per_sample: bool = True):
+def build_rbdo_evaluator(problem: RbrdoProblem, beta_t: float):
     """Fixed-reliability single-objective adapter over the d space alone.
 
     Returns (evaluator, bounds, sense): the classical reliability-based
@@ -442,8 +435,7 @@ def build_rbdo_evaluator(problem: RbrdoProblem, beta_t: float,
         raise UsageError("beta_t outside the problem's beta bounds")
     if problem.n_objectives != 1:
         raise UsageError("the fixed-beta form needs a scalar objective")
-    evaluator = RbrdoEvaluator(problem, None, mpp_per_sample=mpp_per_sample,
-                               fixed_beta=float(beta_t))
+    evaluator = RbrdoEvaluator(problem, None, fixed_beta=float(beta_t))
     return evaluator, problem.det_bounds, problem.senses[0]
 
 
@@ -453,26 +445,24 @@ def _level_seed(seed: int, level: float) -> int:
 
 
 def sweep_specs(problem: RbrdoProblem, delta_levels: Sequence[float],
-                samples: int = 50, strategy: str = "effective_mean",
-                eta: Optional[float] = None, scheme: str = "lhs",
-                worst_case: bool = False) -> dict[float, RobustnessSpec]:
+                **settings) -> dict[float, RobustnessSpec]:
     """The robustness spec of each distinct noise level, in first-seen order.
 
-    Raises :class:`UsageError` on any setting a sweep would refuse, so a
-    caller can check a sweep before it starts one.
+    ``settings`` are the other :class:`RobustnessSpec` fields, shared by
+    every level. Raises :class:`UsageError` on any setting a sweep would
+    refuse, so a caller can check a sweep before it starts one.
     """
     levels = list(dict.fromkeys(noise_levels(delta_levels).tolist()))
     if not levels:
         raise UsageError("at least one noise level is required")
     return {level: RobustnessSpec(
-        strategy=strategy, delta=np.where(problem.noise_mask, level, 0.0),
-        samples=samples, eta=eta, scheme=scheme, worst_case=worst_case)
+        delta=np.where(problem.noise_mask, level, 0.0), **settings)
         for level in levels}
 
 
 def sweep_robustness(problem: RbrdoProblem,
                      specs: dict[float, RobustnessSpec], params: ModeParams,
-                     *, mpp_per_sample: bool = True, histories=None):
+                     *, histories=None):
     """One MODE run per noise level of ``specs``; archives keyed by level.
 
     ``specs`` maps each level to its robustness spec, as
@@ -484,8 +474,7 @@ def sweep_robustness(problem: RbrdoProblem,
     archives: dict[float, ParetoArchive] = {}
     errors: dict[float, Exception] = {}
     for level, spec in specs.items():
-        evaluator, bounds, senses = build_mo_problem(
-            problem, robustness=spec, mpp_per_sample=mpp_per_sample)
+        evaluator, bounds, senses = build_mo_problem(problem, spec)
         run_params = replace(params, seed=_level_seed(params.seed, level))
         history = None
         if histories is not None:

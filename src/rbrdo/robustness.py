@@ -30,7 +30,7 @@ from .sampling import SCHEMES
 
 _DENOM_FLOOR = 1e-12
 
-STRATEGIES = ("none", "effective_mean", "type2", "penalty")
+STRATEGIES = ("effective_mean", "type2", "penalty")
 
 
 def noise_levels(values) -> np.ndarray:
@@ -43,21 +43,24 @@ def noise_levels(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RobustnessSpec:
-    """Which strategy to apply and with what noise level.
+    """Every noise setting of an evaluation.
 
     ``delta`` holds one relative half-width per decision coordinate
-    (coordinates with 0 are never perturbed). ``eta`` is required exactly
-    for the Type II strategy. ``worst_case`` switches the Type II
-    aggregator from the sample mean to the worst sample; no other strategy
-    has that choice, so it is refused with any other.
+    (coordinates with 0 are never perturbed); zero noise, the empty default
+    included, is the one noise-free spelling. ``eta`` is required exactly
+    for the Type II strategy. ``worst_case`` makes the worst sample, not
+    the sample mean, the Type II reference; it is refused with any other
+    strategy. ``mpp_nominal`` checks the constraints at each nominal
+    design instead of at every sample; it has no effect at zero noise.
     """
 
-    strategy: str = "none"
+    strategy: str = "effective_mean"
     delta: np.ndarray = field(default_factory=lambda: np.zeros(0))
     samples: int = 50
     eta: float | None = None
     scheme: str = "lhs"
     worst_case: bool = False
+    mpp_nominal: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -65,7 +68,7 @@ class RobustnessSpec:
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown sampling scheme {self.scheme!r}")
         object.__setattr__(self, "delta", noise_levels(self.delta))
-        if self.strategy != "none" and self.samples < 1:
+        if self.samples < 1:
             raise UsageError("sample count must be >= 1")
         if self.strategy == "type2" and self.eta is None:
             raise UsageError("the Type II strategy requires eta")

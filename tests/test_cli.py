@@ -143,7 +143,16 @@ class TestRunRbrdo:
         "--mode rbrdo --strategy type2 --eta -1", "--mode rbrdo --NP 2",
         "--mode rbdo --beta-t 99", "--mode deterministic --F 0",
         "--mode rbrdo --delta 0.05 --strategy penalty --worst-case",
-        "--mode rbrdo --delta 0.05 --worst-case"])
+        "--mode rbrdo --delta 0.05 --worst-case",
+        "--mode rbrdo --delta 0.05 --strategy type2",
+        # the DE modes refuse the noise settings they would ignore
+        "--mode deterministic --delta 0.05", "--mode rbdo --delta 0,-0.1",
+        "--mode deterministic --strategy type2 --eta 0.1",
+        "--mode rbdo --strategy penalty", "--mode rbdo --scheme uniform",
+        "--mode deterministic --eta 0.1", "--mode rbdo --worst-case",
+        "--mode deterministic --mpp-nominal",
+        "--mode rbdo --beta-t 3 --strategy penalty --delta 0.1 "
+        "--mpp-nominal --scheme uniform"])
     def test_refused_settings_leave_no_output_directory(self, tmp_path,
                                                         capsys, settings):
         out = tmp_path / "sub" / "x"
@@ -151,6 +160,27 @@ class TestRunRbrdo:
                      "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize("mode", ["deterministic", "rbdo"])
+    @pytest.mark.parametrize("settings", [
+        "--delta 0.0", "--delta -0", "--delta 0,0",
+        "--samples 50 --R 10 --r 0.9"])
+    def test_de_modes_accept_noise_free_settings(self, tmp_path, mode,
+                                                 settings):
+        assert main(["run", "--problem", "benchmark", "--mode", mode,
+                     "--generations", "1", "--NP", "4", *settings.split(),
+                     "--out", str(tmp_path / "x")]) == 0
+
+    def test_none_is_not_a_strategy(self, tmp_path, capsys):
+        argv = ["run", "--problem", "benchmark", "--delta", "0.05",
+                "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--strategy", "none"])
+        assert exc.value.code == 2
+        (tmp_path / "c.txt").write_text("strategy=none\n")
+        assert main(argv + ["--config", str(tmp_path / "c.txt")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x_meta.txt").exists()
 
 
 class TestMpp:
@@ -296,6 +326,11 @@ MPP_OPTIONS = [
 
 
 class TestSettings:
+    def test_choices_are_declared_once(self):
+        from rbrdo import cli, robustness, sampling
+        assert cli.SETTINGS["strategy"].choices is robustness.STRATEGIES
+        assert cli.SETTINGS["scheme"].choices is sampling.SCHEMES
+
     @pytest.mark.parametrize("command,expected", [("run", RUN_OPTIONS),
                                                   ("mpp", MPP_OPTIONS)])
     def test_option_strings(self, command, expected):

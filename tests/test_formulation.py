@@ -30,10 +30,10 @@ def toy_problem(margin_offset, sense=Sense.MINIMIZE, psi=1e6):
     )
 
 
-def score(problem, d, beta, robustness=None, mpp_per_sample=True):
+def score(problem, d, beta, robustness=None):
     """Objectives (beta_t last) and violation of the candidate (d, beta)
     through the population evaluator, sampled with stream (0,)."""
-    evaluator, _, _ = build_mo_problem(problem, robustness, mpp_per_sample)
+    evaluator, _, _ = build_mo_problem(problem, robustness)
     objs, viol = evaluator.evaluate_batch(np.append(d, beta)[None],
                                           RngStream(0))
     return objs[0], viol[0]
@@ -123,9 +123,17 @@ class TestEvaluateRbrdo:
 
     def test_per_sample_flag_equivalent_at_zero_noise(self):
         prob = toy_problem(1.0)
-        a, _ = score(prob, [2.0], 1.5, mpp_per_sample=True)
-        b, _ = score(prob, [2.0], 1.5, mpp_per_sample=False)
+        a, _ = score(prob, [2.0], 1.5, RobustnessSpec())
+        b, _ = score(prob, [2.0], 1.5, RobustnessSpec(mpp_nominal=True))
         assert np.array_equal(a, b)
+        # catalyst's objective reads the failure points, which a nominal
+        # check rescales onto noisy samples
+        problem, xs = _population("catalyst")
+        zero = np.zeros(problem.det_bounds.dim)
+        a, b = (build_mo_problem(problem, RobustnessSpec(
+            delta=zero, mpp_nominal=nominal))[0].evaluate_batch(xs, GENERATION)
+            for nominal in (False, True))
+        assert _bits(a[0]) == _bits(b[0]) and _bits(a[1]) == _bits(b[1])
 
     def test_domain_guard_rejects(self):
         prob = dataclasses.replace(
@@ -306,12 +314,25 @@ def _population(name, n=22):
 PROBLEMS = {"benchmark": benchmark.rbrdo,
             "heat-exchanger": heat_exchanger.rbrdo,
             "reactor": reactor.rbrdo, "catalyst": catalyst.rbrdo}
-STRATEGIES = [("none", False), ("effective_mean", False), ("penalty", False),
-              ("type2", False), ("type2", True)]
+# (strategy, worst_case, noise level); the first case is noise-free
+STRATEGIES = [("effective_mean", False, 0.0), ("effective_mean", False, 0.1),
+              ("penalty", False, 0.1), ("type2", False, 0.1),
+              ("type2", True, 0.1)]
+
+
+def _population_case(name, k, strategy, worst, level):
+    scheme, per_sample = ("lhs", "uniform")[k % 2], (k // 2) % 2 == 0
+    # at zero noise the scheme and the MPP placement change nothing
+    label = (f"{strategy}-{worst}-{scheme}-{per_sample}" if level
+             else "delta0")
+    return pytest.param(name, strategy, worst, level, scheme, per_sample,
+                        id=f"{name}-{label}")
+
+
 # every problem meets every strategy, both schemes and both MPP placements
 POPULATION_CASES = [
-    (name, strategy, worst, ("lhs", "uniform")[k % 2], (k // 2) % 2 == 0)
-    for name in PROBLEMS for k, (strategy, worst) in enumerate(STRATEGIES)]
+    _population_case(name, k, *case)
+    for name in PROBLEMS for k, case in enumerate(STRATEGIES)]
 
 
 GENERATION = RngStream(0).substream(1, 0)  # row i draws from (1, 0, i)
@@ -360,19 +381,18 @@ class TestPopulationEvaluation:
         monkeypatch.setattr(formulation, "_finish", spy_finish)
         return out
 
-    @pytest.mark.parametrize("name,strategy,worst,scheme,per_sample",
+    @pytest.mark.parametrize("name,strategy,worst,level,scheme,per_sample",
                              POPULATION_CASES)
-    def test_batch_independent(self, name, strategy, worst, scheme,
+    def test_batch_independent(self, name, strategy, worst, level, scheme,
                                per_sample, seen):
         # 16 samples: past 8 terms numpy sums pairwise, so a padded or
         # masked mean over ragged candidates would change their bits
         problem, xs = _population(name)
         spec = RobustnessSpec(
-            strategy=strategy, delta=np.where(problem.noise_mask, 0.1, 0.0),
+            strategy=strategy, delta=np.where(problem.noise_mask, level, 0.0),
             samples=16, eta=0.01 if strategy == "type2" else None,
-            scheme=scheme, worst_case=worst)
-        evaluator, _, _ = build_mo_problem(problem, spec,
-                                           mpp_per_sample=per_sample)
+            scheme=scheme, worst_case=worst, mpp_nominal=not per_sample)
+        evaluator, _, _ = build_mo_problem(problem, spec)
         objs, viol = assert_batch_independent(evaluator, xs)
         assert np.array_equal(objs[:, -1], xs[:, -1])
         if name != "reactor":
@@ -380,7 +400,7 @@ class TestPopulationEvaluation:
         # the cases the array path must get right all occur
         admitted = reactor.domain_guard(xs[:, :2]) == 0.0
         assert np.all(viol[~admitted] > 0.0)  # the guard rejected the design
-        if strategy == "none":
+        if level == 0.0:
             return
         counts = seen["pops"][0].counts
         assert len(np.unique(counts[counts > 8])) > 1  # ragged past 8 rows
@@ -398,12 +418,28 @@ class TestPopulationEvaluation:
         admitted = reactor.domain_guard(xs[:, :2]) == 0.0
         assert np.any(seen["pops"][0].rejected[admitted] > 0.0)
 
+    @pytest.mark.parametrize("mpp_nominal", [False, True])
+    def test_mpp_rows_per_placement(self, monkeypatch, mpp_nominal):
+        # N candidates, M samples each: N nominal rows, plus the N*M
+        # sample rows unless the constraints are checked at nominal only
+        from rbrdo import formulation
+        rows = []
+        stacked = formulation._stacked_mpp
+
+        def spy(problem, at, betas):
+            rows.append(len(at))
+            return stacked(problem, at, betas)
+        monkeypatch.setattr(formulation, "_stacked_mpp", spy)
+        problem, xs = _population("benchmark", n=6)
+        spec = RobustnessSpec(delta=np.full(2, 0.1), samples=4,
+                              mpp_nominal=mpp_nominal)
+        build_mo_problem(problem, spec)[0].evaluate_batch(xs, GENERATION)
+        assert rows == ([6] if mpp_nominal else [6 * 4 + 6])
+
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_fixed_beta_batch_independent(self, name):
         problem, xs = _population(name)
-        beta_t = problem.beta_bounds[1]
-        for per_sample in (True, False):
-            evaluator, _, _ = build_rbdo_evaluator(problem, beta_t,
-                                                   mpp_per_sample=per_sample)
-            objs, _ = assert_batch_independent(evaluator, xs[:, :-1])
-            assert objs.shape == (len(xs), 1)
+        evaluator, _, _ = build_rbdo_evaluator(problem,
+                                               problem.beta_bounds[1])
+        objs, _ = assert_batch_independent(evaluator, xs[:, :-1])
+        assert objs.shape == (len(xs), 1)

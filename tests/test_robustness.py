@@ -155,8 +155,7 @@ class TestTypeII:
         _, viol_mean = robust(f, [1.0], mean, 3)
         assert viol_worst[0] > 0.0 == viol_mean[0]
 
-    @pytest.mark.parametrize("strategy", ["none", "effective_mean",
-                                          "penalty"])
+    @pytest.mark.parametrize("strategy", ["effective_mean", "penalty"])
     def test_worst_case_is_refused_outside_type2(self, strategy):
         # only the Type II aggregator has a worst-sample form
         with pytest.raises(UsageError, match="Type II"):
@@ -166,8 +165,10 @@ class TestTypeII:
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             RobustnessSpec(strategy="type2", delta=np.array([0.1]))
-        with pytest.raises(UsageError):
-            RobustnessSpec(strategy="bogus")
+        # "none" is not a strategy: zero noise is the one noise-free spelling
+        for unknown in ("bogus", "none"):
+            with pytest.raises(UsageError, match="unknown robustness"):
+                RobustnessSpec(strategy=unknown)
         with pytest.raises(UsageError):
             RobustnessSpec(strategy="effective_mean", delta=np.array([0.1]),
                            samples=0)
