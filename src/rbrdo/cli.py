@@ -7,10 +7,11 @@ Subcommands:
 * ``stats-fit``      quadratic fit + goodness-of-fit of a front file
 * ``list-problems``  names accepted by --problem
 
-Each setting is declared once, in :data:`SETTINGS`. Its flag is ``--key``
-with underscores turned into dashes; ``mpp`` takes the problem and MPP
-settings only. A ``--config`` file sets any of them as
-``key=value`` under the flag's type and choices, and flags override it.
+Each setting is declared once, in :data:`SETTINGS`, with the commands and
+run modes that read it; its flag is ``--key``, underscores as dashes.
+``run`` refuses (exit 2) a non-default value its mode would not read. A
+``--config`` file sets any setting as ``key=value`` under the flag's type
+and choices, and flags override it.
 Boolean settings are plain flags; in a file they read 1/true/yes or
 0/false/no. ``None`` is accepted only where it is the default.
 
@@ -40,7 +41,7 @@ from .errors import NumericError, UsageError
 from .formulation import build_rbdo_evaluator, sweep_robustness, sweep_specs
 from .optimize import DeParams, ModeParams, de_minimize
 from .reliability import AsoslParams, asosl_mpp
-from .robustness import STRATEGIES
+from .robustness import STRATEGIES, RobustnessSpec
 from .sampling import SCHEMES
 from .stats import fit_front, second_difference_scale
 
@@ -50,56 +51,60 @@ FIT_SAMPLE = 50
 
 ENV_OUTPUT_DIR = "RBRDO_OUTPUT_DIR"
 
+RUN_MODES = ("deterministic", "rbdo", "rbrdo")
+_ASOSL = ("rbdo", "rbrdo", "mpp")
+
 
 class Setting(NamedTuple):
     """One ``run``/``mpp`` setting; its flag is ``--key`` with dashes."""
 
     default: object = None
     type: Callable = str  # bool: a store_true flag
-    mpp: bool = False     # ``mpp`` takes the flag too
+    reads: tuple = RUN_MODES  # the run modes, and "mpp", that read it
     alias: tuple = ()
     choices: Optional[tuple] = None
     help: Optional[str] = None
 
 
 SETTINGS = {
-    "problem": Setting(mpp=True, help="problem name (see list-problems)"),
-    "mode": Setting("rbrdo", choices=("deterministic", "rbdo", "rbrdo")),
-    "delta": Setting("0", help="comma-separated noise levels (rbrdo)"),
-    "strategy": Setting("effective_mean", choices=STRATEGIES),
-    "samples": Setting(50, int, alias=("-M",),
+    "problem": Setting(reads=RUN_MODES + ("mpp",),
+                       help="problem name (see list-problems)"),
+    "mode": Setting("rbrdo", choices=RUN_MODES),
+    "delta": Setting("0", reads=("rbrdo",),
+                     help="comma-separated noise levels (rbrdo)"),
+    "strategy": Setting("effective_mean", reads=("rbrdo",),
+                        choices=STRATEGIES),
+    "samples": Setting(50, int, reads=("rbrdo",), alias=("-M",),
                        help="neighborhood samples per evaluation"),
-    "eta": Setting(None, float, help="type2 robustness threshold"),
-    "scheme": Setting("lhs", choices=SCHEMES),
+    "eta": Setting(None, float, reads=("rbrdo",),
+                   help="type2 robustness threshold"),
+    "scheme": Setting("lhs", reads=("rbrdo",), choices=SCHEMES),
     "F": Setting(0.5, float),
     "CR": Setting(0.8, float),
     "NP": Setting(50, int),
     "generations": Setting(None, int,
                            help="default 500 for rbrdo, 100 otherwise"),
-    "r": Setting(0.9, float),
-    "R": Setting(10, int),
+    "r": Setting(0.9, float, reads=("rbrdo",)),
+    "R": Setting(10, int, reads=("rbrdo",)),
     "psi": Setting(1e6, float),
-    "beta_t": Setting(3.0, float, mpp=True,
+    "beta_t": Setting(3.0, float, reads=("rbdo", "mpp"),
                       help="target reliability index (rbdo mode / mpp)"),
-    "delta_eta": Setting(1.0, float, mpp=True),
-    "alpha_b": Setting(1e-4, float, mpp=True),
-    "s_b": Setting(0.5, float, mpp=True),
-    "epsilon": Setting(1e-6, float, mpp=True),
-    "max_iters": Setting(200, int, mpp=True),
+    "delta_eta": Setting(1.0, float, reads=_ASOSL),
+    "alpha_b": Setting(1e-4, float, reads=_ASOSL),
+    "s_b": Setting(0.5, float, reads=_ASOSL),
+    "epsilon": Setting(1e-6, float, reads=_ASOSL),
+    "max_iters": Setting(200, int, reads=_ASOSL),
     "seed": Setting(0, int),
-    "mpp_nominal": Setting(False, bool, help=(
+    "mpp_nominal": Setting(False, bool, reads=("rbrdo",), help=(
         "check constraints once per candidate at the nominal design "
         "instead of per sample (rbrdo)")),
-    "worst_case": Setting(False, bool, help=(
+    "worst_case": Setting(False, bool, reads=("rbrdo",), help=(
         "type2 compares against the worst sample instead of the sample "
         "mean")),
     "history": Setting(False, bool,
                        help="write per-generation progress files"),
     "out": Setting(help="output path prefix"),
 }
-
-# the RobustnessSpec fields besides delta and samples, all rbrdo-only
-_NOISE_SETTINGS = ("strategy", "eta", "scheme", "worst_case", "mpp_nominal")
 
 _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
@@ -221,36 +226,37 @@ def _write_metadata(path: str, cfg: dict, info: dict):
             fh.write(f"{key}={_fmt(cfg[key])}\n")
 
 
+def _field_settings(cls, cfg) -> dict:
+    """The settings named by the fields of dataclass ``cls``."""
+    return {f.name: cfg[f.name] for f in dataclasses.fields(cls)}
+
+
 def _problem_objects(cfg):
     det = problems.get_deterministic(cfg["problem"])
     unc = dataclasses.replace(
         problems.get_rbrdo(cfg["problem"]), psi=cfg["psi"],
-        mpp=AsoslParams(**{key: cfg[key] for key in (
-            "delta_eta", "alpha_b", "s_b", "epsilon", "max_iters")}))
+        mpp=AsoslParams(**_field_settings(AsoslParams, cfg)))
     return det, unc
 
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     levels = _floats(cfg["delta"], "delta")
+    mode = cfg["mode"]
+    # delta is judged by its levels, so 0, 0.0 and -0 pass
+    unread = [f"--{key.replace('_', '-')}" for key, s in SETTINGS.items()
+              if mode not in s.reads and (any(levels) if key == "delta"
+                                          else cfg[key] != s.default)]
+    if unread:
+        raise UsageError(f"--mode {mode} does not read {', '.join(unread)}")
     t0 = time.perf_counter()
     det, unc = _problem_objects(cfg)
-    mode = cfg["mode"]
-    de = {key: cfg[key]
-          for key in ("F", "CR", "NP", "generations", "seed", "psi")}
     written = []
 
     # every setting is checked before the output directory is made, and
     # the directory before the optimizer runs
     if mode != "rbrdo":
-        # the DE modes read no noise setting, so they refuse a set one
-        ignored = ["delta"] if any(levels) else []
-        ignored += [key for key in _NOISE_SETTINGS
-                    if cfg[key] != SETTINGS[key].default]
-        if ignored:
-            raise UsageError(f"--mode {mode} reads no noise settings "
-                             f"(set: {', '.join(ignored)})")
-        params = DeParams(**de)
+        params = DeParams(**_field_settings(DeParams, cfg))
         if mode == "deterministic":
             evaluator, bounds, sense = det, det.bounds, det.sense
             beta = 0.0
@@ -272,9 +278,10 @@ def cmd_run(args) -> int:
               if mode == "deterministic" else
               f"rbdo optimum at beta={beta:g}: f={f:.6f}")
     else:
-        mode_params = ModeParams(**de, r=cfg["r"], R=cfg["R"])
-        specs = sweep_specs(unc, levels, samples=cfg["samples"], **{
-            key: cfg[key] for key in _NOISE_SETTINGS})
+        mode_params = ModeParams(**_field_settings(ModeParams, cfg))
+        noise = _field_settings(RobustnessSpec, cfg)
+        del noise["delta"]  # parsed into levels above
+        specs = sweep_specs(unc, levels, **noise)
         prefix = _output_prefix(cfg)
         histories = {} if cfg["history"] else None
         archives, errors = sweep_robustness(unc, specs, mode_params,
@@ -407,7 +414,7 @@ def cmd_list_problems(args) -> int:
 def _add_settings(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config", help="key=value config file; flags override")
     for key, s in SETTINGS.items():
-        if command == "run" or s.mpp:
+        if command == "run" or command in s.reads:
             kind = ({"action": "store_true"} if s.type is bool
                     else {"type": s.type, "choices": s.choices})
             p.add_argument(f"--{key.replace('_', '-')}", *s.alias,

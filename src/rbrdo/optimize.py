@@ -14,6 +14,7 @@ sense-adjusted objectives worsened by ``psi * violation``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,25 +147,20 @@ def de_minimize(evaluator, bounds: Bounds, params: DeParams,
                              constraint_violation=float(viol[best]))
 
 
-def fast_non_dominated_sort(canon: np.ndarray) -> list[np.ndarray]:
-    """Index fronts of an all-minimize objective matrix (front 0 first)."""
-    P = canon.shape[0]
-    if P == 0:
+def fast_non_dominated_sort(canon: np.ndarray) -> Iterator[np.ndarray]:
+    """Index fronts of an all-minimize matrix, front 0 first, peeled lazily."""
+    if canon.shape[0] == 0:
         raise UsageError("population must be nonempty")
     # dom[i, j]: i dominates j
     dom = dominates_rows(canon[:, None, :], canon[None, :, :])
-    n_dom = dom.sum(axis=0)
-    fronts = []
-    remaining = n_dom.copy()
-    assigned = np.zeros(P, dtype=bool)
+    # each row's dominators not yet peeled; a peeled row is marked -1
+    remaining = dom.sum(axis=0)
     current = np.flatnonzero(remaining == 0)
     while current.size:
-        fronts.append(current)
-        assigned[current] = True
-        remaining = remaining - dom[current].sum(axis=0)
-        nxt = np.flatnonzero((remaining == 0) & ~assigned)
-        current = nxt
-    return fronts
+        yield current
+        remaining -= dom[current].sum(axis=0)
+        remaining[current] = -1
+        current = np.flatnonzero(remaining == 0)
 
 
 def crowding_distance(canon: np.ndarray) -> np.ndarray:
@@ -188,15 +184,12 @@ def _environmental_selection(canon: np.ndarray, NP: int) -> np.ndarray:
     """Indices of the NP survivors: front by front, crowding on the cut."""
     chosen = []
     for front in fast_non_dominated_sort(canon):
-        if len(chosen) + front.size <= NP:
-            chosen.extend(front.tolist())
-            if len(chosen) == NP:
-                break
-        else:
+        need = NP - len(chosen)
+        if front.size > need:
             dist = crowding_distance(canon[front])
-            order = np.argsort(-dist, kind="stable")
-            need = NP - len(chosen)
-            chosen.extend(front[order[:need]].tolist())
+            front = front[np.argsort(-dist, kind="stable")[:need]]
+        chosen.extend(front.tolist())
+        if len(chosen) == NP:
             break
     return np.array(chosen, dtype=int)
 

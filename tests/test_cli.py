@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -7,11 +8,27 @@ import sys
 import numpy as np
 import pytest
 
-from rbrdo.cli import build_parser, main
+from rbrdo import AsoslParams, DeParams, ModeParams, RobustnessSpec
+from rbrdo.cli import RUN_MODES, SETTINGS, build_parser, main
 
 BENCH_DET = ["run", "--problem", "benchmark", "--mode", "deterministic",
              "--seed", "1"]
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# a value other than the default for every setting but problem, mode and out
+NON_DEFAULT = {
+    "delta": "0.02,0.05", "strategy": "type2", "samples": 3, "eta": 0.5,
+    "scheme": "uniform", "F": 0.6, "CR": 0.7, "NP": 10, "generations": 4,
+    "r": 0.8, "R": 2, "psi": 1e5, "beta_t": 2.5, "delta_eta": 0.9,
+    "alpha_b": 2e-4, "s_b": 0.6, "epsilon": 1e-5, "max_iters": 150,
+    "seed": 7, "mpp_nominal": True, "worst_case": True, "history": True}
+# every (run mode, setting it does not read) pair
+UNREAD = [(mode, key) for mode in RUN_MODES for key, s in SETTINGS.items()
+          if mode not in s.reads]
+
+
+def flag(key):
+    return f"--{key.replace('_', '-')}"
 
 
 def run_cli(args, tmp_path, extra_env=None):
@@ -152,7 +169,10 @@ class TestRunRbrdo:
         "--mode deterministic --eta 0.1", "--mode rbdo --worst-case",
         "--mode deterministic --mpp-nominal",
         "--mode rbdo --beta-t 3 --strategy penalty --delta 0.1 "
-        "--mpp-nominal --scheme uniform"])
+        "--mpp-nominal --scheme uniform",
+        # and the MODE, sampling and MPP settings they would ignore
+        "--mode deterministic --samples 3 --R 2 --r 0.5",
+        "--mode rbrdo --beta-t 2", "--mode deterministic --max-iters 5"])
     def test_refused_settings_leave_no_output_directory(self, tmp_path,
                                                         capsys, settings):
         out = tmp_path / "sub" / "x"
@@ -169,6 +189,35 @@ class TestRunRbrdo:
                                                  settings):
         assert main(["run", "--problem", "benchmark", "--mode", mode,
                      "--generations", "1", "--NP", "4", *settings.split(),
+                     "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("mode,key", UNREAD)
+    def test_every_unread_setting_is_refused(self, tmp_path, capsys, mode,
+                                             key, source):
+        value = NON_DEFAULT[key]
+        assert value != SETTINGS[key].default
+        argv = ["run", "--problem", "benchmark", "--mode", mode,
+                "--generations", "1", "--NP", "4",
+                "--out", str(tmp_path / "sub" / "x")]
+        if source == "flag":
+            argv += [flag(key)] + ([] if value is True else [str(value)])
+        else:
+            (tmp_path / "c.txt").write_text(f"{key}={value}\n")
+            argv += ["--config", str(tmp_path / "c.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag(key) in err
+        assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_unread_settings_at_their_defaults_pass(self, tmp_path, mode):
+        # a _meta.txt spells out every setting, those its mode ignores too
+        (tmp_path / "c.txt").write_text("".join(
+            f"{key}={s.default}\n" for key, s in SETTINGS.items()))
+        assert main(["run", "--config", str(tmp_path / "c.txt"),
+                     "--problem", "benchmark", "--mode", mode,
+                     "--generations", "1", "--NP", "4",
                      "--out", str(tmp_path / "x")]) == 0
 
     def test_none_is_not_a_strategy(self, tmp_path, capsys):
@@ -344,7 +393,9 @@ class TestSettings:
         "NP=abc", "seed=None", "strategy=foo", "scheme=bar", "history=ture",
         "--delta 0,abc", "mpp --d 3.4,abc", "--delta nan", "--delta inf",
         "mpp --d 3,nan", "mpp --d 3.4,3.3 --beta-t inf", "--alpha-b 2",
-        "--epsilon inf", "--seed -1", "--F inf", "--psi inf", "seed=-1"])
+        "--epsilon inf", "--seed -1", "--F inf", "--psi inf", "seed=-1",
+        # deterministic runs refuse the MPP settings unread; rbdo reads them
+        "--mode rbdo --alpha-b 2", "--mode rbdo --epsilon inf"])
     def test_malformed_value_is_a_configuration_error(self, tmp_path, capsys,
                                                       source):
         out = ["--out", str(tmp_path / "x")]
@@ -375,27 +426,46 @@ class TestSettings:
         assert (tmp_path / "x_history.csv").exists() is value
 
     def test_every_setting_round_trips_through_metadata(self, tmp_path):
-        argv = ["run", "--problem", "benchmark", "--mode", "rbrdo",
-                "--delta", "0.02,0.05", "--strategy", "type2", "-M", "3",
-                "--eta", "0.5", "--scheme", "uniform", "--F", "0.6",
-                "--CR", "0.7", "--NP", "10", "--generations", "4", "--r",
-                "0.8", "--R", "2", "--psi", "1e5", "--beta-t", "2.5",
-                "--delta-eta", "0.9", "--alpha-b", "2e-4", "--s-b", "0.6",
-                "--epsilon", "1e-5", "--max-iters", "150", "--seed", "7",
-                "--mpp-nominal", "--worst-case", "--history",
-                "--out", str(tmp_path / "a")]
-        assert main(argv) == 0
-        meta = (tmp_path / "a_meta.txt").read_text()
-        assert main(["run", "--config", str(tmp_path / "a_meta.txt"),
-                     "--out", str(tmp_path / "b")]) == 0
-        settings = [ln for ln in meta.splitlines()
-                    if not ln.startswith(("#", "out="))]
-        assert settings == [
-            ln for ln in (tmp_path / "b_meta.txt").read_text().splitlines()
-            if not ln.startswith(("#", "out="))]
-        assert "generations=4" in settings and "mpp_nominal=True" in settings
-        names = sorted(p.name[1:] for p in tmp_path.glob("a_*.csv"))
-        assert len(names) == 5  # two fronts, two histories, the stats
-        for name in names:
-            assert ((tmp_path / f"a{name}").read_bytes()
-                    == (tmp_path / f"b{name}").read_bytes()), name
+        # one run per mode, with a non-default value of every setting that
+        # mode reads; -M stands in for --samples
+        files = {"deterministic": 2, "rbdo": 2, "rbrdo": 5}
+        for mode in RUN_MODES:
+            read = {key: value for key, value in NON_DEFAULT.items()
+                    if mode in SETTINGS[key].reads}
+            a, b = f"{mode}_a", f"{mode}_b"
+            argv = ["run", "--problem", "benchmark", "--mode", mode,
+                    "--out", str(tmp_path / a)]
+            for key, value in read.items():
+                argv += [SETTINGS[key].alias[0] if SETTINGS[key].alias
+                         else flag(key)]
+                argv += [] if value is True else [str(value)]
+            assert main(argv) == 0, mode
+            meta = (tmp_path / f"{a}_meta.txt").read_text()
+            assert main(["run", "--config", str(tmp_path / f"{a}_meta.txt"),
+                         "--out", str(tmp_path / b)]) == 0, mode
+            settings = [ln for ln in meta.splitlines()
+                        if not ln.startswith(("#", "out="))]
+            assert settings == [
+                ln for ln in (tmp_path / f"{b}_meta.txt").read_text()
+                .splitlines() if not ln.startswith(("#", "out="))]
+            for key, value in read.items():
+                assert f"{key}={value}" in settings, (mode, key)
+            names = sorted(p.name[len(a):]
+                           for p in tmp_path.glob(f"{a}_*.csv"))
+            # rbrdo: two fronts, two histories, the stats
+            assert len(names) == files[mode], (mode, names)
+            for name in names:
+                assert ((tmp_path / f"{a}{name}").read_bytes()
+                        == (tmp_path / f"{b}{name}").read_bytes()), name
+
+    def test_defaults_match_the_dataclasses(self):
+        # generations resolves per mode (500 or 100); delta is a string
+        # of comma-separated levels
+        exceptions = {"generations", "delta"}
+        for cls in (DeParams, ModeParams, AsoslParams, RobustnessSpec):
+            for field in dataclasses.fields(cls):
+                if field.name not in exceptions:
+                    assert SETTINGS[field.name].default == field.default, (
+                        cls.__name__, field.name)
+        assert SETTINGS["generations"].default is None
+        assert SETTINGS["delta"].default == "0"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbrdo import (Bounds, DeParams, ModeParams, RngStream, RobustnessSpec,
                    Sense, UsageError, build_mo_problem, build_rbdo_evaluator,
                    crowding_distance, de_minimize, fast_non_dominated_sort,
                    mode_optimize)
 from rbrdo.core import non_dominated_mask
-from rbrdo.optimize import _rand1bin_trials
+from rbrdo.optimize import _environmental_selection, _rand1bin_trials
 from rbrdo.problems import get_deterministic, get_rbrdo
 
 
@@ -98,7 +99,7 @@ class TestDeMinimize:
 class TestNonDominatedSort:
     def test_identical_rows_single_front(self):
         canon = np.ones((6, 2))
-        fronts = fast_non_dominated_sort(canon)
+        fronts = list(fast_non_dominated_sort(canon))
         assert len(fronts) == 1 and len(fronts[0]) == 6
 
     def test_chain_gives_singletons(self):
@@ -128,7 +129,7 @@ class TestNonDominatedSort:
     def test_union_is_population(self):
         rng = np.random.default_rng(1)
         canon = rng.integers(0, 5, size=(80, 3)).astype(float)
-        fronts = fast_non_dominated_sort(canon)
+        fronts = list(fast_non_dominated_sort(canon))
         combined = sorted(np.concatenate(fronts).tolist())
         assert combined == list(range(80))
 
@@ -139,7 +140,48 @@ class TestNonDominatedSort:
         canon = rng.integers(0, 4, size=(60, 1 + seed % 3)).astype(float)
         mask = non_dominated_mask(canon)
         assert np.flatnonzero(mask).tolist() == sorted(
-            fast_non_dominated_sort(canon)[0].tolist())
+            list(fast_non_dominated_sort(canon))[0].tolist())
+
+
+def full_sort_selection(canon, NP):
+    """Reference selection: every front peeled first, then taken in order."""
+    le = np.all(canon[:, None, :] <= canon[None, :, :], axis=2)
+    lt = np.any(canon[:, None, :] < canon[None, :, :], axis=2)
+    dom = le & lt  # dom[i, j]: i dominates j
+    remaining = dom.sum(axis=0)
+    assigned = np.zeros(len(canon), dtype=bool)
+    fronts = []
+    current = np.flatnonzero(remaining == 0)
+    while current.size:
+        fronts.append(current)
+        assigned[current] = True
+        remaining = remaining - dom[current].sum(axis=0)
+        current = np.flatnonzero((remaining == 0) & ~assigned)
+    chosen = []
+    for front in fronts:
+        if len(chosen) + front.size <= NP:
+            chosen.extend(front.tolist())
+            if len(chosen) == NP:
+                break
+        else:
+            dist = crowding_distance(canon[front])
+            order = np.argsort(-dist, kind="stable")
+            chosen.extend(front[order[:NP - len(chosen)]].tolist())
+            break
+    return chosen
+
+
+class TestEnvironmentalSelection:
+    # small integers tie often, in single coordinates and whole rows
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.lists(st.integers(0, 3), min_size=m, max_size=m),
+        min_size=1, max_size=16)))
+    def test_matches_the_full_sort(self, rows):
+        canon = np.array(rows, dtype=float)
+        for NP in range(1, len(canon) + 1):
+            assert (_environmental_selection(canon, NP).tolist()
+                    == full_sort_selection(canon, NP)), NP
 
 
 class TestCrowdingDistance:
